@@ -29,7 +29,7 @@ from .cochains import (
     delta_matrix_rows,
     evaluate,
     interval_pairing,
-    is_cocycle_fast,
+    is_cocycle,
     pullback,
     solve_coboundary,
     torus_fundamental_cycle,
@@ -269,7 +269,7 @@ def is_invariant_class(ext: Extension, omega: Cochain):
     The witnesses are cochains Phi'_g with
     delta Phi'_g = omega - alpha(g^{-1})^* omega.
     """
-    if not is_cocycle_fast(omega):
+    if not is_cocycle(omega):
         raise NotACocycle("invariance is a statement about cocycles")
     g_grp = ext.quotient
     phis = {}
@@ -338,7 +338,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
                 - phis[g_grp.inverses[g_grp.mul(g1, g2)]]
                 + _sigma_slant(omega, d_grp, sigma(i1, i2))
             )
-            if not is_cocycle_fast(u):
+            if not is_cocycle(u):
                 raise NotACocycle("obstruction cochain must be closed")
             us[(g1, g2)] = coh.classify(u)
 
@@ -424,7 +424,7 @@ def find_closed_lift(ext: Extension, omega: Cochain, modulus=None):
     first entry generates Ghat (equivalent to full closedness) plus the
     restriction values; the result is re-verified directly.
     """
-    if not is_cocycle_fast(omega):
+    if not is_cocycle(omega):
         raise NotACocycle("lifting is a statement about cocycles")
     n = omega.degree
     ghat, d_grp = ext.total, ext.kernel
@@ -444,7 +444,7 @@ def find_closed_lift(ext: Extension, omega: Cochain, modulus=None):
     if sol is None:
         return None
     omegahat = vector_cochain(ghat, n, sol, m, index=index)
-    assert is_cocycle_fast(omegahat), "solver output must be closed"
+    assert is_cocycle(omegahat), "solver output must be closed"
     assert pullback(ext.iota, omegahat) == omega, "solver output must restrict"
     return omegahat
 
@@ -456,7 +456,7 @@ def find_boundary_pair(ext: Extension, omega: Cochain, modulus=None):
     Solved as one coupled system over Z/M; the returned pair re-verifies
     bit-exactly.
     """
-    if not is_cocycle_fast(omega):
+    if not is_cocycle(omega):
         raise NotACocycle("boundary pairs are for cocycles")
     n = omega.degree
     ghat, g_grp, d_grp = ext.total, ext.quotient, ext.kernel
@@ -496,7 +496,7 @@ def find_boundary_pair(ext: Extension, omega: Cochain, modulus=None):
     theta = vector_cochain(g_grp, n + 1, sol[off:], m, index=idx_y)
     assert pullback(ext.iota, omega_p) == omega
     assert coboundary(omega_p) == pullback(ext.lam, theta)
-    assert is_cocycle_fast(theta)
+    assert is_cocycle(theta)
     return omega_p, theta
 
 
@@ -562,7 +562,7 @@ def anomaly_report(ext: Extension, omega: Cochain, modulus_multiplier=1) -> Obst
 
 
 def _verify_boundary_pair(ext, omega_p, theta):
-    if coboundary(omega_p) != pullback(ext.lam, theta) or not is_cocycle_fast(theta):
+    if coboundary(omega_p) != pullback(ext.lam, theta) or not is_cocycle(theta):
         raise NotABoundaryPair("delta omega' must equal lambda^* theta with theta closed")
 
 

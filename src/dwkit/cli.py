@@ -29,7 +29,7 @@ from .cochains import (
     Cochain,
     catalog_cocycle,
     cohomology,
-    is_cocycle_fast,
+    is_cocycle,
     solve_coboundary,
 )
 from .errors import (
@@ -184,7 +184,7 @@ def _cache_load(cache_dir, group, degree, budget):
         if len(gens) != len(factors):
             return None
         for d, gen in zip(factors, gens):
-            if gen.degree != degree or not is_cocycle_fast(gen):
+            if gen.degree != degree or not is_cocycle(gen):
                 return None
             if gen.denominator() != d:
                 return None
@@ -352,7 +352,7 @@ def cmd_anomaly(args):
 def cmd_transgress(args):
     group = load_group_spec(args.group)
     theta = load_cochain_spec(args.cocycle, group)
-    if not is_cocycle_fast(theta):
+    if not is_cocycle(theta):
         raise NotACocycle("transgression input must be a cocycle")
     out = transgress_torus(theta, args.iterate)
     record = {

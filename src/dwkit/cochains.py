@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm
 
-from sympy import factorint
-
 from .errors import (
     BudgetExceeded,
     DegreeMismatch,
@@ -140,8 +138,8 @@ class Cochain:
 
     def __hash__(self):
         return hash(
-            (self.degree, self.modulus, tuple(sorted(self.values.items(),
-                                                     key=lambda kv: kv[0])))
+            (self.degree, tuple(sorted(self.values.items(),
+                                       key=lambda kv: kv[0])))
         )
 
     def denominator(self):
@@ -216,17 +214,14 @@ def _delta_faces(group, t):
 
 def coboundary(c):
     """The bar differential (trivial coefficients), degree n -> n+1."""
-    g = c.group
-    vals = {}
-    if c.is_zero():
-        return Cochain(g, c.degree + 1, c.modulus, {})
-    for t in all_tuples(g, c.degree + 1):
-        acc = PhaseValue.zero(c.modulus)
-        for sign, f in _delta_faces(g, t):
-            acc = acc + sign * c.value(f)
-        if not acc.is_zero():
-            vals[t] = acc
-    return Cochain(g, c.degree + 1, c.modulus, vals)
+    g, n = c.group, c.degree
+    den = c.denominator()
+    index_n, index_k = TupleIndex(g, n), TupleIndex(g, n + 1)
+    w = _integral_coboundary(g, n, cochain_vector(c, index_n, scale_to=den),
+                             index_n, index_k)
+    vals = {t: PhaseValue(v, den)
+            for t, v in zip(index_k.all(), w) if v % den}
+    return Cochain(g, n + 1, c.modulus, vals)
 
 
 def is_cocycle(c):
@@ -237,7 +232,6 @@ def pullback(f: GroupHom, c: Cochain):
     """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized."""
     src = f.source
     vals = {}
-    e = src.identity
     for t in all_tuples(src, c.degree):
         v = c.value(tuple(f(g) for g in t))
         if not v.is_zero():
@@ -547,11 +541,23 @@ def _integral_coboundary(group, n, vec, index_n, index_k):
     return out
 
 
+def _factor(d):
+    """Prime factorization {p: e} of d >= 2, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= d:
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+        p += 1
+    if d > 1:
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
 def _crt_pair(r1, m1, r2, m2):
-    g, x = 0, 0
     # m1, m2 coprime here
-    from math import gcd as _g
-    assert _g(m1, m2) == 1
+    assert gcd(m1, m2) == 1
     inv = pow(m1, -1, m2)
     return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2), m1 * m2
 
@@ -640,14 +646,10 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
 
     # coboundaries: columns of delta_n expressed in kernel coordinates
     cols = [dict() for _ in range(index_n.size)]
-    for i, t in enumerate(index_k.all()):
-        for sign, f in _delta_faces(group, t):
-            j = index_n.index(f)
-            v = cols[j].get(i, 0) + sign
-            if v:
-                cols[j][i] = v
-            else:
-                cols[j].pop(i, None)
+    _tuples, rows_n = delta_matrix_rows(group, n, index=index_n)
+    for i, row in enumerate(rows_n):
+        for j, v in row.items():
+            cols[j][i] = v
     x_rows = [dict() for _ in range(nullity)]
     for j, col in enumerate(cols):
         dense = [0] * index_k.size
@@ -669,7 +671,7 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     for pos, d in enumerate(raw_orders):
         if d <= 1:
             continue
-        for p, e in factorint(d).items():
+        for p, e in _factor(d).items():
             primary.setdefault(p, []).append((e, pos, d // p**e))
     for p in primary:
         primary[p].sort(reverse=True)
@@ -735,16 +737,6 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
 # -- coboundary solving ---------------------------------------------------------
 
 
-def is_cocycle_fast(c: Cochain):
-    """Integer-arithmetic closedness check (equivalent to is_cocycle)."""
-    den = c.denominator()
-    index_n = TupleIndex(c.group, c.degree)
-    index_k = TupleIndex(c.group, c.degree + 1)
-    vec = cochain_vector(c, index_n, scale_to=den)
-    w = _integral_coboundary(c.group, c.degree, vec, index_n, index_k)
-    return all(v % den == 0 for v in w)
-
-
 def solve_coboundary(y: Cochain, working_modulus=None):
     """Find x with delta x = y exactly in Q/Z, or None.
 
@@ -759,7 +751,7 @@ def solve_coboundary(y: Cochain, working_modulus=None):
     den = y.denominator()
     if y.is_zero():
         return Cochain.zero(g, n - 1, y.modulus)
-    if not is_cocycle_fast(y):
+    if not is_cocycle(y):
         return None
     m_work = working_modulus or den * g.order
     if m_work % den:

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from math import lcm
-
-from sympy import Poly, Symbol, cyclotomic_poly
 
 from .cochains import (
     Cochain,
     coboundary,
     evaluate,
-    is_cocycle_fast,
+    is_cocycle,
     pullback,
     torus_fundamental_cycle,
 )
@@ -31,12 +30,6 @@ from .errors import DegreeMismatch, IncompatiblePhases, NotACocycle
 from .groupoids import gauge_groupoid
 from .groups import FiniteGroup, GroupHom
 from .phase import PhaseValue
-
-# The independent Dijkgraaf-Pasquier-Roche formula for the twisted-double
-# 2-cocycle agrees with circle transgression on the nose under the
-# conventions used here; set to True if a build ever needs the simultaneous
-# inversion of both sides instead.
-DPR_INVERTED = False
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +65,43 @@ class ExactPhaseSum:
 
     def as_rational(self):
         """The value as a Fraction, or None if it is irrational."""
-        if self.modulus == 1:
-            return Fraction(self.counts[0])
-        x = Symbol("x")
-        coeffs = [Fraction(c) for c in reversed(self.counts)]
-        p = Poly(coeffs, x, domain="QQ")
-        r = p.rem(Poly(cyclotomic_poly(self.modulus, x), x, domain="QQ"))
-        rc = r.all_coeffs()
-        if any(c != 0 for c in rc[:-1]):
+        counts = [Fraction(c) for c in self.counts]
+        den = lcm(*(c.denominator for c in counts))
+        # the remainder mod the monic Phi_M holds the coordinates in the
+        # basis 1, z, ..., z^(deg Phi_M - 1) of Q(z): rational iff constant
+        _q, rem = _divide_monic([int(c * den) for c in counts],
+                                _cyclotomic(self.modulus))
+        if any(rem[1:]):
             return None
-        return Fraction(rc[-1]) if rc else Fraction(0)
+        return Fraction(rem[0], den)
+
+
+def _divide_monic(num, den):
+    """Long division of integer polynomials (constant term first) by a
+    monic ``den``; returns (quotient, remainder)."""
+    num = list(num)
+    deg = len(den) - 1
+    quot = [0] * (len(num) - deg)
+    for top in range(len(num) - 1, deg - 1, -1):
+        q = num[top]
+        if q:
+            quot[top - deg] = q
+            for i, a in enumerate(den):
+                num[top - deg + i] -= q * a
+    return quot, num[:deg]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(m):
+    """Coefficients of the m-th cyclotomic polynomial, constant term first.
+
+    Exact division of x^m - 1 by Phi_d for every proper divisor d of m.
+    """
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, _r = _divide_monic(poly, _cyclotomic(d))
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +144,7 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
         raise ValueError("cocycle lives on a different group")
     if theta.degree != n:
         raise DegreeMismatch(f"need degree {n}, got {theta.degree}")
-    if not is_cocycle_fast(theta):
+    if not is_cocycle(theta):
         raise NotACocycle("dw_partition_torus needs a cocycle")
     modulus = theta.modulus
     phases = [
@@ -148,7 +168,7 @@ def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
     """
     if omega.degree != 2:
         raise DegreeMismatch("twisted representations need a 2-cocycle")
-    if not is_cocycle_fast(omega):
+    if not is_cocycle(omega):
         raise NotACocycle("twisted_irrep_count needs a cocycle")
     phases = [
         (omega.value((h, g)) - omega.value((g, h))).reduced()
@@ -285,7 +305,7 @@ def transgress_circle(theta, check=True):
     transport datum, not a cocycle).
     """
     if isinstance(theta, Cochain):
-        if check and not is_cocycle_fast(theta):
+        if check and not is_cocycle(theta):
             raise NotACocycle("transgression needs a cocycle")
         group, loops, degree = theta.group, 0, theta.degree
         base_value = lambda base, args: theta.value(args)
@@ -334,7 +354,7 @@ def dpr_double_cocycle(theta: Cochain) -> LoopCochain:
     """
     if theta.degree != 3:
         raise DegreeMismatch("the double cocycle needs a 3-cocycle")
-    if not is_cocycle_fast(theta):
+    if not is_cocycle(theta):
         raise NotACocycle("the double cocycle needs a 3-cocycle")
     g_grp = theta.group
     vals = {}
@@ -357,17 +377,9 @@ def dpr_double_cocycle(theta: Cochain) -> LoopCochain:
 def matches_dpr(theta: Cochain) -> bool:
     """Whether circle transgression equals the direct double cocycle.
 
-    The comparison is elementwise, inverting both sides when DPR_INVERTED
-    is set.
+    The comparison is elementwise on the loop groupoid.
     """
-    tau = transgress_circle(theta)
-    beta = dpr_double_cocycle(theta)
-    if DPR_INVERTED:
-        beta = LoopCochain(
-            beta.group, beta.loops, beta.degree, beta.modulus,
-            {k: -v for k, v in beta.values.items()},
-        )
-    return tau == beta
+    return transgress_circle(theta) == dpr_double_cocycle(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +426,7 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
     n = theta.degree
     if n < 2:
         raise DegreeMismatch("state spaces need degree >= 2")
-    if not is_cocycle_fast(theta):
+    if not is_cocycle(theta):
         raise NotACocycle("state_space_torus needs a cocycle")
     k = n - 1
     bundle = transgress_torus(theta, n - 1)

@@ -1,13 +1,9 @@
 """Exact linear algebra over Z and Z/m.
 
-Two engines:
-
-* :func:`smith_normal_form` — textbook dense Smith normal form with
-  unimodular transforms, for small matrices and the public API.
-* :class:`SparseElimination` — sparse fraction-free diagonalization with
-  operation logs, the workhorse behind every coboundary / lift / kernel
-  computation.  Row and column operations are recorded and replayed on
-  vectors, so no dense transform matrices are ever materialized.
+:class:`SparseElimination` is sparse fraction-free diagonalization with
+operation logs, the engine behind every coboundary / lift / kernel
+computation.  Row and column operations are recorded and replayed on
+vectors, so no dense transform matrices are ever materialized.
 
 "No solution" is a verdict (``None``), not an exception: the diagonal form
 fully decouples the system, so the verdict is definitive over the stated
@@ -17,185 +13,7 @@ ring.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from math import gcd
-
-
-# -- sparse integer matrices -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Sparse integer matrix; optional modulus for Z/m entries."""
-
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)  # (r, c) -> nonzero int
-    modulus: int | None = None
-
-    def __post_init__(self):
-        m = self.modulus
-        cleaned = {}
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r}, {c}) out of range")
-            if m is not None:
-                v %= m
-            if v:
-                cleaned[(r, c)] = v
-        object.__setattr__(self, "entries", cleaned)
-
-    @staticmethod
-    def from_rows(row_dicts, cols, modulus=None):
-        entries = {}
-        for r, row in enumerate(row_dicts):
-            for c, v in row.items():
-                if v:
-                    entries[(r, c)] = v
-        return IntMatrix(len(row_dicts), cols, entries, modulus)
-
-    @staticmethod
-    def from_dense(rows_of_values, modulus=None):
-        nrows = len(rows_of_values)
-        ncols = len(rows_of_values[0]) if nrows else 0
-        entries = {
-            (r, c): v
-            for r, row in enumerate(rows_of_values)
-            for c, v in enumerate(row)
-            if v
-        }
-        return IntMatrix(nrows, ncols, entries, modulus)
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
-    def apply(self, x):
-        """Matrix-vector product (entries of x are integers)."""
-        out = [0] * self.rows
-        for (r, c), v in self.entries.items():
-            out[r] += v * x[c]
-        if self.modulus is not None:
-            out = [v % self.modulus for v in out]
-        return out
-
-
-# -- dense Smith normal form --------------------------------------------------
-
-
-def _dense_mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(matrix):
-    """Smith normal form over Z.
-
-    Returns (factors, U, V, D) where U*matrix*V = D, U and V are unimodular,
-    D is diagonal with d_1 | d_2 | ... and d_i >= 0, and ``factors`` is the
-    diagonal of D (length min(rows, cols)).
-    """
-    if isinstance(matrix, IntMatrix):
-        if matrix.modulus is not None:
-            raise ValueError("Smith normal form is computed over Z")
-        a = matrix.to_dense()
-        nr, nc = matrix.rows, matrix.cols
-    else:
-        a = [list(row) for row in matrix]
-        nr = len(a)
-        nc = len(a[0]) if nr else 0
-    u = _dense_mat_identity(nr)
-    v = _dense_mat_identity(nc)
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        ai, aj = a[i], a[j]
-        ui, uj = u[i], u[j]
-        for k in range(nc):
-            ai[k] += q * aj[k]
-        for k in range(nr):
-            ui[k] += q * uj[k]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        for r in range(nr):
-            a[r][i] += q * a[r][j]
-        for r in range(nc):
-            v[r][i] += q * v[r][j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(nr):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(nc):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def col_negate(i):
-        for r in range(nr):
-            a[r][i] = -a[r][i]
-        for r in range(nc):
-            v[r][i] = -v[r][i]
-
-    n = min(nr, nc)
-    for t in range(n):
-        # find a pivot of minimal absolute value in the trailing block
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    val = abs(a[i][j])
-                    if val and (best is None or val < best):
-                        best, pivot = val, (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                row_swap(t, pi)
-            if pj != t:
-                col_swap(t, pj)
-            p = a[t][t]
-            clean = True
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    row_add(i, t, -q)
-                    if a[i][t]:
-                        clean = False
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        clean = False
-            if clean:
-                # ensure the pivot divides the rest of the block
-                p = a[t][t]
-                offender = None
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if a[i][j] % p:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                row_add(t, offender, 1)
-        if a[t][t] < 0:
-            col_negate(t)
-
-    factors = [a[i][i] for i in range(n)]
-    d = IntMatrix.from_dense(a) if a else IntMatrix(0, 0, {})
-    return factors, u, v, d
 
 
 # -- sparse elimination with op logs ------------------------------------------
@@ -459,23 +277,3 @@ class SparseElimination:
                     basis.append([w % m for w in self.apply_col_ops(e)])
         return basis
 
-
-def solve_linear(matrix, b, modulus=None):
-    """Solve matrix * x = b over Z (modulus None) or Z/m.
-
-    Returns (x, kernel_generators) or None.  The verdict is definitive: the
-    system is brought to an equivalent diagonal form, not searched.
-    """
-    if isinstance(matrix, IntMatrix):
-        if modulus is None:
-            modulus = matrix.modulus
-        rows = matrix.row_dicts()
-        ncols = matrix.cols
-    else:
-        rows = [dict(r) for r in matrix]
-        ncols = max((c for r in rows for c in r), default=-1) + 1
-    elim = SparseElimination(rows, ncols, modulus=modulus)
-    x = elim.solve(list(b))
-    if x is None:
-        return None
-    return x, elim.kernel()

@@ -55,7 +55,6 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import (
-    DPR_INVERTED,
     dw_partition_torus,
     is_loop_cocycle,
     omega_regular_class_count,
@@ -440,7 +439,7 @@ def test_criterion_9_circle_transgression_cross_check():
             - theta.value((x, conj(g, x), y))
             + theta.value((x, y, conj(g, grp.mul(x, y))))
         )
-        return -value if DPR_INVERTED else value
+        return value
 
     for n in (2, 3, 4):
         grp = cyclic_group(n)

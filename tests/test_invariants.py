@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 
 import pytest
 
@@ -75,6 +76,33 @@ def test_exact_phase_sum_rationality():
     assert ExactPhaseSum((3,), 1).as_rational() == 3
     half = ExactPhaseSum((1, 1, 1), 3).scaled(Fraction(1, 3))
     assert half.as_rational() == 0
+
+
+def mobius(m):
+    value, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            value = -value
+        p += 1
+    return -value if m > 1 else value
+
+
+def test_exact_phase_sum_cyclotomic_oracle():
+    # Ramanujan: the primitive M-th roots sum to mu(M); a single root of
+    # order > 2 is irrational
+    for m in range(1, 37):
+        primitive = tuple(int(gcd(r, m) == 1) for r in range(m))
+        assert ExactPhaseSum(primitive, m).as_rational() == mobius(m)
+        for r in range(m):
+            single = tuple(int(s == r) for s in range(m))
+            value = ExactPhaseSum(single, m).as_rational()
+            if m // gcd(r, m) > 2:
+                assert value is None
+            else:
+                assert value == (1 if r == 0 else -1)
 
 
 def test_exact_phase_sum_from_phases():

@@ -3,79 +3,7 @@ from itertools import product as iter_product
 
 from hypothesis import given, settings, strategies as st
 
-from dwkit.linalg import IntMatrix, SparseElimination, smith_normal_form, solve_linear
-
-
-def dense(matrix, rows, cols):
-    out = [[0] * cols for _ in range(rows)]
-    for (r, c), v in matrix.entries.items():
-        out[r][c] = v
-    return out
-
-
-def matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def test_snf_identity():
-    m = IntMatrix(3, 3, {(i, i): 1 for i in range(3)})
-    factors, _u, _v, _d = smith_normal_form(m)
-    assert factors == [1, 1, 1]
-
-
-def test_snf_diag_with_zero():
-    m = IntMatrix(2, 2, {(0, 0): 2})
-    factors, _u, _v, _d = smith_normal_form(m)
-    assert factors == [2, 0]
-
-
-def test_snf_known_2x2():
-    m = IntMatrix(2, 2, {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8})
-    factors, u, v, d = smith_normal_form(m)
-    assert factors == [2, 4]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0),
-)
-def test_snf_reconstructs(rows, cols, seed):
-    rng = random.Random(seed)
-    entries = {
-        (r, c): rng.randrange(-9, 10)
-        for r in range(rows)
-        for c in range(cols)
-        if rng.random() < 0.7
-    }
-    entries = {k: v for k, v in entries.items() if v}
-    m = IntMatrix(rows, cols, entries)
-    factors, u, v, d = smith_normal_form(m)
-    lhs = matmul(matmul(u, dense(m, rows, cols)), v)
-    want = [[0] * cols for _ in range(rows)]
-    for i, f in enumerate(factors):
-        want[i][i] = f
-    assert lhs == want
-    for i in range(len(factors) - 1):
-        if factors[i + 1]:
-            assert factors[i] and factors[i + 1] % factors[i] == 0
-
-
-def test_snf_invariant_under_permutation():
-    rng = random.Random(7)
-    entries = {(r, c): rng.randrange(-5, 6) for r in range(3) for c in range(4)}
-    m = IntMatrix(3, 4, {k: v for k, v in entries.items() if v})
-    base = smith_normal_form(m)[0]
-    perm_r, perm_c = [2, 0, 1], [3, 1, 0, 2]
-    shuffled = IntMatrix(
-        3, 4, {(perm_r[r], perm_c[c]): v for (r, c), v in m.entries.items() if v}
-    )
-    assert smith_normal_form(shuffled)[0] == base
+from dwkit.linalg import SparseElimination
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,10 +17,8 @@ def test_solve_linear_matches_brute_force(modulus, rows, cols, seed):
     rng = random.Random(seed)
     a = [[rng.randrange(modulus) for _ in range(cols)] for _ in range(rows)]
     b = [rng.randrange(modulus) for _ in range(rows)]
-    entries = {
-        (r, c): a[r][c] for r in range(rows) for c in range(cols) if a[r][c]
-    }
-    got = solve_linear(IntMatrix(rows, cols, entries, modulus=modulus), b)
+    row_dicts = [{c: v for c, v in enumerate(row) if v} for row in a]
+    got = SparseElimination(row_dicts, cols, modulus=modulus).solve(b)
     brute = None
     for x in iter_product(range(modulus), repeat=cols):
         if all(
@@ -105,7 +31,7 @@ def test_solve_linear_matches_brute_force(modulus, rows, cols, seed):
         assert got is None
     else:
         assert got is not None
-        x = got[0]
+        x = got
         assert all(
             sum(a[r][c] * x[c] for c in range(cols)) % modulus == b[r] % modulus
             for r in range(rows)
@@ -113,13 +39,12 @@ def test_solve_linear_matches_brute_force(modulus, rows, cols, seed):
 
 
 def test_solve_linear_examples():
-    eye = IntMatrix(2, 2, {(0, 0): 1, (1, 1): 1}, modulus=6)
-    assert solve_linear(eye, [4, 5])[0] == [4, 5]
-    two = IntMatrix(1, 1, {(0, 0): 2}, modulus=4)
-    x, kernel = solve_linear(two, [2])
-    assert x in ([1], [3])
-    assert sorted(k[0] % 4 for k in kernel) == [2]
-    assert solve_linear(two, [1]) is None
+    eye = SparseElimination([{0: 1}, {1: 1}], 2, modulus=6)
+    assert eye.solve([4, 5]) == [4, 5]
+    two = SparseElimination([{0: 2}], 1, modulus=4)
+    assert two.solve([2]) in ([1], [3])
+    assert sorted(k[0] % 4 for k in two.kernel()) == [2]
+    assert two.solve([1]) is None
 
 
 def test_sparse_elimination_kernel():
