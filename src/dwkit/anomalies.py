@@ -521,6 +521,12 @@ def anomaly_report(ext: Extension, omega: Cochain, modulus_multiplier=1) -> Obst
     thooft_anomalous_with_bulk (boundary pair with nontrivial bulk theta),
     invariance_fails, first_obstruction_fails.
     """
+    if omega.degree < 2:
+        raise DegreeMismatch(
+            f"anomaly_report needs deg omega >= 2, got {omega.degree}: the "
+            "first obstruction lies in H^2(G; H^(n-1)(D; U(1))), which needs "
+            "n - 1 >= 1"
+        )
     m = default_modulus(ext, omega, modulus_multiplier)
     inv, phis = is_invariant_class(ext, omega)
     if not inv:

@@ -34,6 +34,7 @@ from .cochains import (
 )
 from .errors import (
     BudgetExceeded,
+    DegreeMismatch,
     NotACocycle,
     NotAGroup,
     UnknownBuiltin,
@@ -432,6 +433,7 @@ def main(argv=None):
         UnknownBuiltin,
         UnknownFamily,
         BudgetExceeded,
+        DegreeMismatch,
     ) as exc:
         _log(f"error: {exc}")
         return 1

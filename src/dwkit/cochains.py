@@ -22,6 +22,7 @@ from .errors import (
     NonCommuting,
     NotACocycle,
     UnknownFamily,
+    VerificationFailed,
 )
 from .groups import (
     FiniteGroup,
@@ -556,8 +557,8 @@ def _factor(d):
 
 
 def _crt_pair(r1, m1, r2, m2):
-    # m1, m2 coprime here
-    assert gcd(m1, m2) == 1
+    if gcd(m1, m2) != 1:
+        raise VerificationFailed(f"CRT moduli {m1} and {m2} are not coprime")
     inv = pow(m1, -1, m2)
     return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2), m1 * m2
 
@@ -594,11 +595,11 @@ class CohomologyGroup:
             if v % den:
                 raise NotACocycle("cochain is not closed over Q/Z")
             w[i] = v // den
-        coords = d["elim_b"].col_coords(w)
+        coords = d["elim_b"].col_coords_rows([{0: v} if v else {} for v in w])
         for _r, cc, _dd in d["elim_b"].pivots:
             if coords[cc]:
                 raise NotACocycle("Bockstein image is not a cocycle vector")
-        fc_vec = [coords[f] for f in d["elim_b"].free_cols]
+        fc_vec = [coords[f].get(0, 0) for f in d["elim_b"].free_cols]
         y = d["elim_x"].apply_row_ops(fc_vec)
         raw = {r: y[r] for r, _c, _dd in d["elim_x"].pivots}
         out = []
@@ -644,26 +645,17 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     free_pos = {f: i for i, f in enumerate(free)}
     nullity = len(free)
 
-    # coboundaries: columns of delta_n expressed in kernel coordinates
-    cols = [dict() for _ in range(index_n.size)]
+    # coboundaries: the columns of delta_n in kernel coordinates, as one
+    # replay of elim_b's column ops over the rows of delta_n
     _tuples, rows_n = delta_matrix_rows(group, n, index=index_n)
-    for i, row in enumerate(rows_n):
-        for j, v in row.items():
-            cols[j][i] = v
-    x_rows = [dict() for _ in range(nullity)]
-    for j, col in enumerate(cols):
-        dense = [0] * index_k.size
-        for i, v in col.items():
-            dense[i] = v
-        coords = elim_b.col_coords(dense)
-        for _r, cc, _d in elim_b.pivots:
-            assert coords[cc] == 0, "coboundary outside the cocycle space"
-        for f, i in free_pos.items():
-            if coords[f]:
-                x_rows[i][j] = coords[f]
+    coords = elim_b.col_coords_rows(rows_n)
+    for _r, cc, _d in elim_b.pivots:
+        if coords[cc]:
+            raise VerificationFailed("coboundary outside the cocycle space")
+    x_rows = [dict(sorted(coords[f].items())) for f in free]
     elim_x = SparseElimination(x_rows, index_n.size).eliminate()
     if len(elim_x.pivots) != nullity:
-        raise AssertionError("unexpected free part in group cohomology")
+        raise VerificationFailed("unexpected free part in group cohomology")
 
     # raw cyclic summands -> canonical invariant factors (per-prime slots)
     raw_orders = [abs(d) for _r, _c, d in elim_x.pivots]
@@ -718,7 +710,8 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
                     gen_vec[i] += mult * v
         rhs = [d_slot * gen_vec[index_k.index(t)] for t in wit_tuples]
         a = elim_a.solve(rhs)
-        assert a is not None, "torsion witness must exist over Z"
+        if a is None:
+            raise VerificationFailed("torsion witness must exist over Z")
         rep = vector_cochain(group, n, [v % d_slot for v in a], d_slot,
                              index=index_n)
         generators.append(rep)

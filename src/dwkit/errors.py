@@ -72,3 +72,7 @@ class NotABoundaryPair(ValueError):
 
 class IncompatiblePhases(ValueError):
     """Symmetry phase data fails its defining coboundary equation."""
+
+
+class VerificationFailed(RuntimeError):
+    """An exact self-check of a computed result failed (an internal fault)."""

@@ -43,6 +43,13 @@ class SparseElimination:
     Solves A x = b over Z, or A x = b (mod m) when a modulus is given; the
     elimination is shared across right-hand sides.  Column operations are
     replayed on coordinate vectors instead of materializing the transform.
+
+    Pivot rule: the next pivot column is the one of least current fill,
+    ties broken by the smaller column index, read from a lazy heap of
+    (fill, column) keys.  The heap is a multiset: each distinct key sits on
+    it once with a copy count, and it pops in exactly the order of a heap
+    that holds every pushed copy, so the pivots and op logs do not depend
+    on how the heap is stored.
     """
 
     def __init__(self, row_dicts, ncols, modulus=None):
@@ -116,21 +123,43 @@ class SparseElimination:
     def eliminate(self):
         if self._done:
             return self
-        # columns ordered by fill (lazy heap)
-        heap = [(len(rc), c) for c, rc in enumerate(self.colrows) if rc]
+        colrows, pivot_cols = self.colrows, self.pivot_cols
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # Multiset lazy heap: each distinct (fill, column) key is on the
+        # heap once and ``copies`` counts how many times it was pushed.
+        # This pops keys in exactly the order of a heap holding every copy.
+        heap = [(len(rc), c) for c, rc in enumerate(colrows) if rc]
         heapq.heapify(heap)
+        copies = dict.fromkeys(heap, 1)
+
+        def push(key, n=1):
+            if key in copies:
+                copies[key] += n
+            else:
+                copies[key] = n
+                heappush(heap, key)
+
         while heap:
-            sz, c = heapq.heappop(heap)
-            if c in self.pivot_cols or not self.colrows[c]:
+            key = heappop(heap)
+            n = copies.pop(key)
+            sz, c = key
+            # pivoted or emptied (an empty column never refills): drop all
+            if c in pivot_cols or not colrows[c]:
                 continue
-            if len(self.colrows[c]) != sz:
-                heapq.heappush(heap, (len(self.colrows[c]), c))
+            cur = len(colrows[c])
+            if cur > sz:
+                # every copy is re-pushed at the current fill in turn
+                push((cur, c), n)
                 continue
+            # valid, or shrunk (a copy re-pushed at the smaller fill would
+            # be the heap minimum and pivot next): one copy is spent
+            if n > 1:
+                push(key, n - 1)
             self._pivot_on_column(c)
             # new fill may have revived columns never pushed as nonempty
             for c2 in self.rows_touched:
-                if c2 not in self.pivot_cols and self.colrows[c2]:
-                    heapq.heappush(heap, (len(self.colrows[c2]), c2))
+                if c2 not in pivot_cols and colrows[c2]:
+                    push((len(colrows[c2]), c2))
         # anything left (late fill) gets a final sweep
         for c in range(self.ncols):
             if c not in self.pivot_cols and self.colrows[c]:
@@ -213,12 +242,25 @@ class SparseElimination:
             x[j] += q * x[i]
         return x
 
-    def col_coords(self, v):
-        """V^{-1} v."""
-        v = list(v)
+    def col_coords_rows(self, rows):
+        """V^{-1} M for the sparse matrix M with the given rows, in place.
+
+        Row ``j`` of M is the ``j``-th coordinate of every column of M, so
+        one pass over the column-op log, ``rows[j] -= q * rows[i]`` for op
+        ``(i, j, q)``, replays it on all columns at once.
+        """
         for i, j, q in self.col_ops:
-            v[j] -= q * v[i]
-        return v
+            src = rows[i]
+            if not src:
+                continue
+            dst = rows[j]
+            for c, v in src.items():
+                nv = dst.get(c, 0) - q * v
+                if nv:
+                    dst[c] = nv
+                else:
+                    dst.pop(c, None)
+        return rows
 
     # -- solving ---------------------------------------------------------------
 

@@ -43,6 +43,7 @@ from dwkit.errors import (
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
+    dihedral_exponents,
     dihedral_group,
     dihedral_index,
     find_isomorphism,
@@ -136,6 +137,22 @@ def z2_in_z4_extension():
     iota = GroupHom(z2, z4, [0, 2])
     lam = GroupHom(z4, z2, [0, 1, 0, 1])
     return Extension(z2, z4, z2, iota, lam, find_section(lam))
+
+
+def center_of_d8_extension():
+    """1 -> Z2 = Z(D8) -> D8 -> K4 -> 1, with a^i b^j -> (i mod 2, j)."""
+    z2, d8, k4 = cyclic_group(2), dihedral_group(8), product_group([2, 2])
+    iota = GroupHom(z2, d8, [0, dihedral_index(8, 2, 0)])
+    lam = GroupHom(d8, k4, [
+        product_index([2, 2], (i % 2, j))
+        for i, j in (dihedral_exponents(8, x) for x in d8.elements())
+    ])
+    return Extension(z2, d8, k4, iota, lam, find_section(lam))
+
+
+def center_sign_character():
+    """The degree-1 cocycle on Z(D8) = Z2 taking the central element to 1/2."""
+    return Cochain(cyclic_group(2), 1, 2, {(1,): PhaseValue(1, 2)})
 
 
 def z4_boundary_pair():
@@ -242,6 +259,11 @@ def test_first_obstruction_fails_for_doubling():
     assert report.invariant_class and not report.first_obstruction_trivial
 
 
+def test_anomaly_report_rejects_degree_one():
+    with pytest.raises(DegreeMismatch, match="deg omega >= 2"):
+        anomaly_report(center_of_d8_extension(), center_sign_character())
+
+
 # --------------------------------------------------------------------------
 # closed lifts and boundary pairs
 
@@ -343,6 +365,26 @@ def test_relative_partition_conjugation_invariance():
             assert relative_partition_torus(
                 ext, omega_hat, zero_theta, conj
             ) == relative_partition_torus(ext, omega_hat, zero_theta, phi)
+
+
+def test_relative_partition_theta_cylinder_term():
+    # Ghat = D8 is non-abelian: without the theta-cylinder term on the
+    # fibre objects (phihat, h) with h != 1 the integrand is not gauge
+    # invariant (unlike for the abelian Z2 in Z4 pair)
+    ext = center_of_d8_extension()
+    omega_p, theta = find_boundary_pair(ext, center_sign_character())
+    assert cohomology(ext.quotient, 2).classify(theta) == (1,)
+    ghat, z = ext.total, ext.iota(1)
+    for g in ext.quotient.elements():
+        # the two lifts of g differ by z, where omega' = omega = 1/2, so
+        # their phases cancel
+        x = ext.section[g]
+        assert {y for y in ghat.elements() if ext.lam(y) == g} == {
+            x, ghat.mul(x, z),
+        }
+        shift = omega_p.value((ghat.mul(x, z),)) - omega_p.value((x,))
+        assert shift == PhaseValue(1, 2)
+        assert relative_partition_torus(ext, omega_p, theta, (g,)).value == 0
 
 
 def test_relative_partition_input_validation():

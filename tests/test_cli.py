@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from test_anomalies import z2_in_z4_extension, doubling_extension
+from test_anomalies import (
+    center_of_d8_extension,
+    center_sign_character,
+    doubling_extension,
+    z2_in_z4_extension,
+)
 
 from dwkit.cli import main
 from dwkit.cochains import cohomology, is_cocycle
@@ -145,6 +150,18 @@ def test_anomaly_exit_codes(capsys, tmp_path):
     assert record["theta_class"] == []
     lift = parse_cochain(record["closed_lift"], cyclic_group(4))
     assert is_cocycle(lift)
+
+
+def test_anomaly_rejects_degree_one_cocycle(capsys, tmp_path):
+    ext = tmp_path / "center_of_d8.json"
+    ext.write_text(json.dumps(extension_json(center_of_d8_extension())))
+    sign = tmp_path / "sign.json"
+    sign.write_text(json.dumps(cochain_json(center_sign_character())))
+    code, out, err = run(
+        capsys, "anomaly", "--extension", str(ext), "--cocycle", str(sign),
+    )
+    assert code == 1 and not out
+    assert "deg omega >= 2" in err
 
 
 def test_transgress_reports_dpr(capsys):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from support import random_cochain
 from dwkit.cochains import (
     Cochain,
     FormalChain,
+    _crt_pair,
     catalog_cocycle,
     coboundary,
     cohomology,
@@ -18,7 +23,12 @@ from dwkit.cochains import (
     solve_coboundary,
     torus_fundamental_cycle,
 )
-from dwkit.errors import NonCommuting, NotACocycle, UnknownFamily
+from dwkit.errors import (
+    NonCommuting,
+    NotACocycle,
+    UnknownFamily,
+    VerificationFailed,
+)
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
@@ -220,3 +230,44 @@ def test_interval_pairing_boundary_identity():
         )
         assert coboundary(phi) == w - pullback(conj, w)
     assert interval_pairing(w, d6.identity, ident).values == {}
+
+
+# a cohomology run whose elim_b column-op log lost its last entry; the
+# self-check must still fire when python -O strips every assert
+_CORRUPTED_LOG_RUN = """
+import sys
+import dwkit.cochains as C
+from dwkit.errors import VerificationFailed
+from dwkit.groups import dihedral_group
+
+class DropsLastColOp(C.SparseElimination):
+    def eliminate(self):
+        super().eliminate()
+        self.col_ops.pop()
+        return self
+
+C.SparseElimination = DropsLastColOp
+print(sys.flags.optimize)
+try:
+    C.cohomology(dihedral_group(8), 2)
+except VerificationFailed as exc:
+    print(exc)
+"""
+
+
+def test_corrupted_elimination_log_fails_verification_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_LOG_RUN],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == [
+        "1", "coboundary outside the cocycle space",
+    ]
+
+
+def test_crt_pair_rejects_common_factor():
+    assert _crt_pair(1, 2, 2, 3) == (5, 6)
+    with pytest.raises(VerificationFailed):
+        _crt_pair(1, 2, 0, 4)

@@ -1,8 +1,11 @@
+import heapq
 import random
 from itertools import product as iter_product
 
 from hypothesis import given, settings, strategies as st
 
+from dwkit import cochains
+from dwkit.groups import dihedral_group
 from dwkit.linalg import SparseElimination
 
 
@@ -52,3 +55,94 @@ def test_sparse_elimination_kernel():
     elim = SparseElimination([{0: 1, 1: 1}, {1: 1, 2: 1}], 3, modulus=2)
     kernel = elim.kernel()
     assert [v % 2 for v in kernel[0]] == [1, 1, 1]
+
+
+# -- pivot order ---------------------------------------------------------------
+
+
+def _lazy_heap_eliminate(elim, dedupe=False):
+    """Reference pivot order: a lazy column heap holding every pushed copy.
+
+    With ``dedupe`` a key is pushed only while no copy of it is on the heap;
+    the pivot order depends on the copy counts, so that variant differs.
+    """
+    heap = [(len(rc), c) for c, rc in enumerate(elim.colrows) if rc]
+    on_heap = set(heap)
+    heapq.heapify(heap)
+
+    def push(key):
+        if dedupe and key in on_heap:
+            return
+        on_heap.add(key)
+        heapq.heappush(heap, key)
+
+    while heap:
+        sz, c = heapq.heappop(heap)
+        on_heap.discard((sz, c))
+        if c in elim.pivot_cols or not elim.colrows[c]:
+            continue
+        if len(elim.colrows[c]) != sz:
+            push((len(elim.colrows[c]), c))
+            continue
+        elim._pivot_on_column(c)
+        for c2 in elim.rows_touched:
+            if c2 not in elim.pivot_cols and elim.colrows[c2]:
+                push((len(elim.colrows[c2]), c2))
+    for c in range(elim.ncols):
+        if c not in elim.pivot_cols and elim.colrows[c]:
+            elim._pivot_on_column(c)
+    elim.free_cols = [c for c in range(elim.ncols) if c not in elim.pivot_cols]
+    return elim
+
+
+def _outcome(elim):
+    return elim.pivots, elim.row_ops, elim.col_ops, elim.free_cols
+
+
+def test_pivot_order_matches_lazy_heap_on_d8_degree_three(monkeypatch):
+    systems = []
+
+    class Recording(SparseElimination):
+        def __init__(self, rows, ncols, modulus=None):
+            systems.append(([dict(r) for r in rows], ncols, modulus))
+            super().__init__(rows, ncols, modulus)
+
+    monkeypatch.setattr(cochains, "SparseElimination", Recording)
+    assert cochains.cohomology(dihedral_group(8), 3).invariant_factors == [
+        2, 2, 4,
+    ]
+    assert [(len(rows), ncols) for rows, ncols, _m in systems] == [
+        (4802, 2401), (301, 343), (686, 343),
+    ]
+    for system in systems:
+        got = SparseElimination(*system).eliminate()
+        assert _outcome(got) == _outcome(
+            _lazy_heap_eliminate(SparseElimination(*system))
+        )
+    # the copy counts matter: a heap of distinct keys pivots elim_x otherwise
+    x_system = systems[1]
+    assert _outcome(SparseElimination(*x_system).eliminate()) != _outcome(
+        _lazy_heap_eliminate(SparseElimination(*x_system), dedupe=True)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from([None, 2, 4, 6, 8, 12]),
+    st.integers(min_value=0),
+)
+def test_pivot_order_matches_lazy_heap_on_random_matrices(
+    nrows, ncols, modulus, seed
+):
+    rng = random.Random(seed)
+    density = rng.choice([0.15, 0.3, 0.6])
+    rows = [
+        {c: rng.choice([-3, -2, -1, 1, 1, 2, 3, 5]) for c in range(ncols)
+         if rng.random() < density}
+        for _ in range(nrows)
+    ]
+    got = SparseElimination(rows, ncols, modulus=modulus).eliminate()
+    want = _lazy_heap_eliminate(SparseElimination(rows, ncols, modulus=modulus))
+    assert _outcome(got) == _outcome(want)
