@@ -43,10 +43,11 @@ from .errors import (
     NotABoundaryPair,
     NotACocycle,
     SectionNotValid,
+    VerificationFailed,
 )
 from .groupoids import gauge_groupoid, homotopy_fiber, induced_gauge_functor, integrate
 from .groups import FiniteGroup, GroupHom, group_from_table
-from .invariants import ExactPhaseSum, LoopCochain, TorusPartition, transgress_torus
+from .invariants import ExactPhaseSum, TorusPartition, transgress_torus
 from .linalg import SparseElimination
 from .phase import PhaseValue
 
@@ -242,11 +243,12 @@ def extension_round_trip_iso(ext: Extension) -> GroupHom:
         d = ext.iota_inverse(ghat.mul(x, ghat.inverses[ext.section[g]]))
         mapping.append(g * dn + d)
     phi = GroupHom(ghat, rebuilt.total, mapping)
-    assert phi.is_injective(), "round-trip map must be an isomorphism"
-    for d in d_grp.elements():
-        assert phi(ext.iota(d)) == rebuilt.iota(d)
-    for x in ghat.elements():
-        assert rebuilt.lam(phi(x)) == ext.lam(x)
+    if not phi.is_injective():
+        raise VerificationFailed("round-trip map must be an isomorphism")
+    if any(phi(ext.iota(d)) != rebuilt.iota(d) for d in d_grp.elements()):
+        raise VerificationFailed("round-trip map must commute with iota")
+    if any(rebuilt.lam(phi(x)) != ext.lam(x) for x in ghat.elements()):
+        raise VerificationFailed("round-trip map must commute with lambda")
     return phi
 
 
@@ -444,8 +446,10 @@ def find_closed_lift(ext: Extension, omega: Cochain, modulus=None):
     if sol is None:
         return None
     omegahat = vector_cochain(ghat, n, sol, m, index=index)
-    assert is_cocycle(omegahat), "solver output must be closed"
-    assert pullback(ext.iota, omegahat) == omega, "solver output must restrict"
+    if not is_cocycle(omegahat):
+        raise VerificationFailed("solver output must be closed")
+    if pullback(ext.iota, omegahat) != omega:
+        raise VerificationFailed("solver output must restrict")
     return omegahat
 
 
@@ -494,9 +498,12 @@ def find_boundary_pair(ext: Extension, omega: Cochain, modulus=None):
         return None
     omega_p = vector_cochain(ghat, n, sol[:off], m, index=idx_x)
     theta = vector_cochain(g_grp, n + 1, sol[off:], m, index=idx_y)
-    assert pullback(ext.iota, omega_p) == omega
-    assert coboundary(omega_p) == pullback(ext.lam, theta)
-    assert is_cocycle(theta)
+    if pullback(ext.iota, omega_p) != omega:
+        raise VerificationFailed("solver output must restrict to omega")
+    if coboundary(omega_p) != pullback(ext.lam, theta):
+        raise VerificationFailed("delta omega' must equal lambda^* theta")
+    if not is_cocycle(theta):
+        raise VerificationFailed("solver output theta must be closed")
     return omega_p, theta
 
 
@@ -552,10 +559,11 @@ def anomaly_report(ext: Extension, omega: Cochain, modulus_multiplier=1) -> Obst
             m,
         )
     pair = find_boundary_pair(ext, omega, modulus=m)
-    assert pair is not None, (
-        "first obstruction vanished but no boundary pair was found; "
-        "escalate the working modulus"
-    )
+    if pair is None:
+        raise VerificationFailed(
+            "first obstruction vanished but no boundary pair was found; "
+            "escalate the working modulus"
+        )
     theta = pair[1]
     cls = cohomology(ext.quotient, omega.degree + 1).classify(theta)
     return ObstructionReport(
@@ -665,7 +673,7 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
                 if all(ghat.commute(ext.iota(d), x) for x in rep)
             ]
             if all(
-                bundle.value(rep, (ext.iota(d),)).is_zero() for d in stab
+                bundle.value(rep + (ext.iota(d),)).is_zero() for d in stab
             ):
                 basis.append(rep)
         bases[phi] = (basis, orbit)
@@ -675,8 +683,8 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
         for d in d_grp.elements():
             u = ext.iota(d)
             if tuple(ghat.conjugate(ghat.inverses[u], x) for x in rep) == target:
-                return bundle.value(rep, (u,))
-        raise AssertionError("target not in the orbit of rep")
+                return bundle.value(rep + (u,))
+        raise VerificationFailed("target not in the orbit of rep")
 
     def operator(phi, g):
         """Monomial operator from sector g^{-1} phi g to sector phi."""
@@ -687,7 +695,7 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
         mat = {}
         for i, rep in enumerate(src_basis):
             moved = tuple(ghat.conjugate(s, x) for x in rep)
-            phase = bundle.value(rep, (ghat.inverses[s],))
+            phase = bundle.value(rep + (ghat.inverses[s],))
             target_rep = dst_orbit.get(moved)
             if target_rep is None or target_rep not in dst_basis:
                 raise IncompatiblePhases("symmetry does not preserve the basis")
@@ -708,67 +716,17 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
                         if i2 == i:
                             comp[(j, l)] = p1 + p2
                 m12 = operator(phi, g_grp.mul(g1, g2))
-                assert set(comp) == set(m12), "monomial supports must agree"
+                if set(comp) != set(m12):
+                    raise VerificationFailed("monomial supports must agree")
                 diffs = {
                     (comp[key] - m12[key]).reduced() for key in comp
                 }
-                assert len(diffs) <= 1, "composition defect must be scalar"
+                if len(diffs) > 1:
+                    raise VerificationFailed("composition defect must be scalar")
                 d = diffs.pop() if diffs else PhaseValue.zero(1)
                 if not d.is_zero():
-                    vals[(phi, (g1, g2))] = d
-    defect = LoopCochain(g_grp, k, 2, modulus, vals)
+                    vals[phi + (g1, g2)] = d
+    defect = Cochain(g_grp, 2, modulus, vals, loops=k)
     trans = transgress_torus(theta, k)
-    same = loop_classes_equal(defect, trans)
+    same = solve_coboundary(defect - trans) is not None
     return defect, trans, same
-
-
-def loop_solve_coboundary(diff: LoopCochain):
-    """Solve delta(eta) = diff for a 1-cochain on the loop groupoid, or None."""
-    g = diff.group
-    m_work = diff.modulus * g.order
-    bases = gauge_groupoid(g, diff.loops).objects()
-    non_id = g.nonidentity()
-    var = {}
-    for b in bases:
-        for x in non_id:
-            var[(b, x)] = len(var)
-    rows, rhs = [], []
-    for b in bases:
-        for x1 in non_id:
-            for x2 in non_id:
-                row = {}
-
-                def add(key, v):
-                    if key[1] != g.identity:
-                        c = var[key]
-                        row[c] = (row.get(c, 0) + v) % m_work
-
-                tb = diff.transport(x1, b)
-                add((tb, x2), 1)
-                add((b, g.mul(x1, x2)), -1)
-                add((b, x1), 1)
-                rows.append(row)
-                f = diff.value(b, (x1, x2)).as_fraction()
-                rhs.append(f.numerator * (m_work // f.denominator) % m_work)
-    elim = SparseElimination(rows, len(var), modulus=m_work)
-    sol = elim.solve(rhs)
-    if sol is None:
-        return None
-    vals = {}
-    for (b, x), c in var.items():
-        if sol[c] % m_work:
-            vals[(b, (x,))] = PhaseValue(sol[c], m_work)
-    return LoopCochain(g, diff.loops, 1, m_work, vals)
-
-
-def loop_classes_equal(a: LoopCochain, b: LoopCochain) -> bool:
-    """Whether two loop-groupoid 2-cocycles differ by a groupoid coboundary."""
-    m = lcm(a.modulus, b.modulus)
-    vals = {}
-    keys = set(a.values) | set(b.values)
-    for (base, args) in keys:
-        v = a.value(base, args) - b.value(base, args)
-        if not v.is_zero():
-            vals[(base, args)] = v
-    diff = LoopCochain(a.group, a.loops, 2, m, vals)
-    return loop_solve_coboundary(diff) is not None

@@ -4,11 +4,19 @@ Cohomology with U(1) coefficients is computed as integral cohomology one
 degree up (exact for finite groups), with U(1)-valued generator cocycles
 recovered by dividing integral torsion witnesses.
 
+A cochain lives on the action groupoid G x| X_m.  X_0 is a point, so
+``loops=0`` gives the group cochains on BG; X_m for m >= 1 is the set of
+commuting m-tuples (the m-fold loop groupoid), on which x acts by
+b -> x^{-1} b x.  The bar differential is the groupoid one: its face 0
+transports the base along the first argument.
+
 A key size reduction used throughout: a bar cochain z with delta z = 0 that
 vanishes on all tuples whose first entry lies in a generating set vanishes
-identically (induction on the word length of the first entry, using the
-simplicial identity).  Kernels and coboundary equations are therefore solved
-on the generator-restricted row set, which is exactly equivalent.
+identically.  The simplicial identity gives z(b; s h, ...) =
+z(s^{-1} b s; h, ...) for a generator s, so induction on the word length of
+the first entry, taken over all bases at once, reaches every tuple.  Kernels and coboundary
+equations are therefore solved on the generator-restricted row set, which is
+exactly equivalent.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .errors import (
     UnknownFamily,
     VerificationFailed,
 )
+from .groupoids import gauge_groupoid
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -43,11 +52,16 @@ BAR_MATRIX_NNZ_BUDGET = 2**22
 
 
 class Cochain:
-    """Normalized n-cochain on a finite group with values in (1/M)Z/Z."""
+    """Normalized n-cochain on G x| X_m with values in (1/M)Z/Z.
 
-    __slots__ = ("group", "degree", "modulus", "values")
+    ``loops`` is m (0 for BG).  Values are keyed by base + args: a base in
+    X_m followed by n arguments in G, normalized to vanish when an argument
+    is the identity.
+    """
 
-    def __init__(self, group, degree, modulus, values=None):
+    __slots__ = ("group", "degree", "modulus", "values", "loops")
+
+    def __init__(self, group, degree, modulus, values=None, loops=0):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if modulus < 1:
@@ -56,9 +70,9 @@ class Cochain:
         e = group.identity
         for t, v in (values or {}).items():
             t = tuple(t)
-            if len(t) != degree:
+            if len(t) != loops + degree:
                 raise ValueError(f"tuple {t} has wrong length")
-            if e in t:
+            if e in t[loops:]:
                 if not v.is_zero():
                     raise ValueError(
                         f"non-normalized value at {t}"
@@ -74,13 +88,14 @@ class Cochain:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "loops", loops)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
 
     @staticmethod
-    def zero(group, degree, modulus=1):
-        return Cochain(group, degree, modulus, {})
+    def zero(group, degree, modulus=1, loops=0):
+        return Cochain(group, degree, modulus, {}, loops)
 
     def value(self, t):
         v = self.values.get(tuple(t))
@@ -90,7 +105,9 @@ class Cochain:
         return not self.values
 
     def _combine(self, other, sign):
-        if self.group != other.group or self.degree != other.degree:
+        if (self.group, self.degree, self.loops) != (
+            other.group, other.degree, other.loops
+        ):
             raise DegreeMismatch("cochains not compatible")
         m = lcm(self.modulus, other.modulus)
         vals = dict(self.values)
@@ -100,7 +117,7 @@ class Cochain:
                 vals.pop(t, None)
             else:
                 vals[t] = w
-        return Cochain(self.group, self.degree, m, vals)
+        return Cochain(self.group, self.degree, m, vals, self.loops)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -114,6 +131,7 @@ class Cochain:
             self.degree,
             self.modulus,
             {t: -v for t, v in self.values.items()},
+            self.loops,
         )
 
     def __mul__(self, k):
@@ -124,6 +142,7 @@ class Cochain:
             self.degree,
             self.modulus,
             {t: v * k for t, v in self.values.items()},
+            self.loops,
         )
 
     __rmul__ = __mul__
@@ -134,6 +153,7 @@ class Cochain:
         return (
             self.group == other.group
             and self.degree == other.degree
+            and self.loops == other.loops
             and self.values == other.values
         )
 
@@ -152,8 +172,8 @@ class Cochain:
 
     def __repr__(self):
         return (
-            f"Cochain(degree={self.degree}, modulus={self.modulus}, "
-            f"support={len(self.values)})"
+            f"Cochain(degree={self.degree}, loops={self.loops}, "
+            f"modulus={self.modulus}, support={len(self.values)})"
         )
 
 
@@ -163,66 +183,75 @@ def all_tuples(group, n):
 
 
 class TupleIndex:
-    """Dense row-major indexing of normalized n-tuples."""
+    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain)."""
 
-    def __init__(self, group, n):
+    def __init__(self, group, n, loops=0):
         self.group = group
         self.n = n
+        self.loops = loops
         self.nonid = group.nonidentity()
         self.pos = {g: i for i, g in enumerate(self.nonid)}
-        self.base = len(self.nonid)
-        self.size = self.base**n
+        self.radix = len(self.nonid)
+        self.bases = gauge_groupoid(group, loops).objects() if loops else [()]
+        self.base_pos = {b: i for i, b in enumerate(self.bases)}
+        self.size = len(self.bases) * self.radix**n
 
     def index(self, t):
         i = 0
+        if self.loops:
+            i = self.base_pos[t[:self.loops]]
+            t = t[self.loops:]
         for g in t:
-            i = i * self.base + self.pos[g]
+            i = i * self.radix + self.pos[g]
         return i
 
     def tuple(self, i):
         out = []
         for _ in range(self.n):
-            out.append(self.nonid[i % self.base])
-            i //= self.base
-        return tuple(reversed(out))
+            out.append(self.nonid[i % self.radix])
+            i //= self.radix
+        return self.bases[i] + tuple(reversed(out))
 
     def all(self):
-        return itertools.product(self.nonid, repeat=self.n)
+        args = itertools.product(self.nonid, repeat=self.n)
+        if not self.loops:
+            return args
+        args = tuple(args)
+        return (b + a for b in self.bases for a in args)
 
 
-def _delta_faces(group, t):
-    """Faces of the bar differential at tuple t: pairs (sign, face_tuple).
+def _delta_faces(group, t, loops=0):
+    """Faces of the differential at t = base + args: pairs (sign, face).
 
-    Faces containing the identity are dropped (normalized complex).
+    The arguments of t are not the identity.  Face 0 drops x_1 and
+    transports the base to x_1^{-1} base x_1; a face whose merged argument
+    is the identity is dropped (normalized complex).
     """
-    e = group.identity
-    n = len(t)
-    faces = []
-    f0 = t[1:]
-    if e not in f0:
-        faces.append((1, f0))
+    f0 = t[loops + 1:]
+    if loops:
+        xi = group.inverses[t[loops]]
+        f0 = tuple(group.conjugate(xi, b) for b in t[:loops]) + f0
+    faces = [(1, f0)]
     sign = -1
-    for i in range(n - 1):
-        f = t[:i] + (group.mul(t[i], t[i + 1]),) + t[i + 2:]
-        if e not in f:
-            faces.append((sign, f))
+    for i in range(loops, len(t) - 1):
+        x = group.mul(t[i], t[i + 1])
+        if x != group.identity:
+            faces.append((sign, t[:i] + (x,) + t[i + 2:]))
         sign = -sign
-    flast = t[:-1]
-    if e not in flast:
-        faces.append((sign, flast))
+    faces.append((sign, t[:-1]))
     return faces
 
 
 def coboundary(c):
     """The bar differential (trivial coefficients), degree n -> n+1."""
-    g, n = c.group, c.degree
+    g, n, m = c.group, c.degree, c.loops
     den = c.denominator()
-    index_n, index_k = TupleIndex(g, n), TupleIndex(g, n + 1)
+    index_n, index_k = TupleIndex(g, n, m), TupleIndex(g, n + 1, m)
     w = _integral_coboundary(g, n, cochain_vector(c, index_n, scale_to=den),
                              index_n, index_k)
     vals = {t: PhaseValue(v, den)
             for t, v in zip(index_k.all(), w) if v % den}
-    return Cochain(g, n + 1, c.modulus, vals)
+    return Cochain(g, n + 1, c.modulus, vals, m)
 
 
 def is_cocycle(c):
@@ -475,28 +504,28 @@ def catalog_cocycle(name, params=None):
 def delta_matrix_rows(group, n, first_args=None, index=None):
     """Sparse rows of delta: C^n -> C^{n+1}, one row per (n+1)-tuple.
 
-    ``first_args`` restricts rows to tuples whose first entry is in the
+    ``first_args`` restricts rows to tuples whose first argument is in the
     given set (sufficient for kernel and coboundary systems, see module
     docstring).  Returns (row_tuples, row_dicts) with columns indexed by
-    ``index`` (a TupleIndex for degree n).
+    ``index`` (a TupleIndex for degree n, whose loops name the domain).
     """
     index = index or TupleIndex(group, n)
     firsts = list(first_args) if first_args is not None else group.nonidentity()
     row_tuples = []
     rows = []
-    for t in itertools.product(
-        firsts, *([group.nonidentity()] * n)
-    ):
-        row = {}
-        for sign, f in _delta_faces(group, t):
-            c = index.index(f)
-            v = row.get(c, 0) + sign
-            if v:
-                row[c] = v
-            else:
-                row.pop(c, None)
-        row_tuples.append(t)
-        rows.append(row)
+    for base in index.bases:
+        for args in itertools.product(firsts, *([group.nonidentity()] * n)):
+            t = base + args
+            row = {}
+            for sign, f in _delta_faces(group, t, index.loops):
+                c = index.index(f)
+                v = row.get(c, 0) + sign
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+            row_tuples.append(t)
+            rows.append(row)
     return row_tuples, rows
 
 
@@ -522,7 +551,7 @@ def vector_cochain(group, degree, vec, modulus, index=None):
     for i, v in enumerate(vec):
         if v % modulus:
             vals[index.tuple(i)] = PhaseValue(v, modulus)
-    return Cochain(group, degree, modulus, vals)
+    return Cochain(group, degree, modulus, vals, index.loops)
 
 
 # -- cohomology -----------------------------------------------------------------
@@ -533,7 +562,7 @@ def _integral_coboundary(group, n, vec, index_n, index_k):
     out = [0] * index_k.size
     for i, t in enumerate(index_k.all()):
         acc = 0
-        for sign, f in _delta_faces(group, t):
+        for sign, f in _delta_faces(group, t, index_k.loops):
             v = vec[index_n.index(f)]
             if v:
                 acc += sign * v
@@ -589,17 +618,16 @@ class CohomologyGroup:
         d = self._data
         den = c.denominator()
         vec = cochain_vector(c, d["index_n"], scale_to=den)
-        w = _integral_coboundary(self.group, self.degree, vec,
-                                 d["index_n"], d["index_k"])
-        for i, v in enumerate(w):
+        # the Bockstein delta(c)/den in kernel coordinates, as a mat-vec over
+        # the rows of delta_n that cohomology() projected there (its pivot
+        # rows vanish, and the projection is unimodular, so closedness over
+        # Q/Z is divisibility of these entries by den)
+        fc_vec = []
+        for row in d["x_rows"]:
+            v = sum([a * vec[j] for j, a in row.items()])
             if v % den:
                 raise NotACocycle("cochain is not closed over Q/Z")
-            w[i] = v // den
-        coords = d["elim_b"].col_coords_rows([{0: v} if v else {} for v in w])
-        for _r, cc, _dd in d["elim_b"].pivots:
-            if coords[cc]:
-                raise NotACocycle("Bockstein image is not a cocycle vector")
-        fc_vec = [coords[f].get(0, 0) for f in d["elim_b"].free_cols]
+            fc_vec.append(v // den)
         y = d["elim_x"].apply_row_ops(fc_vec)
         raw = {r: y[r] for r, _c, _dd in d["elim_x"].pivots}
         out = []
@@ -718,8 +746,7 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
 
     data = {
         "index_n": index_n,
-        "index_k": index_k,
-        "elim_b": elim_b,
+        "x_rows": x_rows,
         "elim_x": elim_x,
         "slots": slots,
     }
@@ -734,24 +761,24 @@ def solve_coboundary(y: Cochain, working_modulus=None):
     """Find x with delta x = y exactly in Q/Z, or None.
 
     The integral lift delta X = (M/den) * y~ is solved over Z/M with
-    M = lcm(denominators) * |G| by default; None at the default modulus is
-    definitive (torsion bound on coboundary witnesses).
+    M = lcm(denominators) * |G| by default, on the generator-led rows over
+    all bases; None at the default modulus is definitive (torsion bound on
+    coboundary witnesses).
     """
-    g = y.group
-    n = y.degree
+    g, n, loops = y.group, y.degree, y.loops
     if n < 1:
         raise DegreeMismatch("cannot solve below degree 1")
     den = y.denominator()
     if y.is_zero():
-        return Cochain.zero(g, n - 1, y.modulus)
+        return Cochain.zero(g, n - 1, y.modulus, loops)
     if not is_cocycle(y):
         return None
     m_work = working_modulus or den * g.order
     if m_work % den:
         raise ValueError("working modulus must be divisible by the "
                          "denominator of y")
-    index = TupleIndex(g, n - 1)
-    index_n = TupleIndex(g, n)
+    index = TupleIndex(g, n - 1, loops)
+    index_n = TupleIndex(g, n, loops)
     tuples, rows = delta_matrix_rows(g, n - 1, first_args=g.generators(),
                                      index=index)
     yvec = cochain_vector(y, index_n, scale_to=den)

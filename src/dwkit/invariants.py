@@ -26,7 +26,12 @@ from .cochains import (
     pullback,
     torus_fundamental_cycle,
 )
-from .errors import DegreeMismatch, IncompatiblePhases, NotACocycle
+from .errors import (
+    DegreeMismatch,
+    IncompatiblePhases,
+    NotACocycle,
+    VerificationFailed,
+)
 from .groupoids import gauge_groupoid
 from .groups import FiniteGroup, GroupHom
 from .phase import PhaseValue
@@ -137,7 +142,7 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
     """(1/|G|) * sum over commuting n-tuples of the evaluated action phase.
 
     For a cocycle theta this is a nonnegative integer (the number of simple
-    objects of the associated category); integrality is asserted exactly,
+    objects of the associated category); integrality is checked exactly,
     never rounded.
     """
     if theta.group is not group and theta.group != group:
@@ -154,9 +159,10 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
     m = lcm(modulus, *(p.modulus for p in phases)) if phases else modulus
     total = ExactPhaseSum.from_phases(phases, m).scaled(Fraction(1, group.order))
     value = total.as_rational()
-    assert value is not None and value >= 0 and value.denominator == 1, (
-        "partition sum of a cocycle must be a nonnegative integer"
-    )
+    if value is None or value < 0 or value.denominator != 1:
+        raise VerificationFailed(
+            "partition sum of a cocycle must be a nonnegative integer"
+        )
     return TorusPartition(value, total)
 
 
@@ -177,7 +183,10 @@ def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
     m = lcm(omega.modulus, *(p.modulus for p in phases))
     total = ExactPhaseSum.from_phases(phases, m).scaled(Fraction(1, group.order))
     value = total.as_rational()
-    assert value is not None and value.denominator == 1 and value >= 0
+    if value is None or value.denominator != 1 or value < 0:
+        raise VerificationFailed(
+            "twisted representation count must be a nonnegative integer"
+        )
     return int(value)
 
 
@@ -212,140 +221,60 @@ def drinfeld_double_simple_count(group: FiniteGroup, theta: Cochain) -> int:
 # transgression and the loop groupoid
 
 
-class LoopCochain:
-    """Cochain on the m-fold loop groupoid of a finite group.
-
-    Objects of the groupoid are commuting m-tuples (bases); a morphism x
-    sends the base phi to x^{-1} phi x (entrywise).  A degree-k cochain
-    assigns a phase to (base; x_1, ..., x_k), normalized to vanish when any
-    x_i is the identity.
-    """
-
-    __slots__ = ("group", "loops", "degree", "modulus", "values")
-
-    def __init__(self, group, loops, degree, modulus, values):
-        self.group = group
-        self.loops = loops
-        self.degree = degree
-        self.modulus = modulus
-        clean = {}
-        for (base, args), v in values.items():
-            if any(x == group.identity for x in args):
-                if not v.is_zero():
-                    raise ValueError("normalized cochain must vanish on identities")
-                continue
-            if not v.is_zero():
-                clean[(tuple(base), tuple(args))] = v
-        self.values = clean
-
-    def value(self, base, args):
-        if any(x == self.group.identity for x in args):
-            return PhaseValue.zero(self.modulus)
-        return self.values.get(
-            (tuple(base), tuple(args)), PhaseValue.zero(self.modulus)
-        )
-
-    def is_zero(self):
-        return not self.values
-
-    def transport(self, x, base):
-        g = self.group
-        xi = g.inverses[x]
-        return tuple(g.mul(g.mul(xi, b), x) for b in base)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopCochain):
-            return NotImplemented
-        if (self.group, self.loops, self.degree) != (
-            other.group,
-            other.loops,
-            other.degree,
-        ):
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(self.value(b, a) == other.value(b, a) for (b, a) in keys)
-
-
-def _loop_bases(group, m):
-    return commuting_tuples(group, m)
-
-
-def loop_coboundary(c: LoopCochain) -> LoopCochain:
-    """Groupoid bar differential on the m-fold loop groupoid."""
-    g = c.group
-    k = c.degree
-    vals = {}
-    non_id = g.nonidentity()
-    for base in _loop_bases(g, c.loops):
-        for args in iter_product(non_id, repeat=k + 1):
-            acc = c.value(c.transport(args[0], base), args[1:])
-            sign = -1
-            for i in range(k):
-                merged = args[:i] + (g.mul(args[i], args[i + 1]),) + args[i + 2:]
-                acc = acc + sign * c.value(base, merged)
-                sign = -sign
-            acc = acc + sign * c.value(base, args[:k])
-            if not acc.is_zero():
-                vals[(base, args)] = acc
-    return LoopCochain(g, c.loops, k + 1, c.modulus, vals)
-
-
-def is_loop_cocycle(c: LoopCochain) -> bool:
-    return loop_coboundary(c).is_zero()
-
-
-def transgress_circle(theta, check=True):
+def transgress_circle(theta: Cochain, check=True) -> Cochain:
     """Transgress once around a circle.
 
-    A degree-n group cochain becomes a degree n-1 cochain on the loop
-    groupoid; a degree-k cochain on the m-fold loop groupoid becomes a
-    degree k-1 cochain on the (m+1)-fold one.  For cocycle input the output
-    satisfies the groupoid cocycle condition.  Pass ``check=False`` to
-    apply the formula to a non-closed cochain (the output is then just a
-    transport datum, not a cocycle).
+    A degree-k cochain on the m-fold loop groupoid (m = 0: a group cochain)
+    becomes a degree k-1 cochain on the (m+1)-fold one.  For cocycle input
+    the output is a cocycle.  Pass ``check=False`` to apply the formula to
+    a non-closed cochain (the output is then just a transport datum, not a
+    cocycle).
     """
-    if isinstance(theta, Cochain):
-        if check and not is_cocycle(theta):
-            raise NotACocycle("transgression needs a cocycle")
-        group, loops, degree = theta.group, 0, theta.degree
-        base_value = lambda base, args: theta.value(args)
-    elif isinstance(theta, LoopCochain):
-        group, loops, degree = theta.group, theta.loops, theta.degree
-        base_value = theta.value
-    else:
-        raise TypeError("expected a Cochain or LoopCochain")
+    if check and not is_cocycle(theta):
+        raise NotACocycle("transgression needs a cocycle")
+    degree = theta.degree
     if degree < 1:
         raise DegreeMismatch("transgression needs degree >= 1")
-    g = group
+    g = theta.group
     vals = {}
     non_id = g.nonidentity()
-    for base in _loop_bases(g, loops + 1):
+    for base in commuting_tuples(g, theta.loops + 1):
         phi, loop = base[:-1], base[-1]
         for args in iter_product(non_id, repeat=degree - 1):
             acc = PhaseValue.zero(theta.modulus)
             sign = 1
             carried = loop
             for i in range(degree):
-                acc = acc + sign * base_value(phi, args[:i] + (carried,) + args[i:])
+                acc = acc + sign * theta.value(
+                    phi + args[:i] + (carried,) + args[i:]
+                )
                 sign = -sign
                 if i < degree - 1:
                     x = args[i]
                     carried = g.mul(g.mul(g.inverses[x], carried), x)
             if not acc.is_zero():
-                vals[(base, args)] = acc
-    return LoopCochain(g, loops + 1, degree - 1, theta.modulus, vals)
+                vals[base + args] = acc
+    return Cochain(g, degree - 1, theta.modulus, vals, theta.loops + 1)
 
 
-def transgress_torus(theta: Cochain, times=None, check=True) -> LoopCochain:
-    """Iterate circle transgression (default: down to degree 0)."""
+def transgress_torus(theta: Cochain, times=None, check=True) -> Cochain:
+    """Iterate circle transgression ``times`` times, 1 <= times <= deg theta
+    (default: down to degree 0)."""
     times = theta.degree if times is None else times
+    if not 1 <= times <= theta.degree:
+        raise DegreeMismatch(
+            f"can transgress a degree-{theta.degree} cochain 1 to "
+            f"{theta.degree} times, not {times}"
+        )
+    if check and not is_cocycle(theta):
+        raise NotACocycle("transgression needs a cocycle")
     out = theta
     for _ in range(times):
-        out = transgress_circle(out, check=check)
+        out = transgress_circle(out, check=False)
     return out
 
 
-def dpr_double_cocycle(theta: Cochain) -> LoopCochain:
+def dpr_double_cocycle(theta: Cochain) -> Cochain:
     """The twisted-double 2-cocycle of a 3-cocycle, computed directly.
 
     beta_g(x, y) = theta(g,x,y) - theta(x, x^{-1}gx, y)
@@ -370,8 +299,8 @@ def dpr_double_cocycle(theta: Cochain) -> LoopCochain:
                     + theta.value((x, y, gxy))
                 )
                 if not acc.is_zero():
-                    vals[((g,), (x, y))] = acc
-    return LoopCochain(g_grp, 1, 2, theta.modulus, vals)
+                    vals[(g, x, y)] = acc
+    return Cochain(g_grp, 2, theta.modulus, vals, loops=1)
 
 
 def matches_dpr(theta: Cochain) -> bool:
@@ -409,7 +338,7 @@ class StateSpace:
     cocycle: Cochain
     torus_dim: int
     basis: tuple
-    line_bundle: LoopCochain
+    line_bundle: Cochain
     orbits: tuple
 
     @property
@@ -418,7 +347,7 @@ class StateSpace:
 
     def bundle_phase(self, base, x):
         """Phase of the transport morphism x: base -> x^{-1} base x."""
-        return self.line_bundle.value(base, (x,))
+        return self.line_bundle.value(base + (x,))
 
 
 def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
@@ -436,10 +365,13 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
         rep = cls[0]
         stab = group.centralizer(rep)
         gens = _subgroup_generators(group, stab)
-        if all(bundle.value(rep, (y,)).is_zero() for y in gens):
+        if all(bundle.value(rep + (y,)).is_zero() for y in gens):
             basis.append(rep)
     dim = dw_partition_torus(group, theta, n).value
-    assert dim == len(basis), "section count must match the partition function"
+    if dim != len(basis):
+        raise VerificationFailed(
+            "section count must match the partition function"
+        )
     return StateSpace(
         group, theta, k, tuple(basis), bundle, tuple(c[0] for c in classes)
     )

@@ -159,11 +159,13 @@ def cochain_json(c: Cochain, group_field=None) -> dict:
     }
 
 
-def loop_cochain_json(lc) -> dict:
-    """Serialized loop-groupoid cochain (emitted only; not re-read)."""
+def loop_cochain_json(lc: Cochain) -> dict:
+    """Serialized loop-groupoid cochain, keyed "base;args" (emitted only;
+    not re-read)."""
     values = {}
-    for (base, args) in sorted(lc.values):
-        v = lc.values[(base, args)].reduced()
+    for t in sorted(lc.values):
+        v = lc.values[t].reduced()
+        base, args = t[:lc.loops], t[lc.loops:]
         key = "|".join(str(x) for x in base) + ";" + "|".join(str(x) for x in args)
         values[key] = f"{v.numerator}/{v.modulus}"
     return {

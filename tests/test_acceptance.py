@@ -37,6 +37,7 @@ from dwkit.cochains import (
     cohomology,
     evaluate,
     interval_pairing,
+    is_cocycle,
     pullback,
     torus_fundamental_cycle,
 )
@@ -56,7 +57,6 @@ from dwkit.groups import (
 )
 from dwkit.invariants import (
     dw_partition_torus,
-    is_loop_cocycle,
     omega_regular_class_count,
     state_space_torus,
     symmetry_action,
@@ -398,10 +398,10 @@ def test_criterion_8_property_suites():
     ]
     for group, theta, n in cases:
         if theta.degree == 3:
-            assert is_loop_cocycle(transgress_circle(theta))
+            assert is_cocycle(transgress_circle(theta))
         full = transgress_torus(theta, n)
         for base in gauge_groupoid(group, n).objects():
-            assert full.value(base, ()) == evaluate(
+            assert full.value(base) == evaluate(
                 theta, torus_fundamental_cycle(group, base)
             )
 
@@ -449,4 +449,4 @@ def test_criterion_9_circle_transgression_cross_check():
             for g in grp.elements():
                 for x in grp.elements():
                     for y in grp.elements():
-                        assert beta.value((g,), (x, y)) == oracle(theta, g, x, y)
+                        assert beta.value((g, x, y)) == oracle(theta, g, x, y)

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,16 +23,17 @@ from dwkit.anomalies import (
     find_section,
     is_first_obstruction_trivial,
     is_invariant_class,
-    loop_classes_equal,
-    loop_solve_coboundary,
     projective_state_cocycle,
     relative_partition_torus,
 )
 from dwkit.cochains import (
     Cochain,
+    TupleIndex,
     catalog_cocycle,
     coboundary,
+    cochain_vector,
     cohomology,
+    delta_matrix_rows,
     is_cocycle,
     pullback,
     solve_coboundary,
@@ -52,6 +57,7 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import transgress_circle, twisted_irrep_count
+from dwkit.linalg import SparseElimination
 from dwkit.phase import PhaseValue
 
 from test_invariants import klein_in_d8_extension, type_three_cocycle
@@ -413,7 +419,7 @@ def test_projective_state_cocycle_anomalous_case():
     ext, omega_p, theta = z4_boundary_pair()
     defect, trans, same = projective_state_cocycle(ext, omega_p, theta)
     assert same
-    assert loop_classes_equal(defect, trans)
+    assert solve_coboundary(defect - trans) is not None
 
 
 def test_projective_state_cocycle_validation():
@@ -432,13 +438,89 @@ def test_projective_state_cocycle_validation():
 def test_loop_solve_coboundary_finds_primitive():
     ext, omega_p, theta = z4_boundary_pair()
     defect, trans, _ = projective_state_cocycle(ext, omega_p, theta)
-    eta = loop_solve_coboundary(trans)
+    eta = solve_coboundary(trans)
     # the transgressed theta is exact on the loop groupoid of Z2 (H^3(Z2)
     # transgresses to a coboundary there), so a primitive must exist
     assert eta is not None
+    assert coboundary(eta) == trans
 
 
 def test_type_three_transgression_is_not_loop_exact():
     t3 = type_three_cocycle()
     tau = transgress_circle(t3)
-    assert loop_solve_coboundary(tau) is None
+    assert solve_coboundary(tau) is None
+
+
+def solvable_on_all_rows(y):
+    """Whether delta x = y is solvable on the full row set, at the modulus
+    solve_coboundary uses (no generator restriction)."""
+    g, n, loops = y.group, y.degree, y.loops
+    den = y.denominator()
+    m_work = den * g.order
+    index, index_n = TupleIndex(g, n - 1, loops), TupleIndex(g, n, loops)
+    tuples, rows = delta_matrix_rows(g, n - 1, index=index)
+    yvec = cochain_vector(y, index_n, scale_to=den)
+    rhs = [m_work // den * yvec[index_n.index(t)] for t in tuples]
+    elim = SparseElimination(rows, index.size, modulus=m_work)
+    return elim.solve(rhs) is not None
+
+
+def test_generator_rows_decide_loop_coboundaries():
+    ext, omega_p, theta = z4_boundary_pair()
+    defect, trans, _ = projective_state_cocycle(ext, omega_p, theta)
+    cases = [defect - trans, trans, transgress_circle(type_three_cocycle())]
+    rng = random.Random(5)
+    for group in (cyclic_group(4), product_group([2, 2]), dihedral_group(6),
+                  dihedral_group(8)):
+        for gen in cohomology(group, 3).generators:
+            tau = transgress_circle(gen)
+            beta = random_cochain(group, 1, 4, rng, loops=1)
+            cases += [tau, tau + coboundary(beta)]
+    assert len(cases) == 19
+    verdicts = []
+    for y in cases:
+        x = solve_coboundary(y)
+        assert (x is not None) == solvable_on_all_rows(y)
+        if x is not None:
+            assert coboundary(x) == y
+        verdicts.append(x is not None)
+    assert verdicts == [True, True, False] + [True] * 16
+
+
+# a solver that returns a wrong vector; the boundary-pair self-check must
+# still fire when python -O strips every assert
+_WRONG_SOLVER_RUN = """
+import sys
+import dwkit.anomalies as A
+from dwkit.cochains import Cochain
+from dwkit.errors import VerificationFailed
+from dwkit.groups import cyclic_group, GroupHom
+
+class WrongSolution(A.SparseElimination):
+    def solve(self, b):
+        x = super().solve(b)
+        return None if x is None else [v + 1 for v in x]
+
+A.SparseElimination = WrongSolution
+print(sys.flags.optimize)
+z2, z4 = cyclic_group(2), cyclic_group(4)
+iota = GroupHom(z2, z4, [0, 2])
+lam = GroupHom(z4, z2, [0, 1, 0, 1])
+ext = A.Extension(z2, z4, z2, iota, lam, A.find_section(lam))
+try:
+    A.find_boundary_pair(ext, Cochain.zero(z2, 2, 2))
+except VerificationFailed as exc:
+    print(exc)
+"""
+
+
+def test_wrong_solver_output_fails_verification_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_SOLVER_RUN],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == [
+        "1", "solver output must restrict to omega",
+    ]

@@ -12,6 +12,7 @@ from test_anomalies import (
     doubling_extension,
     z2_in_z4_extension,
 )
+from test_io import Z4_TRANSGRESSED_ONCE
 
 from dwkit.cli import main
 from dwkit.cochains import cohomology, is_cocycle
@@ -172,6 +173,50 @@ def test_transgress_reports_dpr(capsys):
     record = json.loads(out)
     assert record["dpr_matches"] is True
     assert record["result"]["loops"] == 1
+
+
+def test_transgress_documents(capsys):
+    # exact documents: the "base;args" keys must not drift
+    z2 = {"kind": "builtin", "name": "cyclic", "params": {"n": 2}}
+    z4 = {"kind": "builtin", "name": "cyclic", "params": {"n": 4}}
+    cases = [
+        (["--group", "z2", "--cocycle", "omega1"], {
+            "dpr_matches": True, "group": "Z2", "input_degree": 3,
+            "iterations": 1,
+            "result": {"degree": 2, "group": z2, "loops": 1, "modulus": 2,
+                       "values": {"1;1|1": "1/2"}},
+        }),
+        (["--group", "z4", "--cocycle", "omega1", "--iterate", "1"], {
+            "dpr_matches": True, "group": "Z4", "input_degree": 3,
+            "iterations": 1,
+            "result": {"degree": 2, "group": z4, "loops": 1, "modulus": 4,
+                       "values": Z4_TRANSGRESSED_ONCE},
+        }),
+        (["--group", "z4", "--cocycle", "omega1", "--iterate", "2"], {
+            "group": "Z4", "input_degree": 3, "iterations": 2,
+            "result": {"degree": 1, "group": z4, "loops": 2, "modulus": 4,
+                       "values": {}},
+        }),
+    ]
+    for argv, want in cases:
+        code, out, _ = run(capsys, "transgress", *argv, "--json")
+        assert code == 0
+        assert out == json.dumps(want, sort_keys=True) + "\n"
+
+
+def test_transgress_rejects_iteration_counts_out_of_range():
+    src = Path(__file__).resolve().parent.parent / "src"
+    for times in ("0", "-1", "4"):
+        done = subprocess.run(
+            [sys.executable, "-m", "dwkit.cli", "transgress", "--group", "z4",
+             "--cocycle", "omega1", "--iterate", times, "--json"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and not done.stdout
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in done.stderr
 
 
 def test_cocycle_file_input(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -24,11 +25,13 @@ from dwkit.cochains import (
     torus_fundamental_cycle,
 )
 from dwkit.errors import (
+    DegreeMismatch,
     NonCommuting,
     NotACocycle,
     UnknownFamily,
     VerificationFailed,
 )
+from dwkit.groupoids import gauge_groupoid
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
@@ -144,6 +147,63 @@ def test_solve_coboundary():
     assert x is not None and coboundary(x) == y
     w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
     assert solve_coboundary(w1) is None
+
+
+# --------------------------------------------------------------------------
+# cochains on the loop groupoid
+
+
+def reference_loop_coboundary(c):
+    """The groupoid bar differential on the m-fold loop groupoid, written
+    out term by term; an independent reference for coboundary."""
+    g, k, m = c.group, c.degree, c.loops
+    vals = {}
+    for base in gauge_groupoid(g, m).objects():
+        for args in itertools.product(g.nonidentity(), repeat=k + 1):
+            x = args[0]
+            moved = tuple(g.mul(g.mul(g.inverses[x], b), x) for b in base)
+            acc = c.value(moved + args[1:])
+            sign = -1
+            for i in range(k):
+                merged = args[:i] + (g.mul(args[i], args[i + 1]),) + args[i + 2:]
+                acc = acc + sign * c.value(base + merged)
+                sign = -sign
+            acc = acc + sign * c.value(base + args[:k])
+            if not acc.is_zero():
+                vals[base + args] = acc
+    return Cochain(g, k + 1, c.modulus, vals, loops=m)
+
+
+def test_coboundary_matches_reference_on_loop_groupoids():
+    rng = random.Random(23)
+    groups = (cyclic_group(4), product_group([2, 2]), dihedral_group(6),
+              dihedral_group(8))
+    for group in groups:
+        for loops in (1, 2):
+            for degree in (0, 1, 2):
+                c = random_cochain(group, degree, 4, rng, loops=loops)
+                d = coboundary(c)
+                assert d == reference_loop_coboundary(c)
+                assert d.loops == loops and d.degree == degree + 1
+                assert coboundary(d).values == {}
+
+
+def test_loop_cochain_keys_and_normalization():
+    d6 = dihedral_group(6)
+    x = d6.nonidentity()[0]
+    # the base may hold the identity; the arguments may not
+    c = Cochain(d6, 1, 2, {(0, x): PhaseValue(1, 2)}, loops=1)
+    assert c.value((0, x)) == PhaseValue(1, 2)
+    assert c.value((0, 0)).is_zero()
+    with pytest.raises(ValueError):
+        Cochain(d6, 1, 2, {(x, 0): PhaseValue(1, 2)}, loops=1)
+    with pytest.raises(ValueError):
+        Cochain(d6, 1, 2, {(x,): PhaseValue(1, 2)}, loops=1)
+    on_loops = Cochain(d6, 1, 2, {(x, x): PhaseValue(1, 2)}, loops=1)
+    on_group = Cochain(d6, 2, 2, {(x, x): PhaseValue(1, 2)})
+    assert on_loops.values == on_group.values and on_loops != on_group
+    with pytest.raises(DegreeMismatch):
+        c + Cochain.zero(d6, 1, 2)
 
 
 def test_pullback_is_a_chain_map():

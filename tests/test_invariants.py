@@ -33,8 +33,6 @@ from dwkit.invariants import (
     dpr_double_cocycle,
     drinfeld_double_simple_count,
     dw_partition_torus,
-    is_loop_cocycle,
-    loop_coboundary,
     matches_dpr,
     omega_regular_class_count,
     state_space_torus,
@@ -200,15 +198,15 @@ def test_drinfeld_double_counts():
 def test_transgression_is_closed():
     for group in (cyclic_group(4), product_group([2, 2]), dihedral_group(8)):
         for gen in cohomology(group, 3).generators:
-            assert is_loop_cocycle(transgress_circle(gen))
+            assert is_cocycle(transgress_circle(gen))
 
 
 def test_transgression_of_coboundary_is_loop_exact():
     z4 = cyclic_group(4)
     beta = random_cochain(z4, 2, 4, random.Random(31))
     tau = transgress_circle(coboundary(beta))
-    # transgression is a chain map: tau(delta beta) = loop-delta of tau(beta)
-    assert tau == loop_coboundary(transgress_circle(beta, check=False))
+    # transgression is a chain map: tau(delta beta) = delta of tau(beta)
+    assert tau == coboundary(transgress_circle(beta, check=False))
 
 
 def test_iterated_transgression_matches_torus_evaluation():
@@ -221,9 +219,19 @@ def test_iterated_transgression_matches_torus_evaluation():
     for group, theta, n in cases:
         full = transgress_torus(theta, n)
         for base in gauge_groupoid(group, n).objects():
-            assert full.value(base, ()) == evaluate(
+            assert full.value(base) == evaluate(
                 theta, torus_fundamental_cycle(group, base)
             )
+
+
+def test_transgress_torus_counts_iterations():
+    theta = catalog_cocycle("cyclic_3cocycle", {"N": 4, "k": 1})
+    for times in (0, -1, theta.degree + 1):
+        with pytest.raises(DegreeMismatch):
+            transgress_torus(theta, times)
+    for times in range(1, theta.degree + 1):
+        out = transgress_torus(theta, times)
+        assert (out.loops, out.degree) == (times, theta.degree - times)
 
 
 def dpr_reference(theta, g, x, y):
@@ -245,7 +253,7 @@ def test_transgression_matches_reference_formula():
             for g in grp.elements():
                 for x in grp.elements():
                     for y in grp.elements():
-                        assert beta.value((g,), (x, y)) == dpr_reference(
+                        assert beta.value((g, x, y)) == dpr_reference(
                             theta, g, x, y
                         )
             assert matches_dpr(theta)

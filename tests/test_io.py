@@ -1,14 +1,16 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from support import random_cochain
+from test_invariants import type_three_cocycle
 
 from dwkit.anomalies import direct_product_extension
 from dwkit.cochains import catalog_cocycle
 from dwkit.groups import cyclic_group, dihedral_group, pauli_group, product_group
-from dwkit.invariants import transgress_circle
+from dwkit.invariants import transgress_circle, transgress_torus
 from dwkit.io import (
     FormatError,
     cochain_json,
@@ -105,6 +107,51 @@ def test_loop_cochain_emission():
     assert doc["loops"] == 1 and doc["degree"] == 2
     assert all(";" in k for k in doc["values"])
     json.dumps(doc)
+
+
+# exact emitted documents: the "base;args" keys and their order must not
+# drift
+Z4_TRANSGRESSED_ONCE = {
+    "1;1|3": "1/4", "1;2|2": "1/4", "1;2|3": "1/4",
+    "1;3|1": "1/4", "1;3|2": "1/4", "1;3|3": "1/4",
+    "2;1|3": "1/2", "2;2|2": "1/2", "2;2|3": "1/2",
+    "2;3|1": "1/2", "2;3|2": "1/2", "2;3|3": "1/2",
+    "3;1|3": "3/4", "3;2|2": "3/4", "3;2|3": "3/4",
+    "3;3|1": "3/4", "3;3|2": "3/4", "3;3|3": "3/4",
+}
+
+
+def cyclic_doc(n, loops, degree, values):
+    return {
+        "group": {"kind": "builtin", "name": "cyclic", "params": {"n": n}},
+        "loops": loops, "degree": degree, "modulus": n, "values": values,
+    }
+
+
+def test_loop_cochain_documents():
+    z2_theta = catalog_cocycle("cyclic_3cocycle", {"N": 2, "k": 1})
+    z4_theta = catalog_cocycle("cyclic_3cocycle", {"N": 4, "k": 1})
+    cases = [
+        (z2_theta, 1, cyclic_doc(2, 1, 2, {"1;1|1": "1/2"})),
+        (z4_theta, 1, cyclic_doc(4, 1, 2, Z4_TRANSGRESSED_ONCE)),
+        (z4_theta, 2, cyclic_doc(4, 2, 1, {})),
+    ]
+    for theta, times, want in cases:
+        doc = loop_cochain_json(transgress_torus(theta, times))
+        assert doc == want
+        assert list(doc["values"].items()) == list(want["values"].items())
+
+
+def test_loop_cochain_document_with_two_loops():
+    doc = loop_cochain_json(transgress_torus(type_three_cocycle(), 2))
+    keys = list(doc["values"])
+    assert len(keys) == 168
+    assert keys[:3] == ["1|2;4", "1|2;5", "1|2;6"]
+    assert keys[-3:] == ["7|6;3", "7|6;4", "7|6;5"]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == (
+        "d84c52ce7bba06d91069136942cef46c47943d934b74f46c87accb27ca7adfaf"
+    )
 
 
 def test_extension_round_trip():
