@@ -45,7 +45,7 @@ from .errors import (
     SectionNotValid,
     VerificationFailed,
 )
-from .groupoids import gauge_groupoid, homotopy_fiber, induced_gauge_functor, integrate
+from .groupoids import FinGroupoid, gauge_groupoid, homotopy_fiber, integrate
 from .groups import FiniteGroup, GroupHom, group_from_table
 from .invariants import ExactPhaseSum, TorusPartition, transgress_torus
 from .linalg import SparseElimination
@@ -597,8 +597,7 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
         for b in phi:
             if not g_grp.commute(a, b):
                 raise NonCommuting(a, b)
-    functor = induced_gauge_functor(ext.lam, n)
-    fibre = homotopy_fiber(functor, tuple(phi))
+    fibre = homotopy_fiber(ext.lam, phi)
     ident = _identity_hom(g_grp)
 
     def integrand(obj):
@@ -649,58 +648,43 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
     bundle = transgress_torus(omega_p, k, check=False)
 
     sectors = gauge_groupoid(g_grp, k).objects()
+    lifts = {}
+    for t in gauge_groupoid(ghat, k).objects():
+        lifts.setdefault(tuple(ext.lam(x) for x in t), []).append(t)
+
+    def conj_kernel(d, t):
+        return tuple(ghat.conjugate(ext.iota(d), x) for x in t)
+
+    # per sector: the kernel's action groupoid on the lifts, and the
+    # positions of the orbits whose stabilizer character is trivial
     bases = {}
     for phi in sectors:
-        objs = [
-            t
-            for t in gauge_groupoid(ghat, k).objects()
-            if tuple(ext.lam(x) for x in t) == phi
-        ]
-        # orbits under conjugation by the kernel
-        orbit = {}
-        for t in objs:
-            if t in orbit:
-                continue
-            for d in d_grp.elements():
-                u = tuple(ghat.conjugate(ext.iota(d), x) for x in t)
-                orbit[u] = t
-        reps = sorted({orbit[t] for t in objs})
-        basis = []
-        for rep in reps:
-            stab = [
-                d
-                for d in d_grp.elements()
-                if all(ghat.commute(ext.iota(d), x) for x in rep)
-            ]
-            if all(
-                bundle.value(rep + (ext.iota(d),)).is_zero() for d in stab
-            ):
-                basis.append(rep)
-        bases[phi] = (basis, orbit)
-
-    def transport_phase(rep, target):
-        """Phase moving a parallel section value from rep to target."""
-        for d in d_grp.elements():
-            u = ext.iota(d)
-            if tuple(ghat.conjugate(ghat.inverses[u], x) for x in rep) == target:
-                return bundle.value(rep + (u,))
-        raise VerificationFailed("target not in the orbit of rep")
+        fibre = FinGroupoid(d_grp, lifts.get(phi, ()), conj_kernel)
+        basis = {}
+        for cls in fibre.isomorphism_classes():
+            rep = cls[0]
+            stab = fibre.aut(rep)
+            if all(bundle.value(rep + (ext.iota(d),)).is_zero() for d in stab):
+                basis[rep] = len(basis)
+        bases[phi] = (basis, fibre)
 
     def operator(phi, g):
         """Monomial operator from sector g^{-1} phi g to sector phi."""
         src_phi = tuple(g_grp.conjugate(g_grp.inverses[g], x) for x in phi)
         src_basis, _ = bases[src_phi]
-        dst_basis, dst_orbit = bases[phi]
+        dst_basis, dst_fibre = bases[phi]
         s = ext.section[g]
         mat = {}
-        for i, rep in enumerate(src_basis):
+        for rep, i in src_basis.items():
             moved = tuple(ghat.conjugate(s, x) for x in rep)
             phase = bundle.value(rep + (ghat.inverses[s],))
-            target_rep = dst_orbit.get(moved)
-            if target_rep is None or target_rep not in dst_basis:
+            target_rep, d = dst_fibre.transporter(moved)
+            j = dst_basis.get(target_rep)
+            if j is None:
                 raise IncompatiblePhases("symmetry does not preserve the basis")
-            j = dst_basis.index(target_rep)
-            mat[(j, i)] = (phase + transport_phase(target_rep, moved)).reduced()
+            # parallel transport from target_rep along iota(d)^{-1}
+            back = bundle.value(target_rep + (ghat.inverses[ext.iota(d)],))
+            mat[(j, i)] = (phase + back).reduced()
         return mat
 
     vals = {}

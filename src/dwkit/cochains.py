@@ -22,6 +22,7 @@ exactly equivalent.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import (
@@ -78,12 +79,13 @@ class Cochain:
                         f"non-normalized value at {t}"
                     )
                 continue
-            if modulus % v.reduced().modulus:
+            r = v.reduced()
+            if modulus % r.modulus:
                 raise ValueError(
                     f"value modulus {v.modulus} does not divide {modulus}"
                 )
-            if not v.is_zero():
-                cleaned[t] = v.reduced()
+            if not r.is_zero():
+                cleaned[t] = r
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "modulus", modulus)
@@ -269,7 +271,7 @@ def pullback(f: GroupHom, c: Cochain):
     return Cochain(src, c.degree, c.modulus, vals)
 
 
-# -- formal chains and shuffles ------------------------------------------------
+# -- formal chains and torus cycles --------------------------------------------
 
 
 class FormalChain:
@@ -298,10 +300,6 @@ class FormalChain:
     @staticmethod
     def zero(group, degree):
         return FormalChain(group, degree, {})
-
-    @staticmethod
-    def simplex(group, t):
-        return FormalChain(group, len(t), {tuple(t): 1})
 
     def is_zero(self):
         return not self.terms
@@ -347,53 +345,34 @@ class FormalChain:
         return f"FormalChain(degree={self.degree}, terms={len(self.terms)})"
 
 
-def _shuffles(p, q):
-    """(p,q)-shuffles as (sign, positions-of-first-block)."""
-    for pos in itertools.combinations(range(p + q), p):
-        inversions = sum(pos[k] - k for k in range(p))
-        yield (-1) ** inversions, pos
-
-
-def shuffle_cross(a: FormalChain, b: FormalChain):
-    """Eilenberg-Zilber shuffle product of bar chains on one group.
-
-    Satisfies the Leibniz rule whenever the entries of the two factors
-    commute elementwise (the only case used here: torus directions).
-    """
-    if a.group != b.group:
-        raise DegreeMismatch("chains on different groups")
-    p, q = a.degree, b.degree
-    out = {}
-    for ta, ka in a.terms.items():
-        for tb, kb in b.terms.items():
-            for sign, pos in _shuffles(p, q):
-                merged = [None] * (p + q)
-                for k, i in enumerate(pos):
-                    merged[i] = ta[k]
-                it = iter(tb)
-                for i in range(p + q):
-                    if merged[i] is None:
-                        merged[i] = next(it)
-                t = tuple(merged)
-                if a.group.identity not in t:
-                    out[t] = out.get(t, 0) + sign * ka * kb
-    return FormalChain(a.group, p + q, out)
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """(sign, permutation) for every permutation of range(n)."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        out.append(((-1) ** inversions, perm))
+    return tuple(out)
 
 
 def torus_fundamental_cycle(group, elems):
     """Fundamental cycle of the n-torus with the given commuting holonomies.
 
-    The n-fold shuffle product of the 1-cycles (g_i): n! signed simplices.
+    The n-fold shuffle product of the 1-cycles (g_i), which is
+    sum over permutations s of sign(s) (g_s(1), ..., g_s(n)).
     """
-    elems = list(elems)
+    elems = tuple(elems)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             if not group.commute(elems[i], elems[j]):
                 raise NonCommuting(elems[i], elems[j])
-    cycle = FormalChain(group, 0, {(): 1})
-    for g in elems:
-        cycle = shuffle_cross(cycle, FormalChain.simplex(group, (g,)))
-    return cycle
+    terms = {}
+    for sign, perm in _signed_permutations(len(elems)):
+        t = tuple(elems[i] for i in perm)
+        terms[t] = terms.get(t, 0) + sign
+    return FormalChain(group, len(elems), terms)
 
 
 def evaluate(c: Cochain, z: FormalChain):
@@ -778,12 +757,10 @@ def solve_coboundary(y: Cochain, working_modulus=None):
         raise ValueError("working modulus must be divisible by the "
                          "denominator of y")
     index = TupleIndex(g, n - 1, loops)
-    index_n = TupleIndex(g, n, loops)
     tuples, rows = delta_matrix_rows(g, n - 1, first_args=g.generators(),
                                      index=index)
-    yvec = cochain_vector(y, index_n, scale_to=den)
-    scale = m_work // den
-    rhs = [scale * yvec[index_n.index(t)] for t in tuples]
+    # y at the row tuples, lifted to integers over Z/m_work
+    rhs = [int(y.value(t).as_fraction() * m_work) for t in tuples]
     elim = SparseElimination(rows, index.size, modulus=m_work)
     x = elim.solve(rhs)
     if x is None:

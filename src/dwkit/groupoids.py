@@ -1,20 +1,19 @@
-"""Essentially finite groupoids, cardinality, and gauge-invariant integration.
+"""Finite action groupoids, cardinality, and gauge-invariant integration.
 
-A groupoid here is an explicit finite category in which every morphism is
-invertible: a finite set of objects together with finite morphism sets and a
-composition rule.  The main instances are the gauge groupoids of a finite
-group G on a torus: objects are commuting n-tuples (holonomies), morphisms
-are simultaneous conjugations.
+Every groupoid here is an action groupoid G x| X of a finite group G acting
+on a finite set X (Willerton, AGT 8, 2008): a morphism x -> y is an element
+k with k.x = y.  The main instances are the gauge groupoids of a finite
+group on a torus (commuting n-tuples under simultaneous conjugation) and
+their homotopy fibres along a group homomorphism.
 
-Integration against the groupoid cardinality measure sums f(x)/|Aut(x)| over
-isomorphism classes; the integrand is checked to be constant on classes
-before summing.
+By orbit-stabilizer, integration against the groupoid cardinality measure
+sums f(x)/|Stab(x)| over one representative per orbit; the integrand is
+checked to be constant on orbits before summing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .errors import BudgetExceeded, NotGaugeInvariant
 from .groups import FiniteGroup, GroupHom
@@ -22,198 +21,77 @@ from .phase import PhaseValue
 
 GAUGE_TUPLE_BUDGET = 10**6
 
-# Associativity is checked on all composable triples only below this many
-# morphisms; larger groupoids are spot-checked on a deterministic sample.
-FULL_ASSOC_MORPHISM_CAP = 200
-
 
 class FinGroupoid:
-    """Finite groupoid given by explicit morphism sets.
+    """The action groupoid of ``group`` acting on ``objects``.
 
-    ``hom`` maps ordered object pairs to tuples of morphism labels; pairs
-    with no morphisms may be omitted.  ``compose`` is a callable
-    ``compose(x, y, z, f, g) -> label`` returning g∘f for f: x -> y and
-    g: y -> z.  ``identities`` maps each object to its identity label.
+    ``act(k, x)`` is the image of the object x under the group element k;
+    it must be a left action, act(a b, x) = act(a, act(b, x)).
     """
 
-    def __init__(self, objects, hom, compose, identities, check=True):
+    def __init__(self, group: FiniteGroup, objects, act):
+        self.group = group
+        self.act = act
         self._objects = tuple(objects)
-        self._hom = {k: tuple(v) for k, v in hom.items() if v}
-        self._compose = compose
-        self._identities = dict(identities)
         self._classes = None
-        if check:
-            self._validate()
-
-    # -- basic structure ---------------------------------------------------
+        self._stab = {}  # representative -> stabilizer order
+        self._transport = {}  # object -> (representative, transporter)
 
     def objects(self):
         return self._objects
 
-    def morphisms(self, x, y):
-        return self._hom.get((x, y), ())
-
-    def identity(self, x):
-        return self._identities[x]
-
-    def compose(self, x, y, z, f, g):
-        """g∘f for f: x -> y, g: y -> z."""
-        return self._compose(x, y, z, f, g)
-
-    def aut(self, x):
-        return self.morphisms(x, x)
-
-    def morphism_pairs(self):
-        """Ordered object pairs with at least one morphism."""
-        return self._hom.keys()
-
-    def _validate(self):
-        for x in self._objects:
-            e = self._identities.get(x)
-            if e is None or e not in self.morphisms(x, x):
-                raise ValueError(f"missing identity morphism at {x!r}")
-        total = sum(len(v) for v in self._hom.values())
-        for (x, y), fs in self._hom.items():
-            ex, ey = self._identities[x], self._identities[y]
-            for f in fs:
-                if self.compose(x, x, y, ex, f) != f:
-                    raise ValueError("identity is not right-neutral")
-                if self.compose(x, y, y, f, ey) != f:
-                    raise ValueError("identity is not left-neutral")
-                back = self.morphisms(y, x)
-                if not any(
-                    self.compose(x, y, x, f, g) == ex
-                    and self.compose(y, x, y, g, f) == ey
-                    for g in back
-                ):
-                    raise ValueError(f"morphism {f!r}: {x!r} -> {y!r} has no inverse")
-        if total <= FULL_ASSOC_MORPHISM_CAP:
-            triples = [
-                (x, y, z, f, g, h)
-                for (x, y), fs in self._hom.items()
-                for (y2, z), gs in self._hom.items()
-                if y2 == y
-                for (z2, w), hs in self._hom.items()
-                if z2 == z
-                for f in fs
-                for g in gs
-                for h in hs
-            ]
-        else:
-            pairs = sorted(self._hom.keys(), key=repr)
-            triples = []
-            for (x, y) in pairs[:20]:
-                f = self._hom[(x, y)][0]
-                for (y2, z) in pairs:
-                    if y2 != y:
-                        continue
-                    g = self._hom[(y2, z)][0]
-                    for (z2, w) in pairs:
-                        if z2 != z:
-                            continue
-                        h = self._hom[(z2, w)][0]
-                        triples.append((x, y, z, f, g, h))
-                        break
-                    break
-        for (x, y, z, f, g, h) in triples:
-            w = None
-            for (z2, ww), hs in self._hom.items():
-                if z2 == z and h in hs:
-                    w = ww
-                    break
-            if w is None:
-                continue
-            lhs = self.compose(x, z, w, self.compose(x, y, z, f, g), h)
-            rhs = self.compose(x, y, w, f, self.compose(y, z, w, g, h))
-            if lhs != rhs:
-                raise ValueError("composition is not associative")
-
-    # -- isomorphism classes -----------------------------------------------
-
     def isomorphism_classes(self):
-        """Partition of the objects into connected components.
+        """The orbits, each sorted by repr with its representative first.
 
-        Returns a list of lists; the first entry of each is the class
-        representative.
+        One walk per orbit applies every group element to one object; it
+        records the stabilizer order of the representative and a
+        transporter to every member.  Raises ValueError if an image is not
+        an object.
         """
         if self._classes is None:
-            parent = {x: x for x in self._objects}
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for (x, y) in self.morphism_pairs():
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-            buckets = {}
+            g, act = self.group, self.act
+            known = set(self._objects)
+            classes = []
             for x in self._objects:
-                buckets.setdefault(find(x), []).append(x)
-            self._classes = [sorted(v, key=repr) for v in buckets.values()]
-            self._classes.sort(key=lambda c: repr(c[0]))
+                if x in self._transport:
+                    continue
+                reach = {}  # image -> first k with act(k, x) == image
+                fixing = 0
+                for k in g.elements():
+                    y = act(k, x)
+                    if y not in known:
+                        raise ValueError(f"{y!r} = act({k!r}, {x!r}) is not an object")
+                    reach.setdefault(y, k)
+                    fixing += y == x
+                cls = sorted(reach, key=repr)
+                rep = cls[0]
+                back = g.inverses[reach[rep]]
+                for y, k in reach.items():
+                    self._transport[y] = (rep, g.mul(k, back))
+                self._stab[rep] = fixing
+                classes.append(cls)
+            self._classes = sorted(classes, key=lambda c: repr(c[0]))
         return self._classes
 
-    def some_morphism(self, x, y):
-        """An arbitrary morphism x -> y, or None."""
-        ms = self.morphisms(x, y)
-        return ms[0] if ms else None
+    def transporter(self, y):
+        """(rep, k): the representative of y's orbit and k with act(k, rep) == y."""
+        if self._classes is None:
+            self.isomorphism_classes()
+        return self._transport[y]
 
-
-class GaugeGroupoid(FinGroupoid):
-    """Commuting n-tuples in G with simultaneous conjugation as morphisms.
-
-    Morphism labels are group elements: k maps the tuple t to k t k^{-1}
-    (applied entrywise); composition is group multiplication.
-    """
-
-    def __init__(self, group: FiniteGroup, dim: int, objects):
-        self.group = group
-        self.dim = dim
-        self._objects = tuple(objects)
-        self._object_set = set(self._objects)
-        self._classes = None
-
-    def conj_tuple(self, k, t):
-        g = self.group
-        return tuple(g.conjugate(k, x) for x in t)
-
-    def morphisms(self, x, y):
-        return tuple(
-            k for k in self.group.elements() if self.conj_tuple(k, x) == y
-        )
-
-    def identity(self, x):
-        return self.group.identity
-
-    def compose(self, x, y, z, f, g):
-        return self.group.mul(g, f)
+    def stabilizer_order(self, x):
+        """|Aut(x)|, the order of the stabilizer of x."""
+        return self._stab[self.transporter(x)[0]]
 
     def aut(self, x):
-        return self.morphisms(x, x)
-
-    def morphism_pairs(self):
-        for t in self._objects:
-            seen = set()
-            for k in self.group.elements():
-                u = self.conj_tuple(k, t)
-                if u not in seen:
-                    seen.add(u)
-                    yield (t, u)
-
-    def some_morphism(self, x, y):
-        for k in self.group.elements():
-            if self.conj_tuple(k, x) == y:
-                return k
-        return None
+        """Automorphisms of x: the group elements that fix it."""
+        return tuple(k for k in self.group.elements() if self.act(k, x) == x)
 
 
-def gauge_groupoid(group: FiniteGroup, n: int) -> GaugeGroupoid:
-    """The groupoid of G-bundles on the n-torus: commuting n-tuples in G."""
-    if n < 1:
-        raise ValueError("torus dimension must be >= 1")
+def gauge_groupoid(group: FiniteGroup, n: int) -> FinGroupoid:
+    """Bun_G(T^n): commuting n-tuples in G under simultaneous conjugation."""
+    if n < 0:
+        raise ValueError("torus dimension must be >= 0")
     if group.order**n > GAUGE_TUPLE_BUDGET:
         raise BudgetExceeded("gauge groupoid tuples", group.order**n, GAUGE_TUPLE_BUDGET)
     tuples = [()]
@@ -224,14 +102,47 @@ def gauge_groupoid(group: FiniteGroup, n: int) -> GaugeGroupoid:
                 if all(group.commute(g, x) for x in t):
                     nxt.append(t + (g,))
         tuples = nxt
-    return GaugeGroupoid(group, n, tuples)
+    return FinGroupoid(
+        group, tuples, lambda k, t: tuple(group.conjugate(k, x) for x in t)
+    )
+
+
+def delooping(group: FiniteGroup) -> FinGroupoid:
+    """BG, the one-object groupoid with automorphism group G."""
+    return gauge_groupoid(group, 0)
+
+
+def homotopy_fiber(hom: GroupHom, y) -> FinGroupoid:
+    """The homotopy fibre of Bun_Ghat(T^n) -> Bun_G(T^n) over the tuple y.
+
+    Objects are pairs (xhat, h) of a commuting n-tuple in the source and
+    h in the target with h lambda(xhat) h^{-1} = y; ghat acts by
+    (xhat, h) -> (ghat xhat ghat^{-1}, h lambda(ghat)^{-1}).
+    """
+    src, tgt = hom.source, hom.target
+    y = tuple(y)
+    objs = []
+    for x in gauge_groupoid(src, len(y)).objects():
+        down = tuple(hom(a) for a in x)
+        for h in tgt.elements():
+            if tuple(tgt.conjugate(h, a) for a in down) == y:
+                objs.append((x, h))
+
+    def act(k, obj):
+        x, h = obj
+        return (
+            tuple(src.conjugate(k, a) for a in x),
+            tgt.mul(h, tgt.inverses[hom(k)]),
+        )
+
+    return FinGroupoid(src, objs, act)
 
 
 def cardinality(groupoid: FinGroupoid) -> Fraction:
     """Groupoid cardinality: sum of 1/|Aut| over isomorphism classes."""
     total = Fraction(0)
     for cls in groupoid.isomorphism_classes():
-        total += Fraction(1, len(groupoid.aut(cls[0])))
+        total += Fraction(1, groupoid.stabilizer_order(cls[0]))
     return total
 
 
@@ -253,9 +164,9 @@ def integrate(groupoid: FinGroupoid, f):
         for other in cls[1:]:
             if f(other) != val:
                 raise NotGaugeInvariant(
-                    (rep, other, groupoid.some_morphism(rep, other))
+                    (rep, other, groupoid.transporter(other)[1])
                 )
-        weight = Fraction(1, len(groupoid.aut(rep)))
+        weight = Fraction(1, groupoid.stabilizer_order(rep))
         if isinstance(val, PhaseValue):
             saw_phase = True
             key = val.reduced()
@@ -268,113 +179,3 @@ def integrate(groupoid: FinGroupoid, f):
     if saw_phase:
         return {k: v for k, v in phase_weights.items() if v != 0}
     return rational_total
-
-
-class Functor:
-    """Functor between explicit finite groupoids.
-
-    ``obj_map`` maps source objects to target objects; ``mor_map`` is a
-    callable ``mor_map(x, y, f) -> label`` sending f: x -> y to a target
-    morphism obj_map(x) -> obj_map(y).
-    """
-
-    def __init__(self, source, target, obj_map, mor_map, check=True):
-        self.source = source
-        self.target = target
-        self._obj = obj_map if callable(obj_map) else obj_map.__getitem__
-        self._mor = mor_map
-        if check:
-            self._validate()
-
-    def on_object(self, x):
-        return self._obj(x)
-
-    def on_morphism(self, x, y, f):
-        return self._mor(x, y, f)
-
-    def _validate(self):
-        src = self.source
-        for x in src.objects():
-            fx = self.on_object(x)
-            if self.on_morphism(x, x, src.identity(x)) != self.target.identity(fx):
-                raise ValueError("functor does not preserve identities")
-        checked = 0
-        for (x, y) in src.morphism_pairs():
-            for f in src.morphisms(x, y)[:2]:
-                for z in (y,):
-                    for g in src.morphisms(y, z)[:2]:
-                        gf = src.compose(x, y, z, f, g)
-                        lhs = self.on_morphism(x, z, gf)
-                        rhs = self.target.compose(
-                            self.on_object(x),
-                            self.on_object(y),
-                            self.on_object(z),
-                            self.on_morphism(x, y, f),
-                            self.on_morphism(y, z, g),
-                        )
-                        if lhs != rhs:
-                            raise ValueError("functor does not preserve composition")
-                        checked += 1
-                        if checked >= 200:
-                            return
-
-
-def induced_gauge_functor(hom: GroupHom, n: int) -> Functor:
-    """The functor between gauge groupoids induced by a group homomorphism.
-
-    Sends a commuting tuple to its entrywise image and a conjugation by k
-    to conjugation by hom(k).
-    """
-    src = gauge_groupoid(hom.source, n)
-    tgt = gauge_groupoid(hom.target, n)
-    return Functor(
-        src,
-        tgt,
-        lambda t: tuple(hom(x) for x in t),
-        lambda x, y, k: hom(k),
-        check=False,
-    )
-
-
-def homotopy_fiber(functor: Functor, y) -> FinGroupoid:
-    """The homotopy fibre of a functor over a target object y.
-
-    Objects are pairs (x, h) with h: F(x) -> y in the target; morphisms
-    (x, h) -> (x', h') are source morphisms g: x -> x' with h'∘F(g) = h.
-    """
-    src, tgt = functor.source, functor.target
-    objs = []
-    for x in src.objects():
-        for h in tgt.morphisms(functor.on_object(x), y):
-            objs.append((x, h))
-    hom = {}
-    for (x, h) in objs:
-        fx = functor.on_object(x)
-        for (x2, h2) in objs:
-            fx2 = functor.on_object(x2)
-            ms = []
-            for g in src.morphisms(x, x2):
-                fg = functor.on_morphism(x, x2, g)
-                if tgt.compose(fx, fx2, y, fg, h2) == h:
-                    ms.append(g)
-            if ms:
-                hom[((x, h), (x2, h2))] = tuple(ms)
-    return FinGroupoid(
-        objs,
-        hom,
-        lambda a, b, c, f, g: src.compose(a[0], b[0], c[0], f, g),
-        {(x, h): src.identity(x) for (x, h) in objs},
-        check=False,
-    )
-
-
-def delooping(group: FiniteGroup) -> FinGroupoid:
-    """The one-object groupoid with automorphism group G."""
-    star = "*"
-    return FinGroupoid(
-        [star],
-        {(star, star): tuple(group.elements())},
-        lambda x, y, z, f, g: group.mul(g, f),
-        {star: group.identity},
-        check=False,
-    )

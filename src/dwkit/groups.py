@@ -13,7 +13,7 @@ from .errors import NotAGroup, UnknownBuiltin
 
 # Full associativity is O(order^3); above this cap we sample random triples
 # and rely on the Latin-square + identity + inverse checks.
-FULL_ASSOC_ORDER_CAP = 64
+EXHAUSTIVE_ASSOC_ORDER_CAP = 64
 ASSOC_SAMPLE_TRIPLES = 1000
 
 
@@ -146,7 +146,7 @@ class FiniteGroup:
             if len(self.subgroup_closure([g])) == self.order:
                 gens = [g]
                 break
-        if gens is None and self.order <= FULL_ASSOC_ORDER_CAP:
+        if gens is None and self.order <= EXHAUSTIVE_ASSOC_ORDER_CAP:
             for i, g in enumerate(by_order):
                 for h in by_order[i + 1:]:
                     if len(self.subgroup_closure([g, h])) == self.order:
@@ -227,7 +227,7 @@ def group_from_table(order, table, label=""):
         if inverses[g] is None:
             raise NotAGroup(f"element {g} has no inverse", witness=g)
 
-    if order <= FULL_ASSOC_ORDER_CAP:
+    if order <= EXHAUSTIVE_ASSOC_ORDER_CAP:
         triples = itertools.product(range(order), repeat=3)
     else:
         rng = random.Random(order)

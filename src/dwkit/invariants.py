@@ -149,6 +149,8 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
         raise ValueError("cocycle lives on a different group")
     if theta.degree != n:
         raise DegreeMismatch(f"need degree {n}, got {theta.degree}")
+    if n < 1:
+        raise DegreeMismatch("torus dimension must be >= 1")
     if not is_cocycle(theta):
         raise NotACocycle("dw_partition_torus needs a cocycle")
     modulus = theta.modulus
@@ -405,23 +407,8 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
                 f"delta Phi_g differs from omega - alpha(g^-1)^* omega at g={g}"
             )
 
-    classes = gauge_groupoid(d_grp, k).isomorphism_classes()
-    orbit_of = {}
-    for idx, cls in enumerate(classes):
-        for t in cls:
-            orbit_of[t] = idx
+    groupoid = gauge_groupoid(d_grp, k)
     basis_index = {rep: i for i, rep in enumerate(space.basis)}
-    class_rep = {idx: cls[0] for idx, cls in enumerate(classes)}
-    rep_basis = {
-        orbit_of[rep]: i for rep, i in basis_index.items()
-    }
-
-    def transporter(src, dst):
-        for y in d_grp.elements():
-            if tuple(d_grp.conjugate(d_grp.inverses[y], t) for t in src) == dst:
-                return y
-        return None
-
     matrices = {}
     for g in sym_group.elements():
         ginv = sym_group.inverses[g]
@@ -430,14 +417,16 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
         for i, phi in enumerate(space.basis):
             phase = evaluate(phis[g], torus_fundamental_cycle(d_grp, phi))
             psi = tuple(a_inv(x) for x in phi)
-            j = rep_basis.get(orbit_of[psi])
+            rep_j, y = groupoid.transporter(psi)
+            j = basis_index.get(rep_j)
             if j is None:
                 raise IncompatiblePhases(
                     "symmetry maps a basis orbit outside the basis"
                 )
-            rep_j = space.basis[j]
-            y = transporter(rep_j, psi)
-            mat[(i, j)] = (phase + space.bundle_phase(rep_j, y)).reduced()
+            # psi = y rep_j y^{-1}: transport along y^{-1}
+            mat[(i, j)] = (
+                phase + space.bundle_phase(rep_j, d_grp.inverses[y])
+            ).reduced()
         matrices[g] = mat
 
     defect = {}

@@ -20,7 +20,6 @@ from dwkit.cochains import (
     interval_pairing,
     is_cocycle,
     pullback,
-    shuffle_cross,
     solve_coboundary,
     torus_fundamental_cycle,
 )
@@ -218,6 +217,40 @@ def test_pullback_is_a_chain_map():
     assert pullback(const, c).values == {}
 
 
+def _shuffles(p, q):
+    """(p,q)-shuffles as (sign, positions-of-first-block)."""
+    for pos in itertools.combinations(range(p + q), p):
+        inversions = sum(pos[k] - k for k in range(p))
+        yield (-1) ** inversions, pos
+
+
+def shuffle_cross(a: FormalChain, b: FormalChain):
+    """Eilenberg-Zilber shuffle product of bar chains on one group; the
+    reference for torus_fundamental_cycle.
+
+    Satisfies the Leibniz rule whenever the entries of the two factors
+    commute elementwise (the only case used here: torus directions).
+    """
+    if a.group != b.group:
+        raise DegreeMismatch("chains on different groups")
+    p, q = a.degree, b.degree
+    out = {}
+    for ta, ka in a.terms.items():
+        for tb, kb in b.terms.items():
+            for sign, pos in _shuffles(p, q):
+                merged = [None] * (p + q)
+                for k, i in enumerate(pos):
+                    merged[i] = ta[k]
+                it = iter(tb)
+                for i in range(p + q):
+                    if merged[i] is None:
+                        merged[i] = next(it)
+                t = tuple(merged)
+                if a.group.identity not in t:
+                    out[t] = out.get(t, 0) + sign * ka * kb
+    return FormalChain(a.group, p + q, out)
+
+
 def test_shuffle_cross_basics():
     z4 = cyclic_group(4)
     a = FormalChain(z4, 1, {(1,): 1})
@@ -248,6 +281,17 @@ def test_torus_cycle_is_a_cycle():
     assert triple.boundary().is_zero()
     with pytest.raises(NonCommuting):
         torus_fundamental_cycle(d8, (1, 4))
+
+
+def test_torus_cycle_is_the_iterated_shuffle_product():
+    for group, top in ((cyclic_group(4), 4), (dihedral_group(8), 3),
+                       (product_group([2, 2, 2]), 3), (dihedral_group(6), 3)):
+        for n in range(top + 1):
+            for t in gauge_groupoid(group, n).objects():
+                ref = FormalChain(group, 0, {(): 1})
+                for g in t:
+                    ref = shuffle_cross(ref, FormalChain(group, 1, {(g,): 1}))
+                assert torus_fundamental_cycle(group, t).terms == ref.terms
 
 
 def test_evaluate_and_adjointness():

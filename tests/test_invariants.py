@@ -148,6 +148,8 @@ def test_partition_rejects_bad_input():
     z4 = cyclic_group(4)
     with pytest.raises(DegreeMismatch):
         dw_partition_torus(z4, Cochain.zero(z4, 2), 3)
+    with pytest.raises(DegreeMismatch):
+        dw_partition_torus(z4, Cochain.zero(z4, 0), 0)
     bad = Cochain(z4, 3, 4, {(1, 1, 1): PhaseValue(1, 4)})
     with pytest.raises(NotACocycle):
         dw_partition_torus(z4, bad, 3)
