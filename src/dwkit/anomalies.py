@@ -24,7 +24,7 @@ from math import lcm
 from .cochains import (
     Cochain,
     TupleIndex,
-    coboundary,
+    coboundary_agrees,
     cohomology,
     delta_matrix_rows,
     evaluate,
@@ -453,6 +453,18 @@ def find_closed_lift(ext: Extension, omega: Cochain, modulus=None):
     return omegahat
 
 
+def _is_boundary_pair(ext, omega_p, theta):
+    """Whether delta omega' = lambda^* theta with theta closed.
+
+    lambda^* commutes with delta and is injective (lambda is onto), so the
+    equation alone already forces theta closed.  Checking theta first makes
+    delta omega' - lambda^* theta a cocycle, decided on generator-led rows.
+    """
+    return is_cocycle(theta) and coboundary_agrees(
+        omega_p, pullback(ext.lam, theta)
+    )
+
+
 def find_boundary_pair(ext: Extension, omega: Cochain, modulus=None):
     """(omega' on Ghat, theta on G) with iota^* omega' = omega,
     delta omega' = lambda^* theta, delta theta = 0; or None.
@@ -500,10 +512,8 @@ def find_boundary_pair(ext: Extension, omega: Cochain, modulus=None):
     theta = vector_cochain(g_grp, n + 1, sol[off:], m, index=idx_y)
     if pullback(ext.iota, omega_p) != omega:
         raise VerificationFailed("solver output must restrict to omega")
-    if coboundary(omega_p) != pullback(ext.lam, theta):
+    if not _is_boundary_pair(ext, omega_p, theta):
         raise VerificationFailed("delta omega' must equal lambda^* theta")
-    if not is_cocycle(theta):
-        raise VerificationFailed("solver output theta must be closed")
     return omega_p, theta
 
 
@@ -576,7 +586,7 @@ def anomaly_report(ext: Extension, omega: Cochain, modulus_multiplier=1) -> Obst
 
 
 def _verify_boundary_pair(ext, omega_p, theta):
-    if coboundary(omega_p) != pullback(ext.lam, theta) or not is_cocycle(theta):
+    if not _is_boundary_pair(ext, omega_p, theta):
         raise NotABoundaryPair("delta omega' must equal lambda^* theta with theta closed")
 
 
@@ -682,8 +692,9 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
             j = dst_basis.get(target_rep)
             if j is None:
                 raise IncompatiblePhases("symmetry does not preserve the basis")
-            # parallel transport from target_rep along iota(d)^{-1}
-            back = bundle.value(target_rep + (ghat.inverses[ext.iota(d)],))
+            # moved = iota(d) target_rep iota(d)^{-1}: transport from moved
+            # to target_rep along iota(d), continuing the path rep -> moved
+            back = bundle.value(moved + (ext.iota(d),))
             mat[(j, i)] = (phase + back).reduced()
         return mat
 

@@ -272,21 +272,29 @@ def _dw_cocycle(args, group, degree):
     return c
 
 
+def _dw_dim(args, default, least):
+    dim = args.dim if args.dim is not None else default
+    if dim is None:
+        raise CliError(f"{args.invariant} needs --dim")
+    if dim < least:
+        raise CliError(f"{args.invariant} needs --dim >= {least}, got {dim}")
+    return dim
+
+
 def cmd_dw(args):
     group = load_group_spec(args.group)
     if args.invariant == "torus":
-        if args.dim is None:
-            raise CliError("torus needs --dim")
-        theta = _dw_cocycle(args, group, args.dim)
-        zp = dw_partition_torus(group, theta, args.dim)
+        dim = _dw_dim(args, None, 1)
+        theta = _dw_cocycle(args, group, dim)
+        zp = dw_partition_torus(group, theta, dim)
         record = {
             "invariant": "torus_partition",
             "group": group.label or "group",
-            "degree": args.dim,
+            "degree": dim,
             "value": str(zp.value),
         }
     elif args.invariant == "simples":
-        dim = args.dim if args.dim is not None else 2
+        dim = _dw_dim(args, 2, 1)
         theta = _dw_cocycle(args, group, dim)
         zp = dw_partition_torus(group, theta, dim)
         record = {
@@ -305,7 +313,7 @@ def cmd_dw(args):
             "value": str(zp.value),
         }
     else:  # states
-        theta = _dw_cocycle(args, group, args.dim if args.dim else 2)
+        theta = _dw_cocycle(args, group, _dw_dim(args, 2, 2))
         space = state_space_torus(group, theta)
         record = {
             "invariant": "state_space_dimension",

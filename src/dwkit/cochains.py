@@ -17,6 +17,14 @@ z(s^{-1} b s; h, ...) for a generator s, so induction on the word length of
 the first entry, taken over all bases at once, reaches every tuple.  Kernels and coboundary
 equations are therefore solved on the generator-restricted row set, which is
 exactly equivalent.
+
+The argument needs only an abelian coefficient group, so it also decides
+closedness over Q/Z.  Write a cochain c with values in (1/den)Z/Z as c~/den
+with c~ integral.  Then delta c = 0 iff delta c~ = 0 mod den, and
+delta c~ mod den is a Z/den-cocycle (delta delta c~ = 0 over Z).  Hence
+``is_cocycle`` reads delta c~ mod den on the generator-led tuples only.  The
+same holds for delta c = y with y closed, since delta c - y is then a cocycle
+(``coboundary_agrees``); only ``coboundary`` builds every tuple.
 """
 
 from __future__ import annotations
@@ -221,6 +229,17 @@ class TupleIndex:
         args = tuple(args)
         return (b + a for b in self.bases for a in args)
 
+    def rows(self, first_args=None):
+        """The (n+1)-tuples base + args at which delta of an n-cochain on
+        this index is read, base-major; ``first_args`` restricts the first
+        argument."""
+        pools = [self.nonid] * (self.n + 1)
+        if first_args is not None:
+            pools[0] = tuple(first_args)
+        for b in self.bases:
+            for args in itertools.product(*pools):
+                yield b + args
+
 
 def _delta_faces(group, t, loops=0):
     """Faces of the differential at t = base + args: pairs (sign, face).
@@ -248,16 +267,42 @@ def coboundary(c):
     """The bar differential (trivial coefficients), degree n -> n+1."""
     g, n, m = c.group, c.degree, c.loops
     den = c.denominator()
-    index_n, index_k = TupleIndex(g, n, m), TupleIndex(g, n + 1, m)
-    w = _integral_coboundary(g, n, cochain_vector(c, index_n, scale_to=den),
-                             index_n, index_k)
+    index = TupleIndex(g, n, m)
+    vec = cochain_vector(c, index, scale_to=den)
     vals = {t: PhaseValue(v, den)
-            for t, v in zip(index_k.all(), w) if v % den}
+            for t, v in _integral_coboundary(g, vec, index, index.rows())
+            if v % den}
     return Cochain(g, n + 1, c.modulus, vals, m)
 
 
+def coboundary_agrees(c, y=None):
+    """Whether delta c and y (default 0) agree on every generator-led tuple.
+
+    For a closed y, delta c - y is a cocycle, so this decides delta c == y
+    exactly (module docstring); a caller proves y closed first.  Returns at
+    the first tuple that differs.
+    """
+    g, n, m = c.group, c.degree, c.loops
+    den = c.denominator()
+    if y is not None:
+        if (y.group, y.degree, y.loops) != (g, n + 1, m):
+            return False
+        den = lcm(den, y.denominator())
+    index = TupleIndex(g, n, m)
+    vec = cochain_vector(c, index, scale_to=den)
+    for t, v in _integral_coboundary(g, vec, index, index.rows(g.generators())):
+        if y is not None:
+            w = y.values.get(t)
+            if w is not None:
+                v -= w.numerator * (den // w.modulus)
+        if v % den:
+            return False
+    return True
+
+
 def is_cocycle(c):
-    return coboundary(c).is_zero()
+    """Whether delta c = 0 over Q/Z, read on the generator-led tuples only."""
+    return c.is_zero() or coboundary_agrees(c)
 
 
 def pullback(f: GroupHom, c: Cochain):
@@ -489,22 +534,19 @@ def delta_matrix_rows(group, n, first_args=None, index=None):
     ``index`` (a TupleIndex for degree n, whose loops name the domain).
     """
     index = index or TupleIndex(group, n)
-    firsts = list(first_args) if first_args is not None else group.nonidentity()
     row_tuples = []
     rows = []
-    for base in index.bases:
-        for args in itertools.product(firsts, *([group.nonidentity()] * n)):
-            t = base + args
-            row = {}
-            for sign, f in _delta_faces(group, t, index.loops):
-                c = index.index(f)
-                v = row.get(c, 0) + sign
-                if v:
-                    row[c] = v
-                else:
-                    row.pop(c, None)
-            row_tuples.append(t)
-            rows.append(row)
+    for t in index.rows(first_args):
+        row = {}
+        for sign, f in _delta_faces(group, t, index.loops):
+            c = index.index(f)
+            v = row.get(c, 0) + sign
+            if v:
+                row[c] = v
+            else:
+                row.pop(c, None)
+        row_tuples.append(t)
+        rows.append(row)
     return row_tuples, rows
 
 
@@ -536,18 +578,17 @@ def vector_cochain(group, degree, vec, modulus, index=None):
 # -- cohomology -----------------------------------------------------------------
 
 
-def _integral_coboundary(group, n, vec, index_n, index_k):
-    """delta of an integer n-cochain vector, as an integer (n+1)-vector."""
-    out = [0] * index_k.size
-    for i, t in enumerate(index_k.all()):
+def _integral_coboundary(group, vec, index, rows):
+    """delta of an integer cochain vector on ``index``: (t, value) at each
+    row tuple t in ``rows``."""
+    loops = index.loops
+    for t in rows:
         acc = 0
-        for sign, f in _delta_faces(group, t, index_k.loops):
-            v = vec[index_n.index(f)]
+        for sign, f in _delta_faces(group, t, loops):
+            v = vec[index.index(f)]
             if v:
                 acc += sign * v
-        if acc:
-            out[i] = acc
-    return out
+        yield t, acc
 
 
 def _factor(d):

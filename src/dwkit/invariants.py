@@ -20,7 +20,7 @@ from math import lcm
 
 from .cochains import (
     Cochain,
-    coboundary,
+    coboundary_agrees,
     evaluate,
     is_cocycle,
     pullback,
@@ -402,7 +402,9 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
     for g in sym_group.elements():
         ginv = sym_group.inverses[g]
         target = omega - pullback(alpha(ginv), omega)
-        if coboundary(phis[g]) != target:
+        # delta Phi_g is closed, so it can equal only a closed target, and
+        # then the difference is a cocycle, decided on generator-led rows
+        if not (is_cocycle(target) and coboundary_agrees(phis[g], target)):
             raise IncompatiblePhases(
                 f"delta Phi_g differs from omega - alpha(g^-1)^* omega at g={g}"
             )
@@ -423,10 +425,8 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
                 raise IncompatiblePhases(
                     "symmetry maps a basis orbit outside the basis"
                 )
-            # psi = y rep_j y^{-1}: transport along y^{-1}
-            mat[(i, j)] = (
-                phase + space.bundle_phase(rep_j, d_grp.inverses[y])
-            ).reduced()
+            # psi = y rep_j y^{-1}: transport from psi to rep_j along y
+            mat[(i, j)] = (phase + space.bundle_phase(psi, y)).reduced()
         matrices[g] = mat
 
     defect = {}

@@ -422,6 +422,37 @@ def test_projective_state_cocycle_anomalous_case():
     assert solve_coboundary(defect - trans) is not None
 
 
+def test_projective_state_cocycle_transport_direction():
+    """An exact twist on a split extension composes without defect.
+
+    Ghat = S3 x Z2 over Z2, with the section sending the generator of Z2 to
+    a 3-cycle r times it, so each operator moves a lift to another point of
+    its kernel orbit and transports it back along iota(r^{+-1}).
+    omega' = delta beta with beta of order 3 on two reflections, theta = 0:
+    the relative states are gauge transforms of the untwisted ones, so the
+    operators compose exactly.  Transporting back in the wrong direction
+    leaves a non-scalar composition defect.
+    """
+    s3, z2 = dihedral_group(6), cyclic_group(2)
+    split = direct_product_extension(s3, z2)
+    ghat = split.total
+    r = next(x for x in s3.elements() if s3.element_order(x) == 3)
+    refl = [x for x in s3.elements() if s3.element_order(x) == 2]
+    lift = ghat.mul(split.section[1], split.iota(r))
+    ext = Extension(s3, ghat, z2, split.iota, split.lam, (ghat.identity, lift))
+    third = PhaseValue(1, 3)
+    beta = Cochain(ghat, 1, 3, {(split.iota(refl[1]),): third,
+                                (split.iota(refl[2]),): third})
+    omega_p = coboundary(beta)
+    bundle = transgress_circle(omega_p)
+    moved = ghat.conjugate(split.iota(r), split.iota(refl[0]))
+    assert bundle.value((moved, split.iota(r))).reduced().modulus == 3
+    defect, trans, same = projective_state_cocycle(
+        ext, omega_p, Cochain.zero(z2, 3, 1)
+    )
+    assert defect.values == {} and trans.values == {} and same
+
+
 def test_projective_state_cocycle_validation():
     ext, omega_p, theta = z4_boundary_pair()
     with pytest.raises(DegreeMismatch):

@@ -127,6 +127,14 @@ def test_dw_argument_errors(capsys):
     assert code == 1 and "dim" in err
     code, _, err = run(capsys, "dw", "simples", "--group", "s3")
     assert code == 1
+    # out-of-range dimensions end in one error line, not a traceback
+    for invariant, dim in (("torus", "-1"), ("torus", "0"), ("simples", "-1"),
+                           ("states", "1"), ("states", "0"), ("states", "-1")):
+        code, out, err = run(capsys, "dw", invariant, "--group", "s3",
+                             "--untwisted", "--dim", dim)
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "--dim" in err
 
 
 def test_anomaly_exit_codes(capsys, tmp_path):

@@ -6,12 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from support import random_cochain
 
 from dwkit.cochains import (
     Cochain,
     FormalChain,
+    TupleIndex,
     _crt_pair,
     catalog_cocycle,
     coboundary,
@@ -39,6 +41,7 @@ from dwkit.groups import (
     product_group,
     product_index,
 )
+from dwkit.invariants import dw_partition_torus, transgress_torus
 from dwkit.phase import PhaseValue
 
 
@@ -375,3 +378,75 @@ def test_crt_pair_rejects_common_factor():
     assert _crt_pair(1, 2, 2, 3) == (5, 6)
     with pytest.raises(VerificationFailed):
         _crt_pair(1, 2, 0, 4)
+
+
+# --------------------------------------------------------------------------
+# closedness read on generator-led tuples
+
+
+def _bump(c, t, v):
+    """c changed by v at the single tuple t."""
+    return c + Cochain(c.group, c.degree, v.modulus, {t: v}, c.loops)
+
+
+def test_is_cocycle_rejects_a_change_off_the_generator_rows():
+    s3 = dihedral_group(6)
+    gens = set(s3.generators())
+    omega = cohomology(s3, 3).generators[0]
+    assert omega.denominator() == 6
+    for loops in (0, 1, 2):
+        z = transgress_torus(omega, loops) if loops else omega
+        assert z.loops == loops and is_cocycle(z)
+        off = [t for t in TupleIndex(s3, z.degree, loops).all()
+               if t[loops] not in gens]
+        assert off
+        for t in off[::5]:
+            for v in (PhaseValue(1, 6), PhaseValue(1, 2)):
+                bad = _bump(z, t, v)
+                assert not coboundary(bad).is_zero()
+                assert not is_cocycle(bad)
+                assert solve_coboundary(bad) is None
+                if not loops:
+                    with pytest.raises(NotACocycle):
+                        dw_partition_torus(s3, bad, 3)
+
+
+def test_is_cocycle_reads_the_rows_of_every_generator():
+    # on Z2 x Z2 = <s, t>, f(s) = 1/2, f(t) = 1/4, f(st) = 3/4 has
+    # delta f = 0 on every s-led pair but delta f(t, t) = 1/2
+    k4 = product_group([2, 2])
+    gens = k4.generators()
+    assert len(gens) == 2
+    for s, t in (gens, gens[::-1]):
+        f = Cochain(k4, 1, 4, {(s,): PhaseValue(1, 2), (t,): PhaseValue(1, 4),
+                               (k4.mul(s, t),): PhaseValue(3, 4)})
+        delta = coboundary(f)
+        assert all(u[0] != s for u in delta.values)
+        assert not delta.is_zero() and not is_cocycle(f)
+
+
+_SMALL_GROUPS = (cyclic_group(3), cyclic_group(4), product_group([2, 2]),
+                 dihedral_group(6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(_SMALL_GROUPS),
+    degree=st.integers(1, 2),
+    loops=st.integers(0, 1),
+    modulus=st.sampled_from([2, 3, 4, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_is_cocycle_agrees_with_the_full_coboundary(group, degree, loops,
+                                                    modulus, seed, data):
+    rng = random.Random(seed)
+    c = random_cochain(group, degree, modulus, rng, loops=loops)
+    assert is_cocycle(c) == coboundary(c).is_zero()
+    closed = coboundary(random_cochain(group, degree - 1, modulus, rng,
+                                       loops=loops))
+    assert is_cocycle(closed)
+    t = data.draw(st.sampled_from(list(TupleIndex(group, degree, loops).all())))
+    v = PhaseValue(data.draw(st.integers(1, modulus - 1)), modulus)
+    bad = _bump(closed, t, v)
+    assert is_cocycle(bad) == coboundary(bad).is_zero()

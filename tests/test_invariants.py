@@ -335,6 +335,57 @@ def test_symmetry_action_reports_projective_defect():
     assert defect == {(1, 1): {1: PhaseValue(1, 2), 3: PhaseValue(1, 2)}}
 
 
+def test_symmetry_action_transport_direction():
+    """Inner automorphisms act trivially on the states of an exact twist.
+
+    omega = delta beta on S3, with beta taking order-3 values on two of the
+    three reflections, and Z3 acts by conjugation with a 3-cycle r through
+    Phi_g = beta - alpha(g^{-1})^* beta.  A matrix entry is Phi_g on the
+    torus cycle of the basis tuple phi, plus the transport from
+    psi = alpha(g^{-1}) phi back to its basis representative along any x with
+    x^{-1} psi x = rep.  On the reflection orbit that transport has order 3
+    along a transporter of order 3, so reading it in the opposite direction
+    changes the matrices.
+    """
+    s3, z3 = dihedral_group(6), cyclic_group(3)
+    r = next(x for x in s3.elements() if s3.element_order(x) == 3)
+    refl = [x for x in s3.elements() if s3.element_order(x) == 2]
+
+    def alpha(g):
+        c = s3.power(r, g)
+        return GroupHom(s3, s3, [s3.conjugate(c, x) for x in s3.elements()])
+
+    third = PhaseValue(1, 3)
+    beta = Cochain(s3, 1, 3, {(refl[1],): third, (refl[2],): third})
+    space = state_space_torus(s3, coboundary(beta))
+    phis = {g: beta - pullback(alpha(z3.inverses[g]), beta)
+            for g in z3.elements()}
+    matrices, defect = symmetry_action(z3, alpha, phis, space)
+
+    order_three = False
+    for g in z3.elements():
+        a_inv = alpha(z3.inverses[g])
+        want = {}
+        for i, phi in enumerate(space.basis):
+            psi = tuple(a_inv(x) for x in phi)
+            j, x = next(
+                (j, x)
+                for j, rep in enumerate(space.basis)
+                for x in s3.elements()
+                if tuple(s3.conjugate(s3.inverses[x], y) for y in psi) == rep
+            )
+            transport = space.line_bundle.value(psi + (x,)).reduced()
+            if transport.modulus == 3 and s3.element_order(x) == 3:
+                order_three = True
+            phase = evaluate(phis[g], torus_fundamental_cycle(s3, phi))
+            want[(i, j)] = (phase + transport).reduced()
+        assert matrices[g] == want
+    assert order_three
+    # psi = beta + const on each orbit is parallel, and U_g fixes it
+    assert defect == {}
+    assert all(v.is_zero() for mat in matrices.values() for v in mat.values())
+
+
 def test_symmetry_action_rejects_wrong_phi():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     space = state_space_torus(z4, Cochain.zero(z4, 2))
