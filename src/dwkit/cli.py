@@ -304,6 +304,8 @@ def cmd_dw(args):
             "value": str(zp.value),
         }
     elif args.invariant == "double":
+        if args.dim not in (None, 3):
+            raise CliError(f"double is defined for --dim 3 only, got {args.dim}")
         theta = _dw_cocycle(args, group, 3)
         zp = dw_partition_torus(group, theta, 3)
         record = {

@@ -55,6 +55,8 @@ from .linalg import SparseElimination
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
+# (group, degree) results that cohomology() keeps in-process
+COHOMOLOGY_MEMO_SIZE = 64
 
 
 # -- cochains ----------------------------------------------------------------
@@ -193,16 +195,21 @@ def all_tuples(group, n):
 
 
 class TupleIndex:
-    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain)."""
+    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain).
 
-    def __init__(self, group, n, loops=0):
+    ``bases`` reuses the X_m of another index on the same group and loops.
+    """
+
+    def __init__(self, group, n, loops=0, bases=None):
         self.group = group
         self.n = n
         self.loops = loops
         self.nonid = group.nonidentity()
         self.pos = {g: i for i, g in enumerate(self.nonid)}
         self.radix = len(self.nonid)
-        self.bases = gauge_groupoid(group, loops).objects() if loops else [()]
+        if bases is None:
+            bases = gauge_groupoid(group, loops).objects() if loops else [()]
+        self.bases = bases
         self.base_pos = {b: i for i, b in enumerate(self.bases)}
         self.size = len(self.bases) * self.radix**n
 
@@ -275,12 +282,13 @@ def coboundary(c):
     return Cochain(g, n + 1, c.modulus, vals, m)
 
 
-def coboundary_agrees(c, y=None):
+def coboundary_agrees(c, y=None, index=None):
     """Whether delta c and y (default 0) agree on every generator-led tuple.
 
     For a closed y, delta c - y is a cocycle, so this decides delta c == y
     exactly (module docstring); a caller proves y closed first.  Returns at
-    the first tuple that differs.
+    the first tuple that differs.  ``index`` is c's TupleIndex if the caller
+    has one.
     """
     g, n, m = c.group, c.degree, c.loops
     den = c.denominator()
@@ -288,7 +296,7 @@ def coboundary_agrees(c, y=None):
         if (y.group, y.degree, y.loops) != (g, n + 1, m):
             return False
         den = lcm(den, y.denominator())
-    index = TupleIndex(g, n, m)
+    index = index or TupleIndex(g, n, m)
     vec = cochain_vector(c, index, scale_to=den)
     for t, v in _integral_coboundary(g, vec, index, index.rows(g.generators())):
         if y is not None:
@@ -673,15 +681,32 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     The kernel and image of the integral bar differential are found by exact
     sparse elimination; each torsion generator f of order d gets a U(1)
     representative a/d from an integral witness delta(a) = d*f.
+
+    Results are memoized in-process per (group, degree), for the
+    COHOMOLOGY_MEMO_SIZE most recently used keys; ``cohomology.cache_info()`` counts hits and
+    misses.  The degree and budget checks run before the lookup, and every
+    call returns new lists whose generators live on the caller's group
+    object (equal groups may serialize differently, see ``builtin_spec``).
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    k = n + 1
-    nnz = full_bar_nnz(group, k)
+    nnz = full_bar_nnz(group, n + 1)
     if nnz > budget and not allow_large:
         raise BudgetExceeded(
             f"bar matrix for H^{n}({group.label or 'G'})", nnz, budget
         )
+    h = _cohomology(group, n)
+    generators = h.generators
+    if h.group is not group:
+        generators = [Cochain(group, n, c.modulus, c.values)
+                      for c in generators]
+    return CohomologyGroup(group, n, list(h.invariant_factors),
+                           list(generators), h._data)
+
+
+@lru_cache(maxsize=COHOMOLOGY_MEMO_SIZE)
+def _cohomology(group, n):
+    k = n + 1
     gens = group.generators()
     index_n = TupleIndex(group, n)
     index_k = TupleIndex(group, k)
@@ -770,8 +795,11 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
         "elim_x": elim_x,
         "slots": slots,
     }
-    h = CohomologyGroup(group, n, factors, generators, data)
-    return h
+    return CohomologyGroup(group, n, factors, generators, data)
+
+
+cohomology.cache_info = _cohomology.cache_info
+cohomology.cache_clear = _cohomology.cache_clear
 
 
 # -- coboundary solving ---------------------------------------------------------
@@ -791,13 +819,13 @@ def solve_coboundary(y: Cochain, working_modulus=None):
     den = y.denominator()
     if y.is_zero():
         return Cochain.zero(g, n - 1, y.modulus, loops)
-    if not is_cocycle(y):
+    index = TupleIndex(g, n - 1, loops)
+    if not coboundary_agrees(y, index=TupleIndex(g, n, loops, index.bases)):
         return None
     m_work = working_modulus or den * g.order
     if m_work % den:
         raise ValueError("working modulus must be divisible by the "
                          "denominator of y")
-    index = TupleIndex(g, n - 1, loops)
     tuples, rows = delta_matrix_rows(g, n - 1, first_args=g.generators(),
                                      index=index)
     # y at the row tuples, lifted to integers over Z/m_work

@@ -110,10 +110,11 @@ def test_dw_commands(capsys):
         "--cocycle", "omega1", "--json",
     )
     assert json.loads(out)["value"] == "1"
-    code, out, _ = run(
-        capsys, "dw", "double", "--group", "s3", "--untwisted", "--json"
-    )
-    assert json.loads(out)["value"] == "8"
+    for dim in ((), ("--dim", "3")):
+        code, out, _ = run(
+            capsys, "dw", "double", "--group", "s3", "--untwisted", *dim, "--json"
+        )
+        assert code == 0 and json.loads(out)["value"] == "8"
     code, out, _ = run(
         capsys, "dw", "states", "--group", "z2", "--cocycle", "omega1",
         "--dim", "3", "--json",
@@ -129,7 +130,8 @@ def test_dw_argument_errors(capsys):
     assert code == 1
     # out-of-range dimensions end in one error line, not a traceback
     for invariant, dim in (("torus", "-1"), ("torus", "0"), ("simples", "-1"),
-                           ("states", "1"), ("states", "0"), ("states", "-1")):
+                           ("states", "1"), ("states", "0"), ("states", "-1"),
+                           ("double", "7"), ("double", "2"), ("double", "-1")):
         code, out, err = run(capsys, "dw", invariant, "--group", "s3",
                              "--untwisted", "--dim", dim)
         assert code == 1 and not out

@@ -26,6 +26,7 @@ from dwkit.cochains import (
     torus_fundamental_cycle,
 )
 from dwkit.errors import (
+    BudgetExceeded,
     DegreeMismatch,
     NonCommuting,
     NotACocycle,
@@ -42,6 +43,7 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import dw_partition_torus, transgress_torus
+from dwkit.io import cochain_json, group_json
 from dwkit.phase import PhaseValue
 
 
@@ -104,6 +106,59 @@ def test_cohomology_oracle_values():
     for n in (2, 3, 4):
         assert cohomology(cyclic_group(n), 3).invariant_factors == [n]
     assert cohomology(dihedral_group(8), 2).invariant_factors == [2]
+
+
+def test_cohomology_memo_hit_matches_the_first_call():
+    group = dihedral_group(8)
+    first = cohomology(group, 2)
+    hits = cohomology.cache_info().hits
+    again = cohomology(group, 2)
+    assert cohomology.cache_info().hits == hits + 1
+    assert again.invariant_factors == first.invariant_factors
+    assert again.generators == first.generators
+    combo = first.generators[0] + coboundary(
+        random_cochain(group, 1, 2, random.Random(7)))
+    for coh in (first, again):
+        assert [coh.classify(g) for g in first.generators] == [(1,)]
+        assert coh.classify(combo) == (1,)
+
+
+def test_cohomology_memo_returns_fresh_lists():
+    group = product_group([3, 3])
+    first = cohomology(group, 2)
+    factors, generators = list(first.invariant_factors), list(first.generators)
+    first.invariant_factors.append(99)
+    first.generators.clear()
+    again = cohomology(group, 2)
+    assert again.invariant_factors == factors
+    assert again.generators == generators
+
+
+def test_cohomology_memo_rehomes_generators_on_an_equal_group():
+    cyclic, product = cyclic_group(4), product_group([4])
+    assert cyclic == product
+    assert group_json(cyclic) != group_json(product)
+    cohomology.cache_clear()
+    cold = [cochain_json(g) for g in cohomology(product, 3).generators]
+    cohomology.cache_clear()
+    cohomology(cyclic, 3)
+    hits = cohomology.cache_info().hits
+    warm = cohomology(product, 3)
+    assert cohomology.cache_info().hits == hits + 1
+    assert warm.group is product
+    assert all(g.group is product for g in warm.generators)
+    assert [cochain_json(g) for g in warm.generators] == cold
+
+
+def test_cohomology_memo_keeps_the_budget_check():
+    group = dihedral_group(8)
+    cohomology(group, 3)
+    with pytest.raises(BudgetExceeded):
+        cohomology(group, 3, budget=10)
+    assert cohomology(group, 3, budget=10, allow_large=True).invariant_factors \
+        == [2, 2, 4]
+    with pytest.raises(ValueError):
+        cohomology(group, 0)
 
 
 def test_generator_orders_and_classify():

@@ -13,9 +13,14 @@ restriction to rows whose first entry lies in a generating set:
 * R is injective on cocycles with any coefficients (a cocycle vanishing on
   generator-led tuples vanishes, by induction on the word length of the
   first entry), so R delta_n has the ranks of delta_n over Q and over F_p.
+
+The Kunneth closed forms for Z_a x Z_b, H^2 = Z_gcd(a,b) and
+H^3 = Z_a + Z_b + Z_gcd(a,b), are checked against these counts; only
+``test_kunneth_closed_forms_match_cohomology`` then calls the engine.
 """
 
 import itertools
+from math import gcd
 
 import pytest
 
@@ -131,3 +136,65 @@ GROUPS = {
 ])
 def test_primary_summand_count(name, n, p, count):
     assert primary_summands(GROUPS[name](), n, p) == count
+
+
+def kunneth_orders(a, b, n):
+    """Orders of the cyclic summands of H^n(Z_a x Z_b; U(1)), n = 2 or 3."""
+    return {2: [gcd(a, b)], 3: [a, b, gcd(a, b)]}[n]
+
+
+def invariant_factors(orders):
+    """The ascending divisibility chain (entries > 1) of a sum of cyclic
+    groups of the given orders."""
+    powers = {}  # prime -> prime powers of the summands
+    for d in orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                powers.setdefault(p, []).append(q)
+            p += 1
+    chains = [sorted(v, reverse=True) for v in powers.values()]
+    factors = []
+    for i in range(max(map(len, chains), default=0)):
+        f = 1
+        for chain in chains:
+            f *= chain[i] if i < len(chain) else 1
+        factors.append(f)
+    return factors[::-1]
+
+
+def test_invariant_factors_of_cyclic_sums():
+    assert invariant_factors([2, 6, 2]) == [2, 2, 6]
+    assert invariant_factors([3, 4, 1]) == [12]
+    assert invariant_factors([4, 4, 4]) == [4, 4, 4]
+    assert invariant_factors([1]) == []
+
+
+KUNNETH_PRIMES = [
+    (2, 4, 2), (2, 6, 2), (3, 4, 2), (4, 4, 2),
+    (2, 3, 3), (3, 3, 3),
+    (2, 5, 5),
+]
+
+
+@pytest.mark.parametrize("a, b, p", KUNNETH_PRIMES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_kunneth_primary_summand_count(a, b, p, n):
+    count = sum(d % p == 0 for d in kunneth_orders(a, b, n))
+    assert primary_summands(product_group([a, b]), n, p) == count
+
+
+# H^3 of Z2 x Z6 takes seconds in the engine and Z4 x Z4 exceeds its
+# default budget; the counts above cover them
+@pytest.mark.parametrize("a, b, n", [
+    (a, b, 2) for a, b, _p in KUNNETH_PRIMES
+] + [(2, 3, 3), (2, 5, 3)])
+def test_kunneth_closed_forms_match_cohomology(a, b, n):
+    from dwkit.cochains import cohomology
+
+    got = cohomology(product_group([a, b]), n).invariant_factors
+    assert got == invariant_factors(kunneth_orders(a, b, n))
