@@ -285,14 +285,10 @@ def is_invariant_class(ext: Extension, omega: Cochain):
     return True, phis
 
 
-def _identity_hom(group):
-    return GroupHom(group, group, list(group.elements()), check=False)
-
-
 def _sigma_slant(omega, d_grp, s):
     """The slant of omega by the kernel element s: a primitive for
     omega - (conjugation by s)^* omega."""
-    return interval_pairing(omega, s, _identity_hom(d_grp))
+    return interval_pairing(omega, s, GroupHom.identity(d_grp))
 
 
 def _ext_sigma(ext):
@@ -608,7 +604,7 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
             if not g_grp.commute(a, b):
                 raise NonCommuting(a, b)
     fibre = homotopy_fiber(ext.lam, phi)
-    ident = _identity_hom(g_grp)
+    ident = GroupHom.identity(g_grp)
 
     def integrand(obj):
         phihat, h = obj

@@ -58,7 +58,7 @@ from .io import (
     parse_group,
 )
 
-CACHE_VERSION = "1"
+CACHE_VERSION = "2"
 
 
 class CliError(Exception):

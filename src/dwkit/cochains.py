@@ -656,14 +656,12 @@ class CohomologyGroup:
             if v % den:
                 raise NotACocycle("cochain is not closed over Q/Z")
             fc_vec.append(v // den)
-        y = d["elim_x"].apply_row_ops(fc_vec)
-        raw = {r: y[r] for r, _c, _dd in d["elim_x"].pivots}
+        y = SparseElimination.apply_row_ops(d["row_ops"], fc_vec)
         out = []
         for parts in d["slots"]:
             residue, mod = 0, 1
             for _p, pe, pos, mult in parts:
-                r_piv = d["elim_x"].pivots[pos][0]
-                comp = raw[r_piv] * pow(mult, -1, pe) % pe
+                comp = y[d["pivot_rows"][pos]] * pow(mult, -1, pe) % pe
                 residue, mod = _crt_pair(residue, mod, comp, pe)
             out.append(residue)
         return tuple(out)
@@ -678,9 +676,12 @@ class CohomologyGroup:
 def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     """H^n(G; U(1)), computed as integral cohomology in degree n+1.
 
-    The kernel and image of the integral bar differential are found by exact
-    sparse elimination; each torsion generator f of order d gets a U(1)
-    representative a/d from an integral witness delta(a) = d*f.
+    Two exact sparse eliminations: the kernel of the integral bar
+    differential on generator-led rows, then delta_n projected into kernel
+    coordinates, whose diagonal pivots give the torsion.  Each torsion
+    generator f of order d gets a U(1) representative a/d from an integral
+    witness delta(a) = d*f read off the second elimination's column log,
+    and every generator is checked to classify as its unit vector.
 
     Results are memoized in-process per (group, degree), for the
     COHOMOLOGY_MEMO_SIZE most recently used keys; ``cohomology.cache_info()`` counts hits and
@@ -715,8 +716,6 @@ def _cohomology(group, n):
     _bt, rows_b = delta_matrix_rows(group, k, first_args=gens, index=index_k)
     elim_b = SparseElimination(rows_b, index_k.size).eliminate()
     free = elim_b.free_cols
-    free_pos = {f: i for i, f in enumerate(free)}
-    nullity = len(free)
 
     # coboundaries: the columns of delta_n in kernel coordinates, as one
     # replay of elim_b's column ops over the rows of delta_n
@@ -727,7 +726,7 @@ def _cohomology(group, n):
             raise VerificationFailed("coboundary outside the cocycle space")
     x_rows = [dict(sorted(coords[f].items())) for f in free]
     elim_x = SparseElimination(x_rows, index_n.size).eliminate()
-    if len(elim_x.pivots) != nullity:
+    if len(elim_x.pivots) != len(free):
         raise VerificationFailed("unexpected free part in group cohomology")
 
     # raw cyclic summands -> canonical invariant factors (per-prime slots)
@@ -758,44 +757,37 @@ def _cohomology(group, n):
             f *= pe
         factors.append(f)
 
-    def raw_generator_vector(pos):
-        r, _c, _d = elim_x.pivots[pos]
-        e = [0] * nullity
-        e[r] = 1
-        fc = elim_x.unapply_row_ops(e)
-        full = [0] * index_k.size
-        for f, i in free_pos.items():
-            full[f] = fc[i]
-        return elim_b.apply_col_ops(full)
-
-    # Bockstein witnesses: delta a = d * gen over Z, on restricted rows
-    wit_tuples, wit_rows = delta_matrix_rows(group, n, first_args=gens,
-                                             index=index_n)
-    elim_a = SparseElimination(wit_rows, index_n.size)
-
+    # Bockstein witnesses: with U X V = D for X = x_rows, a pivot (r, c, d)
+    # gives delta(V e_c) = d g_r, g_r the raw generator at row r (delta_n
+    # has no pivot coordinates in elim_b's basis), so a below has
+    # delta(a) = d_slot * sum(mult * g_r) over the slot's prime parts
     generators = []
     for d_slot, parts in zip(factors, slots):
-        gen_vec = [0] * index_k.size
-        for _p, _pe, pos, mult in parts:
-            gv = raw_generator_vector(pos)
-            for i, v in enumerate(gv):
-                if v:
-                    gen_vec[i] += mult * v
-        rhs = [d_slot * gen_vec[index_k.index(t)] for t in wit_tuples]
-        a = elim_a.solve(rhs)
-        if a is None:
-            raise VerificationFailed("torsion witness must exist over Z")
-        rep = vector_cochain(group, n, [v % d_slot for v in a], d_slot,
-                             index=index_n)
-        generators.append(rep)
+        e = [0] * index_n.size
+        for _p, pe, pos, _mult in parts:
+            _r, c, d = elim_x.pivots[pos]
+            e[c] += d_slot // pe if d > 0 else -(d_slot // pe)
+        a = elim_x.apply_col_ops(e)
+        generators.append(vector_cochain(group, n, [v % d_slot for v in a],
+                                         d_slot, index=index_n))
 
     data = {
         "index_n": index_n,
         "x_rows": x_rows,
-        "elim_x": elim_x,
+        "row_ops": elim_x.row_ops,
+        "pivot_rows": [r for r, _c, _d in elim_x.pivots],
         "slots": slots,
     }
-    return CohomologyGroup(group, n, factors, generators, data)
+    h = CohomologyGroup(group, n, factors, generators, data)
+    for i, gen in enumerate(generators):
+        unit = tuple(int(i == j) for j in range(len(generators)))
+        try:
+            ok = h.classify(gen) == unit
+        except NotACocycle:
+            ok = False
+        if not ok:
+            raise VerificationFailed(f"generator {i} does not classify as e_{i}")
+    return h
 
 
 cohomology.cache_info = _cohomology.cache_info

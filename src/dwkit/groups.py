@@ -45,9 +45,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def inv(self, a):
-        return self.inverses[a]
-
     def conjugate(self, k, g):
         """k g k^{-1}."""
         return self.table[self.table[k][g]][self.inverses[k]]
@@ -84,13 +81,6 @@ class FiniteGroup:
         return k
 
     # -- structure ---------------------------------------------------------
-
-    def is_abelian(self):
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
 
     def center(self):
         return [
@@ -268,25 +258,11 @@ def product_group(factors):
     for n in factors:
         order *= n
 
-    def decode(i):
-        digits = []
-        for n in reversed(factors):
-            digits.append(i % n)
-            i //= n
-        return tuple(reversed(digits))
-
-    def encode(digits):
-        i = 0
-        for d, n in zip(digits, factors):
-            i = i * n + (d % n)
-        return i
-
+    digits = [product_digits(factors, i) for i in range(order)]
     table = [
-        [
-            encode([x + y for x, y in zip(decode(a), decode(b))])
-            for b in range(order)
-        ]
-        for a in range(order)
+        [product_index(factors, [x + y for x, y in zip(da, db)])
+         for db in digits]
+        for da in digits
     ]
     label = "x".join(f"Z{n}" for n in factors)
     g = group_from_table(order, table, label=label)
@@ -449,16 +425,6 @@ class GroupHom:
 
     def image(self):
         return sorted(set(self.map))
-
-
-def conjugation_hom(group, k):
-    """The inner automorphism g -> k g k^{-1} as a GroupHom."""
-    return GroupHom(
-        group,
-        group,
-        [group.conjugate(k, g) for g in range(group.order)],
-        check=False,
-    )
 
 
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup):

@@ -221,18 +221,13 @@ class SparseElimination:
 
     # -- replay helpers ------------------------------------------------------
 
-    def apply_row_ops(self, b):
-        """U b for the accumulated row transform."""
+    @staticmethod
+    def apply_row_ops(row_ops, b):
+        """U b for the row transform U logged in ``row_ops`` (a caller may
+        keep the log without the elimination)."""
         b = list(b)
-        for i, j, q in self.row_ops:
+        for i, j, q in row_ops:
             b[i] += q * b[j]
-        return b
-
-    def unapply_row_ops(self, b):
-        """U^{-1} b."""
-        b = list(b)
-        for i, j, q in reversed(self.row_ops):
-            b[i] -= q * b[j]
         return b
 
     def apply_col_ops(self, x):
@@ -268,7 +263,7 @@ class SparseElimination:
         """One solution of A x = b (or = b mod m), or None."""
         self.eliminate()
         m = self.modulus
-        bt = self.apply_row_ops(b)
+        bt = self.apply_row_ops(self.row_ops, b)
         x = [0] * self.ncols
         for r, c, d in self.pivots:
             val = bt[r]

@@ -429,6 +429,52 @@ def test_corrupted_elimination_log_fails_verification_under_optimize():
     ]
 
 
+# cohomology runs whose elim_x column-op log (the source of the torsion
+# witnesses) was cleared, or had its first op negated; the generator
+# self-check must turn the bad witnesses into VerificationFailed under -O
+_CORRUPTED_WITNESS_RUN = """
+import sys
+import dwkit.cochains as C
+from dwkit.errors import VerificationFailed
+from dwkit.groups import dihedral_group
+
+def negate_first(ops):
+    i, j, q = ops[0]
+    ops[0] = (i, j, -q)
+
+def corrupting(corrupt):
+    class CorruptsXColOps(SparseElimination):
+        def eliminate(self):
+            super().eliminate()
+            if self.ncols == 7 ** 3:  # delta_3 of D8 in kernel coordinates
+                corrupt(self.col_ops)
+            return self
+    return CorruptsXColOps
+
+SparseElimination = C.SparseElimination
+print(sys.flags.optimize)
+for corrupt in (list.clear, negate_first):
+    C.SparseElimination = corrupting(corrupt)
+    C.cohomology.cache_clear()
+    try:
+        C.cohomology(dihedral_group(8), 3)
+    except VerificationFailed as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_corrupted_witness_log_fails_verification_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_WITNESS_RUN],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == [
+        "1", "VerificationFailed", "VerificationFailed",
+    ]
+
+
 def test_crt_pair_rejects_common_factor():
     assert _crt_pair(1, 2, 2, 3) == (5, 6)
     with pytest.raises(VerificationFailed):
