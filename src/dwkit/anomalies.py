@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .cochains import (
@@ -47,7 +46,13 @@ from .errors import (
 )
 from .groupoids import FinGroupoid, gauge_groupoid, homotopy_fiber, integrate
 from .groups import FiniteGroup, GroupHom, group_from_table
-from .invariants import ExactPhaseSum, TorusPartition, transgress_torus
+from .invariants import (
+    ExactPhaseSum,
+    TorusPartition,
+    flat_basis,
+    monomial_defect,
+    transgress_torus,
+)
 from .linalg import SparseElimination
 from .phase import PhaseValue
 
@@ -210,21 +215,10 @@ def extension_from_cocycle(nc: NonAbelianCocycle) -> Extension:
 
 def cocycle_from_extension(ext: Extension) -> NonAbelianCocycle:
     """Read off (alpha, sigma) from an extension and its section."""
-    g_grp, d_grp, ghat = ext.quotient, ext.kernel, ext.total
+    g_grp, d_grp = ext.quotient, ext.kernel
     alpha = [ext.action(g).map for g in g_grp.elements()]
-    sigma = []
-    for g1 in g_grp.elements():
-        row = []
-        for g2 in g_grp.elements():
-            x = ghat.word(
-                [
-                    ext.section[g1],
-                    ext.section[g2],
-                    ghat.inverses[ext.section[g_grp.mul(g1, g2)]],
-                ]
-            )
-            row.append(ext.iota_inverse(x))
-        sigma.append(row)
+    s = _ext_sigma(ext)
+    sigma = [[s(g1, g2) for g2 in g_grp.elements()] for g1 in g_grp.elements()]
     return NonAbelianCocycle(g_grp, d_grp, alpha, sigma)
 
 
@@ -292,6 +286,7 @@ def _sigma_slant(omega, d_grp, s):
 
 
 def _ext_sigma(ext):
+    """sigma(a, b) = iota^{-1}(s(a) s(b) s(ab)^{-1}), memoized."""
     g_grp, ghat = ext.quotient, ext.total
     cache = {}
 
@@ -326,16 +321,19 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     r = len(slots)
     sigma = _ext_sigma(ext)
 
+    def obstruction(family, g1, g2):
+        i1, i2 = g_grp.inverses[g1], g_grp.inverses[g2]
+        return (
+            family[i1]
+            + pullback(ext.action(g1), family[i2])
+            - family[g_grp.inverses[g_grp.mul(g1, g2)]]
+            + _sigma_slant(omega, d_grp, sigma(i1, i2))
+        )
+
     us = {}
     for g1 in g_grp.elements():
         for g2 in g_grp.elements():
-            i1, i2 = g_grp.inverses[g1], g_grp.inverses[g2]
-            u = (
-                phis[i1]
-                + pullback(ext.action(g1), phis[i2])
-                - phis[g_grp.inverses[g_grp.mul(g1, g2)]]
-                + _sigma_slant(omega, d_grp, sigma(i1, i2))
-            )
+            u = obstruction(phis, g1, g2)
             if not is_cocycle(u):
                 raise NotACocycle("obstruction cochain must be closed")
             us[(g1, g2)] = coh.classify(u)
@@ -399,14 +397,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     # strict re-verification: coherence up to coboundary for every pair
     for g1 in g_grp.elements():
         for g2 in g_grp.elements():
-            i1, i2 = g_grp.inverses[g1], g_grp.inverses[g2]
-            u = (
-                corrected[i1]
-                + pullback(ext.action(g1), corrected[i2])
-                - corrected[g_grp.inverses[g_grp.mul(g1, g2)]]
-                + _sigma_slant(omega, d_grp, sigma(i1, i2))
-            )
-            if solve_coboundary(u) is None:
+            if solve_coboundary(obstruction(corrected, g1, g2)) is None:
                 return False, None
     return True, corrected
 
@@ -615,17 +606,9 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
             val = val + evaluate(cyl, torus_fundamental_cycle(g_grp, down))
         return val.reduced()
 
-    weights = integrate(fibre, integrand)
-    if isinstance(weights, Fraction):
-        return TorusPartition(weights, ExactPhaseSum((weights,), 1))
-    if not weights:
-        zero = ExactPhaseSum((Fraction(0),), 1)
-        return TorusPartition(Fraction(0), zero)
-    m = lcm(*(p.modulus for p in weights))
-    counts = [Fraction(0)] * m
-    for p, w in weights.items():
-        counts[p.numerator * (m // p.modulus) % m] += w
-    total = ExactPhaseSum(tuple(counts), m)
+    # an empty fibre integrates to 0, the empty phase sum
+    weights = integrate(fibre, integrand) if fibre.objects() else {}
+    total = ExactPhaseSum.from_weights(weights)
     return TorusPartition(total.as_rational(), total)
 
 
@@ -661,18 +644,16 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
     def conj_kernel(d, t):
         return tuple(ghat.conjugate(ext.iota(d), x) for x in t)
 
+    def kernel_phase(t, d):
+        return bundle.value(t + (ext.iota(d),))
+
     # per sector: the kernel's action groupoid on the lifts, and the
     # positions of the orbits whose stabilizer character is trivial
     bases = {}
     for phi in sectors:
         fibre = FinGroupoid(d_grp, lifts.get(phi, ()), conj_kernel)
-        basis = {}
-        for cls in fibre.isomorphism_classes():
-            rep = cls[0]
-            stab = fibre.aut(rep)
-            if all(bundle.value(rep + (ext.iota(d),)).is_zero() for d in stab):
-                basis[rep] = len(basis)
-        bases[phi] = (basis, fibre)
+        basis = flat_basis(fibre, kernel_phase)
+        bases[phi] = ({rep: i for i, rep in enumerate(basis)}, fibre)
 
     def operator(phi, g):
         """Monomial operator from sector g^{-1} phi g to sector phi."""
@@ -690,8 +671,7 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
                 raise IncompatiblePhases("symmetry does not preserve the basis")
             # moved = iota(d) target_rep iota(d)^{-1}: transport from moved
             # to target_rep along iota(d), continuing the path rep -> moved
-            back = bundle.value(moved + (ext.iota(d),))
-            mat[(j, i)] = (phase + back).reduced()
+            mat[(j, i)] = (phase + kernel_phase(moved, d)).reduced()
         return mat
 
     vals = {}
@@ -699,19 +679,14 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
         for g1 in g_grp.nonidentity():
             for g2 in g_grp.nonidentity():
                 mid = tuple(g_grp.conjugate(g_grp.inverses[g1], x) for x in phi)
-                m1 = operator(phi, g1)
-                m2 = operator(mid, g2)
-                comp = {}
-                for (j, i), p1 in m1.items():
-                    for (i2, l), p2 in m2.items():
-                        if i2 == i:
-                            comp[(j, l)] = p1 + p2
-                m12 = operator(phi, g_grp.mul(g1, g2))
-                if set(comp) != set(m12):
+                per_row = monomial_defect(
+                    operator(phi, g1),
+                    operator(mid, g2),
+                    operator(phi, g_grp.mul(g1, g2)),
+                )
+                if per_row is None:
                     raise VerificationFailed("monomial supports must agree")
-                diffs = {
-                    (comp[key] - m12[key]).reduced() for key in comp
-                }
+                diffs = set(per_row.values())
                 if len(diffs) > 1:
                     raise VerificationFailed("composition defect must be scalar")
                 d = diffs.pop() if diffs else PhaseValue.zero(1)

@@ -272,7 +272,11 @@ def _dw_cocycle(args, group, degree):
     return c
 
 
-def _dw_dim(args, default, least):
+def _dw_dim(args, default, least, only=None):
+    if only is not None and args.dim not in (None, only):
+        raise CliError(
+            f"{args.invariant} is defined for --dim {only} only, got {args.dim}"
+        )
     dim = args.dim if args.dim is not None else default
     if dim is None:
         raise CliError(f"{args.invariant} needs --dim")
@@ -281,37 +285,26 @@ def _dw_dim(args, default, least):
     return dim
 
 
+# the partition-sum invariants of ``dwkit dw``: record name and the
+# _dw_dim arguments (--dim default, least --dim, the only --dim allowed)
+_DW_SUMS = {
+    "torus": ("torus_partition", None, 1, None),
+    "simples": ("simple_count", 2, 1, None),
+    "double": ("drinfeld_double_simples", 3, 3, 3),
+}
+
+
 def cmd_dw(args):
     group = load_group_spec(args.group)
-    if args.invariant == "torus":
-        dim = _dw_dim(args, None, 1)
+    if args.invariant in _DW_SUMS:
+        name, *dims = _DW_SUMS[args.invariant]
+        dim = _dw_dim(args, *dims)
         theta = _dw_cocycle(args, group, dim)
         zp = dw_partition_torus(group, theta, dim)
         record = {
-            "invariant": "torus_partition",
+            "invariant": name,
             "group": group.label or "group",
             "degree": dim,
-            "value": str(zp.value),
-        }
-    elif args.invariant == "simples":
-        dim = _dw_dim(args, 2, 1)
-        theta = _dw_cocycle(args, group, dim)
-        zp = dw_partition_torus(group, theta, dim)
-        record = {
-            "invariant": "simple_count",
-            "group": group.label or "group",
-            "degree": dim,
-            "value": str(zp.value),
-        }
-    elif args.invariant == "double":
-        if args.dim not in (None, 3):
-            raise CliError(f"double is defined for --dim 3 only, got {args.dim}")
-        theta = _dw_cocycle(args, group, 3)
-        zp = dw_partition_torus(group, theta, 3)
-        record = {
-            "invariant": "drinfeld_double_simples",
-            "group": group.label or "group",
-            "degree": 3,
             "value": str(zp.value),
         }
     else:  # states

@@ -12,6 +12,7 @@ reduction modulo the M-th cyclotomic polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,19 +55,15 @@ class ExactPhaseSum:
     modulus: int
 
     @staticmethod
-    def from_phases(phases, modulus):
-        counts = [0] * modulus
-        for p in phases:
-            if modulus % p.modulus != 0:
-                raise ValueError("phase does not live at the stated modulus")
-            counts[p.numerator * (modulus // p.modulus) % modulus] += 1
-        return ExactPhaseSum(tuple(counts), modulus)
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        return ExactPhaseSum(
-            tuple(Fraction(c) * factor for c in self.counts), self.modulus
-        )
+    def from_weights(weights):
+        """The sum of w * p over a {PhaseValue p: weight w} mapping, at the
+        lcm of the phases' orders."""
+        reduced = [(p.reduced(), w) for p, w in weights.items()]
+        m = lcm(*(p.modulus for p, _w in reduced))
+        counts = [0] * m
+        for p, w in reduced:
+            counts[p.numerator * (m // p.modulus)] += w
+        return ExactPhaseSum(tuple(counts), m)
 
     def as_rational(self):
         """The value as a Fraction, or None if it is irrational."""
@@ -134,8 +131,24 @@ class TorusPartition:
         return int(self.value)
 
 
-def commuting_tuples(group: FiniteGroup, n: int):
-    return gauge_groupoid(group, n).objects()
+def _check_group(group, cochain):
+    if cochain.group is not group and cochain.group != group:
+        raise ValueError("cocycle lives on a different group")
+
+
+def _phase_average(group, phases, what):
+    """(1/|G|) * the sum of ``phases``, checked to be a nonnegative integer.
+
+    Each phase is counted as an integer and every count divided by |G| once.
+    """
+    counts = Counter(phases)
+    total = ExactPhaseSum.from_weights(
+        {p: Fraction(c, group.order) for p, c in counts.items()}
+    )
+    value = total.as_rational()
+    if value is None or value < 0 or value.denominator != 1:
+        raise VerificationFailed(f"{what} must be a nonnegative integer")
+    return TorusPartition(value, total)
 
 
 def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusPartition:
@@ -145,27 +158,21 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
     objects of the associated category); integrality is checked exactly,
     never rounded.
     """
-    if theta.group is not group and theta.group != group:
-        raise ValueError("cocycle lives on a different group")
+    _check_group(group, theta)
     if theta.degree != n:
         raise DegreeMismatch(f"need degree {n}, got {theta.degree}")
     if n < 1:
         raise DegreeMismatch("torus dimension must be >= 1")
     if not is_cocycle(theta):
         raise NotACocycle("dw_partition_torus needs a cocycle")
-    modulus = theta.modulus
-    phases = [
-        evaluate(theta, torus_fundamental_cycle(group, t)).reduced()
-        for t in commuting_tuples(group, n)
-    ]
-    m = lcm(modulus, *(p.modulus for p in phases)) if phases else modulus
-    total = ExactPhaseSum.from_phases(phases, m).scaled(Fraction(1, group.order))
-    value = total.as_rational()
-    if value is None or value < 0 or value.denominator != 1:
-        raise VerificationFailed(
-            "partition sum of a cocycle must be a nonnegative integer"
-        )
-    return TorusPartition(value, total)
+    return _phase_average(
+        group,
+        (
+            evaluate(theta, torus_fundamental_cycle(group, t))
+            for t in gauge_groupoid(group, n).objects()
+        ),
+        "partition sum of a cocycle",
+    )
 
 
 def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
@@ -174,22 +181,19 @@ def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
     Computed as (1/|G|) * sum over commuting pairs of
     omega(h,g) - omega(g,h).
     """
+    _check_group(group, omega)
     if omega.degree != 2:
         raise DegreeMismatch("twisted representations need a 2-cocycle")
     if not is_cocycle(omega):
         raise NotACocycle("twisted_irrep_count needs a cocycle")
-    phases = [
-        (omega.value((h, g)) - omega.value((g, h))).reduced()
-        for (g, h) in commuting_tuples(group, 2)
-    ]
-    m = lcm(omega.modulus, *(p.modulus for p in phases))
-    total = ExactPhaseSum.from_phases(phases, m).scaled(Fraction(1, group.order))
-    value = total.as_rational()
-    if value is None or value.denominator != 1 or value < 0:
-        raise VerificationFailed(
-            "twisted representation count must be a nonnegative integer"
-        )
-    return int(value)
+    return int(_phase_average(
+        group,
+        (
+            omega.value((h, g)) - omega.value((g, h))
+            for (g, h) in gauge_groupoid(group, 2).objects()
+        ),
+        "twisted representation count",
+    ))
 
 
 def omega_regular_class_count(group: FiniteGroup, omega: Cochain) -> int:
@@ -199,6 +203,7 @@ def omega_regular_class_count(group: FiniteGroup, omega: Cochain) -> int:
     centralizer of g; this is the classical oracle for the number of
     twisted irreducibles.
     """
+    _check_group(group, omega)
     if omega.degree != 2:
         raise DegreeMismatch("regularity is defined for 2-cochains")
     count = 0
@@ -240,7 +245,7 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
     g = theta.group
     vals = {}
     non_id = g.nonidentity()
-    for base in commuting_tuples(g, theta.loops + 1):
+    for base in gauge_groupoid(g, theta.loops + 1).objects():
         phi, loop = base[:-1], base[-1]
         for args in iter_product(non_id, repeat=degree - 1):
             acc = PhaseValue.zero(theta.modulus)
@@ -317,14 +322,18 @@ def matches_dpr(theta: Cochain) -> bool:
 # state spaces
 
 
-def _subgroup_generators(group, elems):
-    gens = []
-    closed = {group.identity}
-    for x in sorted(elems, key=lambda e: (-group.element_order(e), e)):
-        if x not in closed:
-            gens.append(x)
-            closed = group.subgroup_closure(gens)
-    return gens
+def flat_basis(groupoid, phase):
+    """The orbit representatives x whose automorphisms k all carry
+    ``phase(x, k)`` zero, in orbit order.
+
+    On a flat line bundle the phase restricted to Aut(x) is a character, so
+    these are the orbits that carry a nonzero parallel section.
+    """
+    return [
+        cls[0]
+        for cls in groupoid.isomorphism_classes()
+        if all(phase(cls[0], k).is_zero() for k in groupoid.aut(cls[0]))
+    ]
 
 
 @dataclass(frozen=True)
@@ -341,7 +350,6 @@ class StateSpace:
     torus_dim: int
     basis: tuple
     line_bundle: Cochain
-    orbits: tuple
 
     @property
     def dimension(self):
@@ -361,22 +369,33 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
         raise NotACocycle("state_space_torus needs a cocycle")
     k = n - 1
     bundle = transgress_torus(theta, n - 1)
-    classes = gauge_groupoid(group, k).isomorphism_classes()
-    basis = []
-    for cls in classes:
-        rep = cls[0]
-        stab = group.centralizer(rep)
-        gens = _subgroup_generators(group, stab)
-        if all(bundle.value(rep + (y,)).is_zero() for y in gens):
-            basis.append(rep)
+    basis = flat_basis(
+        gauge_groupoid(group, k), lambda x, y: bundle.value(x + (y,))
+    )
     dim = dw_partition_torus(group, theta, n).value
     if dim != len(basis):
         raise VerificationFailed(
             "section count must match the partition function"
         )
-    return StateSpace(
-        group, theta, k, tuple(basis), bundle, tuple(c[0] for c in classes)
-    )
+    return StateSpace(group, theta, k, tuple(basis), bundle)
+
+
+def monomial_defect(a, b, ab):
+    """Per-row phases of the composite a.b minus ab, or None when the
+    supports differ.
+
+    Monomial matrices are dicts {(row, col): PhaseValue} with one entry per
+    row; a.b chains the entry (i, j) of a with the entry (j, l) of b.
+    """
+    after = {j: (l, q) for (j, l), q in b.items()}
+    composite = {}
+    for (i, j), p in a.items():
+        if j in after:
+            l, q = after[j]
+            composite[(i, l)] = p + q
+    if composite.keys() != ab.keys():
+        return None
+    return {i: (p - ab[(i, l)]).reduced() for (i, l), p in composite.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +451,13 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
     defect = {}
     for g2 in sym_group.elements():
         for g1 in sym_group.elements():
-            prod = {}
-            for (i, j), p2 in matrices[g2].items():
-                for (j2, l), p1 in matrices[g1].items():
-                    if j2 == j:
-                        prod[(i, l)] = p2 + p1
-            target = matrices[sym_group.mul(g2, g1)]
-            if set(prod) != set(target):
+            per_row = monomial_defect(
+                matrices[g2], matrices[g1], matrices[sym_group.mul(g2, g1)]
+            )
+            if per_row is None:
                 raise IncompatiblePhases(
                     "composed monomial support differs from the product's"
                 )
-            per_row = {
-                i: (prod[(i, l)] - target[(i, l)]).reduced()
-                for (i, l) in prod
-            }
             distinct = set(per_row.values())
             if len(distinct) == 1:
                 d = distinct.pop()

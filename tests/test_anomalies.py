@@ -45,6 +45,7 @@ from dwkit.errors import (
     NotABoundaryPair,
     SectionNotValid,
 )
+from dwkit.groupoids import homotopy_fiber
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
@@ -391,6 +392,18 @@ def test_relative_partition_theta_cylinder_term():
         shift = omega_p.value((ghat.mul(x, z),)) - omega_p.value((x,))
         assert shift == PhaseValue(1, 2)
         assert relative_partition_torus(ext, omega_p, theta, (g,)).value == 0
+
+
+def test_relative_partition_empty_fibre_is_zero():
+    # a rotation and a reflection of D8 commute in K4 = D8/Z(D8), but no
+    # lifts of them commute in D8
+    ext = center_of_d8_extension()
+    a, b = dihedral_index(8, 1, 0), dihedral_index(8, 0, 1)
+    phi = (ext.lam(a), ext.lam(b))
+    omega_p = Cochain.zero(ext.total, 2, 1)
+    theta = Cochain.zero(ext.quotient, 3, 1)
+    assert homotopy_fiber(ext.lam, phi).objects() == ()
+    assert relative_partition_torus(ext, omega_p, theta, phi).value == 0
 
 
 def test_relative_partition_input_validation():

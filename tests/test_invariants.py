@@ -72,7 +72,10 @@ def test_exact_phase_sum_rationality():
     assert pair.as_rational() == 0
     assert ExactPhaseSum((0, 1, 0, 0), 4).as_rational() is None
     assert ExactPhaseSum((3,), 1).as_rational() == 3
-    half = ExactPhaseSum((1, 1, 1), 3).scaled(Fraction(1, 3))
+    third = Fraction(1, 3)
+    half = ExactPhaseSum.from_weights(
+        {PhaseValue(0, 3): third, PhaseValue(1, 3): third, PhaseValue(2, 3): third}
+    )
     assert half.as_rational() == 0
 
 
@@ -103,11 +106,14 @@ def test_exact_phase_sum_cyclotomic_oracle():
                 assert value == (1 if r == 0 else -1)
 
 
-def test_exact_phase_sum_from_phases():
-    s = ExactPhaseSum.from_phases([PhaseValue(1, 2), PhaseValue(1, 4)], 4)
-    assert s.counts == (0, 1, 1, 0)
-    with pytest.raises(ValueError):
-        ExactPhaseSum.from_phases([PhaseValue(1, 3)], 4)
+def test_exact_phase_sum_from_weights():
+    # the modulus is the lcm of the phases' orders, not of their moduli
+    s = ExactPhaseSum.from_weights({PhaseValue(2, 4): 1, PhaseValue(3, 12): 1})
+    assert (s.counts, s.modulus) == ((0, 1, 1, 0), 4)
+    s = ExactPhaseSum.from_weights({PhaseValue(1, 3): Fraction(1, 2)})
+    assert (s.counts, s.modulus) == ((0, Fraction(1, 2), 0), 3)
+    empty = ExactPhaseSum.from_weights({})
+    assert (empty.counts, empty.modulus, empty.as_rational()) == ((0,), 1, 0)
 
 
 # --------------------------------------------------------------------------
@@ -167,6 +173,15 @@ def test_twisted_irrep_count_examples():
     d8 = dihedral_group(8)
     w = catalog_cocycle("dihedral8_2cocycle", {})
     assert twisted_irrep_count(d8, w) == 2
+
+
+def test_counts_reject_cocycle_on_another_group():
+    # a 2-cocycle on Z2 x Z2 read on Z4 or D8 counts nothing meaningful
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    for grp in (cyclic_group(4), dihedral_group(8)):
+        for count in (twisted_irrep_count, omega_regular_class_count):
+            with pytest.raises(ValueError, match="different group"):
+                count(grp, w1)
 
 
 def test_twisted_count_matches_regular_classes():
@@ -289,6 +304,39 @@ def test_state_space_dimension_equals_partition():
     w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
     space = state_space_torus(k4, w1)
     assert space.dimension == int(dw_partition_torus(k4, w1, 2))
+
+
+def brute_force_flat_basis(group, bundle, k):
+    """Conjugation-orbit representatives (least by repr, in repr order) of
+    commuting k-tuples whose bundle phase vanishes on their centralizer."""
+    tuples = [
+        t for t in iter_product(group.elements(), repeat=k)
+        if all(group.commute(a, b) for a in t for b in t)
+    ]
+    orbits = {
+        frozenset(tuple(group.conjugate(x, a) for a in t) for x in group.elements())
+        for t in tuples
+    }
+    reps = sorted((min(o, key=repr) for o in orbits), key=repr)
+    return tuple(
+        rep for rep in reps
+        if all(bundle.value(rep + (y,)).is_zero() for y in group.centralizer(rep))
+    )
+
+
+def test_state_space_basis_matches_brute_force():
+    rng = random.Random(5)
+    cases = [(dihedral_group(8), 2), (dihedral_group(8), 3), (pauli_group(), 2)]
+    for grp, n in cases:
+        gens = cohomology(grp, n).generators
+        for _ in range(3):
+            theta = coboundary(random_cochain(grp, n - 1, 4, rng))
+            for gen in gens:
+                theta = theta + rng.randrange(4) * gen
+            space = state_space_torus(grp, theta)
+            assert space.basis == brute_force_flat_basis(
+                grp, space.line_bundle, n - 1
+            )
 
 
 # --------------------------------------------------------------------------
