@@ -3,7 +3,10 @@
 An extension 1 -> D -> Ghat -> G -> 1 encodes a G-symmetry of a
 Dijkgraaf-Witten theory with gauge group D.  Gauging the symmetry requires
 lifting the topological action omega on D to Ghat; the failure modes are
-'t Hooft anomalies.  The searches here are exact linear solves over Z/M:
+'t Hooft anomalies.  The searches here are exact linear solves over Q/Z,
+each decided by one integral elimination (Q/Z is injective); a search that
+finds nothing returns None only after checking an integer certificate
+y^T A = 0, y.b != 0 (mod den) against its rows as built:
 
 * closed lift: omegahat on Ghat with delta omegahat = 0, iota^* omegahat = omega;
 * boundary pair: (omega' on Ghat, theta on G) with iota^* omega' = omega,
@@ -53,7 +56,7 @@ from .invariants import (
     monomial_defect,
     transgress_torus,
 )
-from .linalg import SparseElimination
+from .linalg import SparseElimination, solve_qz_checked
 from .phase import PhaseValue
 
 
@@ -402,37 +405,34 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     return True, corrected
 
 
-def default_modulus(ext: Extension, omega: Cochain, multiplier=1):
-    return omega.denominator() * ext.total.order * multiplier
+def _restriction_rows(ext, omega, index, rows, rhs):
+    """Append iota^* x = omega as rows on ``index``, with right-hand sides
+    over the denominator of omega."""
+    den = omega.denominator()
+    for t in itertools.product(ext.kernel.nonidentity(), repeat=omega.degree):
+        rows.append({index.index(tuple(ext.iota(x) for x in t)): 1})
+        f = omega.value(t).as_fraction()
+        rhs.append(f.numerator * (den // f.denominator))
 
 
-def find_closed_lift(ext: Extension, omega: Cochain, modulus=None):
+def find_closed_lift(ext: Extension, omega: Cochain):
     """A closed cocycle omegahat on Ghat restricting to omega, or None.
 
-    The linear system over Z/M imposes delta omegahat = 0 on tuples whose
+    The linear system over Q/Z imposes delta omegahat = 0 on tuples whose
     first entry generates Ghat (equivalent to full closedness) plus the
     restriction values; the result is re-verified directly.
     """
     if not is_cocycle(omega):
         raise NotACocycle("lifting is a statement about cocycles")
-    n = omega.degree
-    ghat, d_grp = ext.total, ext.kernel
-    den = omega.denominator()
-    m = modulus or default_modulus(ext, omega)
-    if m % den:
-        raise ValueError("working modulus must be divisible by the denominator")
-    index = TupleIndex(ghat, n)
-    _, rows = delta_matrix_rows(ghat, n, ghat.generators(), index)
+    ghat = ext.total
+    index = TupleIndex(ghat, omega.degree)
+    _, rows = delta_matrix_rows(ghat, omega.degree, ghat.generators(), index)
     rhs = [0] * len(rows)
-    for t in itertools.product(d_grp.nonidentity(), repeat=n):
-        rows.append({index.index(tuple(ext.iota(x) for x in t)): 1})
-        f = omega.value(t).as_fraction()
-        rhs.append(f.numerator * (m // f.denominator) % m)
-    elim = SparseElimination(rows, index.size, modulus=m)
-    sol = elim.solve(rhs)
+    _restriction_rows(ext, omega, index, rows, rhs)
+    sol = solve_qz_checked(rows, index.size, rhs, omega.denominator())
     if sol is None:
         return None
-    omegahat = vector_cochain(ghat, n, sol, m, index=index)
+    omegahat = vector_cochain(ghat, omega.degree, *sol, index=index)
     if not is_cocycle(omegahat):
         raise VerificationFailed("solver output must be closed")
     if pullback(ext.iota, omegahat) != omega:
@@ -452,51 +452,39 @@ def _is_boundary_pair(ext, omega_p, theta):
     )
 
 
-def find_boundary_pair(ext: Extension, omega: Cochain, modulus=None):
+def find_boundary_pair(ext: Extension, omega: Cochain):
     """(omega' on Ghat, theta on G) with iota^* omega' = omega,
     delta omega' = lambda^* theta, delta theta = 0; or None.
 
-    Solved as one coupled system over Z/M; the returned pair re-verifies
+    Solved as one coupled system over Q/Z; the returned pair re-verifies
     bit-exactly.
     """
     if not is_cocycle(omega):
         raise NotACocycle("boundary pairs are for cocycles")
     n = omega.degree
-    ghat, g_grp, d_grp = ext.total, ext.quotient, ext.kernel
-    den = omega.denominator()
-    m = modulus or default_modulus(ext, omega)
-    if m % den:
-        raise ValueError("working modulus must be divisible by the denominator")
+    ghat, g_grp = ext.total, ext.quotient
     idx_x = TupleIndex(ghat, n)
     idx_y = TupleIndex(g_grp, n + 1)
     off = idx_x.size
     rows, rhs = [], []
-    # restriction rows
-    for t in itertools.product(d_grp.nonidentity(), repeat=n):
-        rows.append({idx_x.index(tuple(ext.iota(x) for x in t)): 1})
-        f = omega.value(t).as_fraction()
-        rhs.append(f.numerator * (m // f.denominator) % m)
+    _restriction_rows(ext, omega, idx_x, rows, rhs)
     # delta omega' - lambda^* theta = 0 on generator-led tuples of Ghat
     row_tuples, drows = delta_matrix_rows(ghat, n, ghat.generators(), idx_x)
     for t, row in zip(row_tuples, drows):
         lt = tuple(ext.lam(x) for x in t)
-        row = dict(row)
         if all(x != g_grp.identity for x in lt):
-            c = off + idx_y.index(lt)
-            row[c] = (row.get(c, 0) - 1) % m
+            row[off + idx_y.index(lt)] = -1
         rows.append(row)
-        rhs.append(0)
     # delta theta = 0 on generator-led tuples of G
     _, trows = delta_matrix_rows(g_grp, n + 1, g_grp.generators(), idx_y)
-    for row in trows:
-        rows.append({off + c: v for c, v in row.items()})
-        rhs.append(0)
-    elim = SparseElimination(rows, off + idx_y.size, modulus=m)
-    sol = elim.solve(rhs)
+    rows += [{off + c: v for c, v in row.items()} for row in trows]
+    rhs += [0] * (len(rows) - len(rhs))
+    sol = solve_qz_checked(rows, off + idx_y.size, rhs, omega.denominator())
     if sol is None:
         return None
-    omega_p = vector_cochain(ghat, n, sol[:off], m, index=idx_x)
-    theta = vector_cochain(g_grp, n + 1, sol[off:], m, index=idx_y)
+    x, m = sol
+    omega_p = vector_cochain(ghat, n, x[:off], m, index=idx_x)
+    theta = vector_cochain(g_grp, n + 1, x[off:], m, index=idx_y)
     if pullback(ext.iota, omega_p) != omega:
         raise VerificationFailed("solver output must restrict to omega")
     if not _is_boundary_pair(ext, omega_p, theta):
@@ -515,10 +503,9 @@ class ObstructionReport:
     boundary_pair: tuple | None
     theta_class: tuple | None
     verdict: str
-    modulus: int
 
 
-def anomaly_report(ext: Extension, omega: Cochain, modulus_multiplier=1) -> ObstructionReport:
+def anomaly_report(ext: Extension, omega: Cochain) -> ObstructionReport:
     """Run the obstruction checks in order, short-circuiting on failure.
 
     Verdicts: anomaly_free (closed lift exists),
@@ -531,41 +518,31 @@ def anomaly_report(ext: Extension, omega: Cochain, modulus_multiplier=1) -> Obst
             "first obstruction lies in H^2(G; H^(n-1)(D; U(1))), which needs "
             "n - 1 >= 1"
         )
-    m = default_modulus(ext, omega, modulus_multiplier)
     inv, phis = is_invariant_class(ext, omega)
     if not inv:
-        return ObstructionReport(
-            False, False, {}, None, None, None, "invariance_fails", m
-        )
+        return ObstructionReport(False, False, {}, None, None, None,
+                                 "invariance_fails")
     ok, corrected = is_first_obstruction_trivial(ext, omega, phis)
     if not ok:
-        return ObstructionReport(
-            True, False, phis, None, None, None, "first_obstruction_fails", m
-        )
-    lift = find_closed_lift(ext, omega, modulus=m)
+        return ObstructionReport(True, False, phis, None, None, None,
+                                 "first_obstruction_fails")
+    h_bulk = cohomology(ext.quotient, omega.degree + 1)
+    lift = find_closed_lift(ext, omega)
     if lift is not None:
         zero_theta = Cochain.zero(ext.quotient, omega.degree + 1, 1)
-        return ObstructionReport(
-            True,
-            True,
-            corrected,
-            lift,
-            (lift, zero_theta),
-            tuple([0] * len(cohomology(ext.quotient, omega.degree + 1).invariant_factors)),
-            "anomaly_free",
-            m,
-        )
-    pair = find_boundary_pair(ext, omega, modulus=m)
+        return ObstructionReport(True, True, corrected, lift,
+                                 (lift, zero_theta),
+                                 (0,) * len(h_bulk.invariant_factors),
+                                 "anomaly_free")
+    pair = find_boundary_pair(ext, omega)
     if pair is None:
         raise VerificationFailed(
-            "first obstruction vanished but no boundary pair was found; "
-            "escalate the working modulus"
+            "first obstruction vanished but no boundary pair exists (a "
+            "checked certificate proves it); the d3 stage is undecided"
         )
-    theta = pair[1]
-    cls = cohomology(ext.quotient, omega.degree + 1).classify(theta)
-    return ObstructionReport(
-        True, True, corrected, None, pair, cls, "thooft_anomalous_with_bulk", m
-    )
+    return ObstructionReport(True, True, corrected, None, pair,
+                             h_bulk.classify(pair[1]),
+                             "thooft_anomalous_with_bulk")
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def cmd_anomaly(args):
     ext = parse_extension(_load_json_file(args.extension))
     omega = load_cochain_spec(args.cocycle, ext.kernel)
     started = time.monotonic()
-    report = anomaly_report(ext, omega, modulus_multiplier=args.modulus_multiplier)
+    report = anomaly_report(ext, omega)
     elapsed = time.monotonic() - started
     record = {
         "verdict": report.verdict,
@@ -334,7 +334,6 @@ def cmd_anomaly(args):
         "theta_class": (
             list(report.theta_class) if report.theta_class is not None else None
         ),
-        "modulus": report.modulus,
         "seconds": round(elapsed, 3),
     }
     if report.phi_witnesses:
@@ -409,7 +408,6 @@ def build_parser():
     p = sub.add_parser("anomaly", help="obstruction report for gauging")
     p.add_argument("--extension", required=True, help="extension JSON file")
     p.add_argument("--cocycle", required=True)
-    p.add_argument("--modulus-multiplier", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_anomaly)
 

@@ -51,7 +51,7 @@ from .groups import (
     product_digits,
     product_group,
 )
-from .linalg import SparseElimination
+from .linalg import SparseElimination, solve_qz_checked
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
@@ -797,33 +797,27 @@ cohomology.cache_clear = _cohomology.cache_clear
 # -- coboundary solving ---------------------------------------------------------
 
 
-def solve_coboundary(y: Cochain, working_modulus=None):
+def solve_coboundary(y: Cochain):
     """Find x with delta x = y exactly in Q/Z, or None.
 
-    The integral lift delta X = (M/den) * y~ is solved over Z/M with
-    M = lcm(denominators) * |G| by default, on the generator-led rows over
-    all bases; None at the default modulus is definitive (torsion bound on
-    coboundary witnesses).
+    A y that is not closed is not a coboundary.  Otherwise delta x = y is
+    solved once over Q/Z on the generator-led rows over all bases (exact,
+    see the module docstring); a None there is backed by a certificate
+    checked against those rows.
     """
     g, n, loops = y.group, y.degree, y.loops
     if n < 1:
         raise DegreeMismatch("cannot solve below degree 1")
-    den = y.denominator()
     if y.is_zero():
         return Cochain.zero(g, n - 1, y.modulus, loops)
     index = TupleIndex(g, n - 1, loops)
     if not coboundary_agrees(y, index=TupleIndex(g, n, loops, index.bases)):
         return None
-    m_work = working_modulus or den * g.order
-    if m_work % den:
-        raise ValueError("working modulus must be divisible by the "
-                         "denominator of y")
+    den = y.denominator()
     tuples, rows = delta_matrix_rows(g, n - 1, first_args=g.generators(),
                                      index=index)
-    # y at the row tuples, lifted to integers over Z/m_work
-    rhs = [int(y.value(t).as_fraction() * m_work) for t in tuples]
-    elim = SparseElimination(rows, index.size, modulus=m_work)
-    x = elim.solve(rhs)
-    if x is None:
+    rhs = [int(y.value(t).as_fraction() * den) for t in tuples]
+    sol = solve_qz_checked(rows, index.size, rhs, den)
+    if sol is None:
         return None
-    return vector_cochain(g, n - 1, x, m_work, index=index)
+    return vector_cochain(g, n - 1, *sol, index=index)

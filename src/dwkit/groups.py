@@ -401,18 +401,6 @@ class GroupHom:
     def identity(group):
         return GroupHom(group, group, range(group.order), check=False)
 
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source:
-            if other.target != self.source:
-                raise ValueError("homs not composable")
-        return GroupHom(
-            other.source,
-            self.target,
-            [self.map[other.map[g]] for g in range(other.source.order)],
-            check=False,
-        )
-
     def is_injective(self):
         return len(set(self.map)) == self.source.order
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from math import lcm
+from math import factorial, lcm
 
 from .cochains import (
     Cochain,
@@ -28,6 +28,7 @@ from .cochains import (
     torus_fundamental_cycle,
 )
 from .errors import (
+    BudgetExceeded,
     DegreeMismatch,
     IncompatiblePhases,
     NotACocycle,
@@ -36,6 +37,9 @@ from .errors import (
 from .groupoids import gauge_groupoid
 from .groups import FiniteGroup, GroupHom
 from .phase import PhaseValue
+
+# torus-cycle terms (commuting tuples times n!) one dw_partition_torus may sum
+TORUS_TERM_BUDGET = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +169,14 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
         raise DegreeMismatch("torus dimension must be >= 1")
     if not is_cocycle(theta):
         raise NotACocycle("dw_partition_torus needs a cocycle")
+    tuples = gauge_groupoid(group, n).objects()
+    terms = len(tuples) * factorial(n)
+    if terms > TORUS_TERM_BUDGET:
+        raise BudgetExceeded(f"torus cycle terms for T^{n}", terms,
+                             TORUS_TERM_BUDGET)
     return _phase_average(
         group,
-        (
-            evaluate(theta, torus_fundamental_cycle(group, t))
-            for t in gauge_groupoid(group, n).objects()
-        ),
+        (evaluate(theta, torus_fundamental_cycle(group, t)) for t in tuples),
         "partition sum of a cocycle",
     )
 

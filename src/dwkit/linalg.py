@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and Z/m.
+"""Exact linear algebra over Z, Z/m and Q/Z.
 
 :class:`SparseElimination` is sparse fraction-free diagonalization with
 operation logs, the engine behind every coboundary / lift / kernel
@@ -7,42 +7,29 @@ vectors, so no dense transform matrices are ever materialized.
 
 "No solution" is a verdict (``None``), not an exception: the diagonal form
 fully decouples the system, so the verdict is definitive over the stated
-ring.
+ring.  Over Q/Z it also comes with an integer certificate y, y^T A = 0 and
+y.b not in den*Z, that :func:`solve_qz_checked` checks against the rows
+before elimination.
 """
 
 from __future__ import annotations
 
 import heapq
-from math import gcd
+from math import gcd, lcm
+
+from .errors import VerificationFailed
 
 
 # -- sparse elimination with op logs ------------------------------------------
 
 
-def _modinv(a, m):
-    g, x = _ext_gcd(a % m, m)
-    if g != 1:
-        raise ValueError("not invertible")
-    return x % m
-
-
-def _ext_gcd(a, b):
-    """Return (g, x) with a*x = g (mod b) and g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s
-
-
 class SparseElimination:
     """Diagonalize a sparse integer matrix by logged row/column operations.
 
-    Solves A x = b over Z, or A x = b (mod m) when a modulus is given; the
-    elimination is shared across right-hand sides.  Column operations are
-    replayed on coordinate vectors instead of materializing the transform.
+    Solves A x = b/den in Q/Z over an integral elimination, or A x = b
+    (mod m) when a modulus is given; the elimination is shared across
+    right-hand sides.  Column operations are replayed on coordinate vectors
+    instead of materializing the transform.
 
     Pivot rule: the next pivot column is the one of least current fill,
     ties broken by the smaller column index, read from a lazy heap of
@@ -260,38 +247,61 @@ class SparseElimination:
     # -- solving ---------------------------------------------------------------
 
     def solve(self, b):
-        """One solution of A x = b (or = b mod m), or None."""
-        self.eliminate()
+        """One solution of A x = b (mod m), or None."""
         m = self.modulus
+        if m is None:
+            raise ValueError("solve needs a modulus; use solve_qz over Z")
+        self.eliminate()
         bt = self.apply_row_ops(self.row_ops, b)
         x = [0] * self.ncols
         for r, c, d in self.pivots:
-            val = bt[r]
-            if m is None:
-                if val % d:
-                    return None
-                x[c] = val // d
-            else:
-                val %= m
-                g = gcd(d % m, m)
-                if val % g:
-                    return None
-                mm = m // g
-                if mm == 1:
-                    x[c] = 0
-                else:
-                    x[c] = ((val // g) % mm) * _modinv(d // g, mm) % mm
+            val = bt[r] % m
+            g = gcd(d % m, m)
+            if val % g:
+                return None
+            mm = m // g
+            x[c] = (val // g) * pow(d // g, -1, mm) % mm
         for r in range(self.nrows):
-            if r not in self.pivot_rows:
-                if m is None:
-                    if bt[r]:
-                        return None
-                elif bt[r] % m:
-                    return None
-        x = self.apply_col_ops(x)
-        if m is not None:
-            x = [v % m for v in x]
-        return x
+            if r not in self.pivot_rows and bt[r] % m:
+                return None
+        return [v % m for v in self.apply_col_ops(x)]
+
+    def solve_qz(self, b, den):
+        """Solve A x = b/den in (Q/Z)^rows for an integral elimination.
+
+        Q/Z is injective, so with U A V = D the system is solvable iff
+        (U b)_r = 0 (mod den) on every non-pivot row r.  Returns
+        (solution, certificate), exactly one of them None:
+
+        * solution (x, m): x integral with A x = b*m/den (mod m); each pivot
+          (r, c, d) gives z_c = (U b)_r / (d den) and x = V z over the
+          common denominator m = den * lcm|d|;
+        * certificate y = e_r^T U, a sparse {row: coefficient} dict, for
+          the first non-pivot row r with (U b)_r != 0 (mod den): y^T A = 0
+          and y.b != 0 (mod den).
+        """
+        if self.modulus is not None:
+            raise ValueError("solve_qz needs an integral elimination")
+        self.eliminate()
+        bt = self.apply_row_ops(self.row_ops, b)
+        for r in range(self.nrows):
+            if r not in self.pivot_rows and bt[r] % den:
+                return None, self._row_of_u(r)
+        big = lcm(*(d for _r, _c, d in self.pivots))
+        m = den * big
+        z = [0] * self.ncols
+        for r, c, d in self.pivots:
+            z[c] = bt[r] * (big // d)
+        return ([v % m for v in self.apply_col_ops(z)], m), None
+
+    def _row_of_u(self, r):
+        """Row r of U = E_k ... E_1, by one reverse replay of the row-op log
+        (E = I + q e_i e_j^T sends y to y + y_i q e_j)."""
+        y = {r: 1}
+        for i, j, q in reversed(self.row_ops):
+            if y.get(i):
+                y[j] = y.get(j, 0) + q * y[i]
+        return {k: v for k, v in y.items() if v}
 
     def kernel(self):
         """Vectors spanning all solutions of A x = 0 over the ring."""
@@ -314,3 +324,24 @@ class SparseElimination:
                     basis.append([w % m for w in self.apply_col_ops(e)])
         return basis
 
+
+def solve_qz_checked(rows, ncols, b, den):
+    """x with A x = b/den in (Q/Z)^rows, as (x, m) meaning x/m, or None.
+
+    ``rows`` are the sparse integer rows of A; they are not modified, and a
+    None is returned only after the certificate y has been checked against
+    them: y^T A = 0 and y.b != 0 (mod den).  A failed check raises
+    VerificationFailed.
+    """
+    sol, y = SparseElimination(rows, ncols).solve_qz(b, den)
+    if sol is not None:
+        return sol
+    acc = {}
+    for r, v in y.items():
+        for c, a in rows[r].items():
+            acc[c] = acc.get(c, 0) + v * a
+    if any(acc.values()):
+        raise VerificationFailed("certificate must annihilate the rows")
+    if sum(v * b[r] for r, v in y.items()) % den == 0:
+        raise VerificationFailed("certificate must separate the right-hand side")
+    return None

@@ -14,7 +14,6 @@ from dwkit.anomalies import (
     NonAbelianCocycle,
     anomaly_report,
     cocycle_from_extension,
-    default_modulus,
     direct_product_extension,
     extension_from_cocycle,
     extension_round_trip_iso,
@@ -303,11 +302,11 @@ def test_no_closed_lift_in_pauli():
 
 
 def test_no_boundary_pair_for_doubling_at_escalated_moduli():
+    """No modulus to escalate: one solve over Q/Z decides the pair, and its
+    None is backed by a certificate checked against the rows as built."""
     ext = doubling_extension(2)
     w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
-    base = default_modulus(ext, w1)
-    for mult in (1, 2, 4):
-        assert find_boundary_pair(ext, w1, modulus=mult * base) is None
+    assert find_boundary_pair(ext, w1) is None
 
 
 def test_boundary_pair_from_lift_has_trivial_class():
@@ -496,8 +495,9 @@ def test_type_three_transgression_is_not_loop_exact():
 
 
 def solvable_on_all_rows(y):
-    """Whether delta x = y is solvable on the full row set, at the modulus
-    solve_coboundary uses (no generator restriction)."""
+    """Whether delta x = y is solvable on the full row set (no generator
+    restriction), over Z/M with M = den * |G| (|G| kills the cohomology of
+    G): a reference independent of solve_coboundary's Q/Z solve."""
     g, n, loops = y.group, y.degree, y.loops
     den = y.denominator()
     m_work = den * g.order
@@ -531,21 +531,25 @@ def test_generator_rows_decide_loop_coboundaries():
     assert verdicts == [True, True, False] + [True] * 16
 
 
-# a solver that returns a wrong vector; the boundary-pair self-check must
-# still fire when python -O strips every assert
+# a Q/Z solver whose solution is off by 1/(2m) in every coordinate; the
+# boundary-pair self-check must still fire when python -O strips every assert
 _WRONG_SOLVER_RUN = """
 import sys
 import dwkit.anomalies as A
+import dwkit.linalg as L
 from dwkit.cochains import Cochain
 from dwkit.errors import VerificationFailed
 from dwkit.groups import cyclic_group, GroupHom
 
-class WrongSolution(A.SparseElimination):
-    def solve(self, b):
-        x = super().solve(b)
-        return None if x is None else [v + 1 for v in x]
+class WrongSolution(L.SparseElimination):
+    def solve_qz(self, b, den):
+        sol, y = super().solve_qz(b, den)
+        if sol is None:
+            return sol, y
+        x, m = sol
+        return ([2 * v + 1 for v in x], 2 * m), None
 
-A.SparseElimination = WrongSolution
+L.SparseElimination = WrongSolution
 print(sys.flags.optimize)
 z2, z4 = cyclic_group(2), cyclic_group(4)
 iota = GroupHom(z2, z4, [0, 2])
@@ -558,13 +562,65 @@ except VerificationFailed as exc:
 """
 
 
-def test_wrong_solver_output_fails_verification_under_optimize():
+def _run_optimized(code):
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_SOLVER_RUN],
+        [sys.executable, "-O", "-c", code],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert done.stdout.splitlines() == [
+    return done.stdout.splitlines()
+
+
+def test_wrong_solver_output_fails_verification_under_optimize():
+    assert _run_optimized(_WRONG_SOLVER_RUN) == [
         "1", "solver output must restrict to omega",
     ]
+
+
+# a Q/Z solver that answers solvable systems with a forged certificate:
+# {0: 1} does not annihilate the rows, and {} does not separate b
+_FORGED_CERTIFICATE_RUN = """
+import sys
+import dwkit.anomalies as A
+import dwkit.linalg as L
+from dwkit.cochains import Cochain, coboundary, solve_coboundary
+from dwkit.errors import VerificationFailed
+from dwkit.groups import cyclic_group, GroupHom
+from dwkit.phase import PhaseValue
+
+z2, z4 = cyclic_group(2), cyclic_group(4)
+iota = GroupHom(z2, z4, [0, 2])
+lam = GroupHom(z4, z2, [0, 1, 0, 1])
+ext = A.Extension(z2, z4, z2, iota, lam, A.find_section(lam))
+omega = Cochain.zero(z2, 2, 2)
+exact = coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
+searches = (
+    lambda: A.find_closed_lift(ext, omega),
+    lambda: A.find_boundary_pair(ext, omega),
+    lambda: solve_coboundary(exact),
+)
+print(sys.flags.optimize)
+print([f() is not None for f in searches])
+for forged in ({0: 1}, {}):
+    class Forged(L.SparseElimination):
+        def solve_qz(self, b, den):
+            return None, dict(forged)
+
+    L.SparseElimination = Forged
+    for f in searches:
+        try:
+            f()
+        except VerificationFailed as exc:
+            print(exc)
+        else:
+            print("no error")
+"""
+
+
+def test_forged_certificate_fails_verification_under_optimize():
+    annihilate = "certificate must annihilate the rows"
+    separate = "certificate must separate the right-hand side"
+    assert _run_optimized(_FORGED_CERTIFICATE_RUN) == [
+        "1", "[True, True, True]",
+    ] + [annihilate] * 3 + [separate] * 3

@@ -137,6 +137,12 @@ def test_dw_argument_errors(capsys):
         assert code == 1 and not out
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "--dim" in err
+    # tuples x n! torus-cycle terms over budget: 82.6 M and 12.9 M
+    for group in ("product z2 z2", "s3"):
+        code, out, err = run(capsys, "dw", "torus", "--group", group,
+                             "--untwisted", "--dim", "7")
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and "exceeds budget 10000000" in err
 
 
 def test_anomaly_exit_codes(capsys, tmp_path):

@@ -1,7 +1,9 @@
 import heapq
 import random
+from fractions import Fraction
 from itertools import product as iter_product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwkit import cochains
@@ -41,6 +43,32 @@ def test_solve_linear_matches_brute_force(modulus, rows, cols, seed):
         )
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0),
+)
+def test_solve_qz_returns_a_solution_or_a_certificate(rows, cols, den, seed):
+    rng = random.Random(seed)
+    a = [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6]) for _ in range(cols)]
+         for _ in range(rows)]
+    b = [rng.randrange(-8, 9) for _ in range(rows)]
+    row_dicts = [{c: v for c, v in enumerate(row) if v} for row in a]
+    sol, y = SparseElimination(row_dicts, cols).solve_qz(b, den)
+    assert (sol is None) != (y is None)
+    if sol is not None:
+        x, m = sol
+        for r in range(rows):
+            lhs = sum(Fraction(a[r][c] * x[c], m) for c in range(cols))
+            assert (lhs - Fraction(b[r], den)).denominator == 1
+    else:
+        assert all(sum(y.get(r, 0) * a[r][c] for r in range(rows)) == 0
+                   for c in range(cols))
+        assert sum(v * b[r] for r, v in y.items()) % den
+
+
 def test_solve_linear_examples():
     eye = SparseElimination([{0: 1}, {1: 1}], 2, modulus=6)
     assert eye.solve([4, 5]) == [4, 5]
@@ -48,6 +76,8 @@ def test_solve_linear_examples():
     assert two.solve([2]) in ([1], [3])
     assert sorted(k[0] % 4 for k in two.kernel()) == [2]
     assert two.solve([1]) is None
+    with pytest.raises(ValueError):
+        SparseElimination([{0: 2}], 1).solve([2])
 
 
 def test_sparse_elimination_kernel():
