@@ -12,6 +12,14 @@ y^T A = 0, y.b != 0 (mod den) against its rows as built:
 * boundary pair: (omega' on Ghat, theta on G) with iota^* omega' = omega,
   delta omega' = lambda^* theta, delta theta = 0.
 
+Each system's matrix depends only on the extension and the degree; omega
+enters through the right-hand side alone.  So the elimination is shared
+across every omega on one extension: solve_qz_checked's in-process memo,
+keyed by (Ghat, D, iota, n) for lifts and (Ghat, G, D, iota, lambda, n)
+for pairs, makes it once and replays it, while every returned lift and
+pair is still re-verified and every None still has its certificate
+checked.
+
 Coboundary-type constraints are imposed only on tuples whose first entry is
 a group generator; this is equivalent to the full system because the
 residual cochain is closed (see the cochains module docstring).
@@ -405,14 +413,20 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     return True, corrected
 
 
-def _restriction_rows(ext, omega, index, rows, rhs):
-    """Append iota^* x = omega as rows on ``index``, with right-hand sides
-    over the denominator of omega."""
+def _restriction_rows(ext, n, index):
+    """The rows of iota^* x on ``index``, x of degree n."""
+    return [{index.index(tuple(ext.iota(x) for x in t)): 1}
+            for t in itertools.product(ext.kernel.nonidentity(), repeat=n)]
+
+
+def _restriction_rhs(ext, omega):
+    """omega on the rows of _restriction_rows, over its denominator."""
     den = omega.denominator()
+    rhs = []
     for t in itertools.product(ext.kernel.nonidentity(), repeat=omega.degree):
-        rows.append({index.index(tuple(ext.iota(x) for x in t)): 1})
         f = omega.value(t).as_fraction()
         rhs.append(f.numerator * (den // f.denominator))
+    return rhs
 
 
 def find_closed_lift(ext: Extension, omega: Cochain):
@@ -420,19 +434,26 @@ def find_closed_lift(ext: Extension, omega: Cochain):
 
     The linear system over Q/Z imposes delta omegahat = 0 on tuples whose
     first entry generates Ghat (equivalent to full closedness) plus the
-    restriction values; the result is re-verified directly.
+    restriction values; the result is re-verified directly.  The system
+    depends only on (Ghat, D, iota, n), so its elimination is shared by
+    every omega through solve_qz_checked's memo.
     """
     if not is_cocycle(omega):
         raise NotACocycle("lifting is a statement about cocycles")
-    ghat = ext.total
-    index = TupleIndex(ghat, omega.degree)
-    _, rows = delta_matrix_rows(ghat, omega.degree, ghat.generators(), index)
-    rhs = [0] * len(rows)
-    _restriction_rows(ext, omega, index, rows, rhs)
-    sol = solve_qz_checked(rows, index.size, rhs, omega.denominator())
+    ghat, n = ext.total, omega.degree
+    gens = ghat.generators()
+    index = TupleIndex(ghat, n)
+
+    def build():
+        _, rows = delta_matrix_rows(ghat, n, gens, index)
+        return rows + _restriction_rows(ext, n, index), index.size
+
+    rhs = [0] * index.row_count(gens) + _restriction_rhs(ext, omega)
+    key = ("closed_lift", ghat, ext.kernel, ext.iota.map, n)
+    sol = solve_qz_checked(key, build, rhs, omega.denominator())
     if sol is None:
         return None
-    omegahat = vector_cochain(ghat, omega.degree, *sol, index=index)
+    omegahat = vector_cochain(ghat, n, *sol, index=index)
     if not is_cocycle(omegahat):
         raise VerificationFailed("solver output must be closed")
     if pullback(ext.iota, omegahat) != omega:
@@ -456,30 +477,37 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
     """(omega' on Ghat, theta on G) with iota^* omega' = omega,
     delta omega' = lambda^* theta, delta theta = 0; or None.
 
-    Solved as one coupled system over Q/Z; the returned pair re-verifies
-    bit-exactly.
+    Solved as one coupled system over Q/Z, shared by every omega through
+    solve_qz_checked's memo; the returned pair re-verifies bit-exactly.
     """
     if not is_cocycle(omega):
         raise NotACocycle("boundary pairs are for cocycles")
     n = omega.degree
     ghat, g_grp = ext.total, ext.quotient
+    gens_hat, gens = ghat.generators(), g_grp.generators()
     idx_x = TupleIndex(ghat, n)
     idx_y = TupleIndex(g_grp, n + 1)
     off = idx_x.size
-    rows, rhs = [], []
-    _restriction_rows(ext, omega, idx_x, rows, rhs)
-    # delta omega' - lambda^* theta = 0 on generator-led tuples of Ghat
-    row_tuples, drows = delta_matrix_rows(ghat, n, ghat.generators(), idx_x)
-    for t, row in zip(row_tuples, drows):
-        lt = tuple(ext.lam(x) for x in t)
-        if all(x != g_grp.identity for x in lt):
-            row[off + idx_y.index(lt)] = -1
-        rows.append(row)
-    # delta theta = 0 on generator-led tuples of G
-    _, trows = delta_matrix_rows(g_grp, n + 1, g_grp.generators(), idx_y)
-    rows += [{off + c: v for c, v in row.items()} for row in trows]
-    rhs += [0] * (len(rows) - len(rhs))
-    sol = solve_qz_checked(rows, off + idx_y.size, rhs, omega.denominator())
+
+    def build():
+        rows = _restriction_rows(ext, n, idx_x)
+        # delta omega' - lambda^* theta = 0 on generator-led tuples of Ghat
+        row_tuples, drows = delta_matrix_rows(ghat, n, gens_hat, idx_x)
+        for t, row in zip(row_tuples, drows):
+            lt = tuple(ext.lam(x) for x in t)
+            if all(x != g_grp.identity for x in lt):
+                row[off + idx_y.index(lt)] = -1
+            rows.append(row)
+        # delta theta = 0 on generator-led tuples of G
+        _, trows = delta_matrix_rows(g_grp, n + 1, gens, idx_y)
+        rows += [{off + c: v for c, v in row.items()} for row in trows]
+        return rows, off + idx_y.size
+
+    rhs = _restriction_rhs(ext, omega) + [0] * (
+        idx_x.row_count(gens_hat) + idx_y.row_count(gens))
+    key = ("boundary_pair", ghat, g_grp, ext.kernel, ext.iota.map,
+           ext.lam.map, n)
+    sol = solve_qz_checked(key, build, rhs, omega.denominator())
     if sol is None:
         return None
     x, m = sol

@@ -247,6 +247,11 @@ class TupleIndex:
             for args in itertools.product(*pools):
                 yield b + args
 
+    def row_count(self, first_args=None):
+        """The number of tuples ``rows(first_args)`` yields."""
+        lead = self.radix if first_args is None else len(first_args)
+        return len(self.bases) * lead * self.radix**self.n
+
 
 def _delta_faces(group, t, loops=0):
     """Faces of the differential at t = base + args: pairs (sign, face).
@@ -803,7 +808,9 @@ def solve_coboundary(y: Cochain):
     A y that is not closed is not a coboundary.  Otherwise delta x = y is
     solved once over Q/Z on the generator-led rows over all bases (exact,
     see the module docstring); a None there is backed by a certificate
-    checked against those rows.
+    checked against those rows, and a returned x is checked to have
+    coboundary y.  The system depends only on (group, n - 1, loops), so
+    its elimination is shared by every y through solve_qz_checked's memo.
     """
     g, n, loops = y.group, y.degree, y.loops
     if n < 1:
@@ -814,10 +821,17 @@ def solve_coboundary(y: Cochain):
     if not coboundary_agrees(y, index=TupleIndex(g, n, loops, index.bases)):
         return None
     den = y.denominator()
-    tuples, rows = delta_matrix_rows(g, n - 1, first_args=g.generators(),
-                                     index=index)
-    rhs = [int(y.value(t).as_fraction() * den) for t in tuples]
-    sol = solve_qz_checked(rows, index.size, rhs, den)
+    gens = g.generators()
+
+    def build():
+        _tuples, rows = delta_matrix_rows(g, n - 1, gens, index)
+        return rows, index.size
+
+    rhs = [int(y.value(t).as_fraction() * den) for t in index.rows(gens)]
+    sol = solve_qz_checked(("coboundary", g, n - 1, loops), build, rhs, den)
     if sol is None:
         return None
-    return vector_cochain(g, n - 1, *sol, index=index)
+    x = vector_cochain(g, n - 1, *sol, index=index)
+    if not coboundary_agrees(x, y, index):
+        raise VerificationFailed("solver output must have coboundary y")
+    return x

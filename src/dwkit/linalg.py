@@ -10,14 +10,24 @@ fully decouples the system, so the verdict is definitive over the stated
 ring.  Over Q/Z it also comes with an integer certificate y, y^T A = 0 and
 y.b not in den*Z, that :func:`solve_qz_checked` checks against the rows
 before elimination.
+
+A system's elimination is shared across right-hand sides, also across
+calls: :func:`solve_qz_checked` memoizes it in-process under a key that
+the caller says determines the rows (QZ_MEMO_SIZE most recently used
+keys), keeping only the op logs and pivots, and replays it on each new b.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections import OrderedDict, namedtuple
 from math import gcd, lcm
 
 from .errors import VerificationFailed
+
+# eliminated Q/Z systems that solve_qz_checked keeps in-process
+QZ_MEMO_SIZE = 64
 
 
 # -- sparse elimination with op logs ------------------------------------------
@@ -206,6 +216,17 @@ class SparseElimination:
         del self.rows[r][c]
         self.colrows[c].discard(r)
 
+    def pack(self):
+        """Eliminate, then keep only what a replay reads: drop the emptied
+        rows and column sets, and store the op logs as machine-integer
+        arrays, about a fifth of the memory of tuples, where every entry
+        fits in 64 bits."""
+        self.eliminate()
+        self.rows = self.colrows = None
+        self.row_ops = _PackedOps.of(self.row_ops)
+        self.col_ops = _PackedOps.of(self.col_ops)
+        return self
+
     # -- replay helpers ------------------------------------------------------
 
     @staticmethod
@@ -325,17 +346,95 @@ class SparseElimination:
         return basis
 
 
-def solve_qz_checked(rows, ncols, b, den):
+class _PackedOps:
+    """An op log of (i, j, q) triples as three arrays; it iterates, forward
+    and reversed, as the list of triples it packs."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    @classmethod
+    def of(cls, ops):
+        """The packed log, or ``ops`` itself if an entry needs more than
+        64 bits."""
+        try:
+            return cls([array("q", c) for c in zip(*ops)] or [array("q")] * 3)
+        except OverflowError:
+            return ops
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __iter__(self):
+        return zip(*self.cols)
+
+    def __reversed__(self):
+        return zip(*map(reversed, self.cols))
+
+
+class _Memo:
+    """The ``maxsize`` most recently used key -> value pairs, with counts of
+    hits and misses."""
+
+    def __init__(self, maxsize):
+        self.maxsize = maxsize
+        self.entries = OrderedDict()
+        self.hits = self.misses = 0
+
+    def get(self, key, make):
+        value = self.entries.get(key)
+        if value is not None:
+            self.hits += 1
+            self.entries.move_to_end(key)
+            return value
+        self.misses += 1
+        value = self.entries[key] = make()
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+        return value
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize,
+                          len(self.entries))
+
+    def cache_clear(self):
+        self.entries.clear()
+        self.hits = self.misses = 0
+
+
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+_eliminations = _Memo(QZ_MEMO_SIZE)
+
+
+def solve_qz_checked(key, build, b, den):
     """x with A x = b/den in (Q/Z)^rows, as (x, m) meaning x/m, or None.
 
-    ``rows`` are the sparse integer rows of A; they are not modified, and a
-    None is returned only after the certificate y has been checked against
-    them: y^T A = 0 and y.b != 0 (mod den).  A failed check raises
+    ``build()`` returns (rows, ncols), the sparse integer rows of A, and
+    ``key`` must determine them.  The elimination of A is memoized
+    in-process per (engine class, key) for the QZ_MEMO_SIZE most recently
+    used keys, keeping only its op logs and pivots, so a hit replays them
+    on b.  A None is returned only after the certificate y has
+    been checked against the rows as built (built again on a hit):
+    y^T A = 0 and y.b != 0 (mod den).  A failed check raises
     VerificationFailed.
     """
-    sol, y = SparseElimination(rows, ncols).solve_qz(b, den)
+    # looked up per call: a replaced engine class gets entries of its own,
+    # and a hit calls the solve_qz its class has now
+    engine = SparseElimination
+    rows = None
+
+    def eliminate():
+        nonlocal rows
+        rows, ncols = build()
+        return engine(rows, ncols).pack()
+
+    sol, y = _eliminations.get((engine, key), eliminate).solve_qz(b, den)
     if sol is not None:
         return sol
+    if rows is None:
+        rows, _ncols = build()
     acc = {}
     for r, v in y.items():
         for c, a in rows[r].items():
@@ -345,3 +444,7 @@ def solve_qz_checked(rows, ncols, b, den):
     if sum(v * b[r] for r, v in y.items()) % den == 0:
         raise VerificationFailed("certificate must separate the right-hand side")
     return None
+
+
+solve_qz_checked.cache_info = _eliminations.cache_info
+solve_qz_checked.cache_clear = _eliminations.cache_clear

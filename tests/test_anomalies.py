@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from support import random_cochain
 
+from dwkit import anomalies, cochains
 from dwkit.anomalies import (
     Extension,
     NonAbelianCocycle,
@@ -57,7 +59,7 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import transgress_circle, twisted_irrep_count
-from dwkit.linalg import SparseElimination
+from dwkit.linalg import SparseElimination, solve_qz_checked
 from dwkit.phase import PhaseValue
 
 from test_invariants import klein_in_d8_extension, type_three_cocycle
@@ -319,6 +321,59 @@ def test_boundary_pair_from_lift_has_trivial_class():
     assert coboundary(omega_p) == pullback(ext.lam, theta)
     coh = cohomology(ext.quotient, 3)
     assert coh.classify(theta) == (0,) * len(coh.invariant_factors)
+
+
+def _exact(x):
+    """x with every cochain spelled out with its modulus, so == compares
+    representatives and not only classes."""
+    if isinstance(x, Cochain):
+        return (x.group, x.degree, x.loops, x.modulus, x.values)
+    if isinstance(x, (tuple, list)):
+        return tuple(_exact(v) for v in x)
+    if isinstance(x, dict):
+        return {k: _exact(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):
+        return _exact([getattr(x, f.name) for f in dataclasses.fields(x)])
+    return x
+
+
+def test_warm_searches_equal_cold_ones(monkeypatch):
+    """Memo hits replay the elimination that a miss made: every report,
+    lift and pair (or None) of the second round equals the first's, and
+    each distinct system is eliminated once."""
+    keys = []
+
+    def recording(key, build, b, den):
+        keys.append(key)
+        return solve_qz_checked(key, build, b, den)
+
+    monkeypatch.setattr(anomalies, "solve_qz_checked", recording)
+    monkeypatch.setattr(cochains, "solve_qz_checked", recording)
+    cases = []
+    for ext, n in ((doubling_extension(2), 2), (z4_in_z16_extension(4, 2), 3)):
+        coh = cohomology(ext.kernel, n)
+        for coeffs in itertools.product(*map(range, coh.invariant_factors)):
+            omega = Cochain.zero(ext.kernel, n)
+            for k, gen in zip(coeffs, coh.generators):
+                omega = omega + k * gen
+            cases.append((ext, omega))
+    assert len(cases) == 2 + 4
+
+    def one_round():
+        return [_exact((anomaly_report(ext, omega),
+                        find_closed_lift(ext, omega),
+                        find_boundary_pair(ext, omega)))
+                for ext, omega in cases]
+
+    solve_qz_checked.cache_clear()
+    first = one_round()
+    misses = solve_qz_checked.cache_info().misses
+    assert misses == len(set(keys))
+    assert one_round() == first
+    assert solve_qz_checked.cache_info().misses == misses
+    assert [r[0][-1] for r in first] == [
+        "anomaly_free", "first_obstruction_fails"] + ["anomaly_free"] * 4
+    assert [r[2] is None for r in first] == [False, True] + [False] * 4
 
 
 # --------------------------------------------------------------------------
@@ -624,3 +679,100 @@ def test_forged_certificate_fails_verification_under_optimize():
     assert _run_optimized(_FORGED_CERTIFICATE_RUN) == [
         "1", "[True, True, True]",
     ] + [annihilate] * 3 + [separate] * 3
+
+
+# a primitive off by 1/(2m) in every coordinate: solve_coboundary's own
+# check of delta x = y must fire when python -O strips every assert
+_WRONG_PRIMITIVE_RUN = """
+import sys
+import dwkit.linalg as L
+from dwkit.cochains import Cochain, coboundary, solve_coboundary
+from dwkit.errors import VerificationFailed
+from dwkit.groups import cyclic_group
+from dwkit.phase import PhaseValue
+
+class WrongSolution(L.SparseElimination):
+    def solve_qz(self, b, den):
+        sol, y = super().solve_qz(b, den)
+        if sol is None:
+            return sol, y
+        x, m = sol
+        return ([2 * v + 1 for v in x], 2 * m), None
+
+L.SparseElimination = WrongSolution
+print(sys.flags.optimize)
+z4 = cyclic_group(4)
+try:
+    solve_coboundary(coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)})))
+except VerificationFailed as exc:
+    print(exc)
+"""
+
+
+def test_wrong_primitive_fails_verification_under_optimize():
+    assert _run_optimized(_WRONG_PRIMITIVE_RUN) == [
+        "1", "solver output must have coboundary y",
+    ]
+
+
+# the three searches warm the memo of eliminated systems, then the engine's
+# solve_qz is replaced on the class itself, so every later call is a memo
+# hit that must still go through the forged engine and fail its checks
+_WARM_MEMO_FORGERY_RUN = """
+import sys
+import dwkit.anomalies as A
+import dwkit.linalg as L
+from dwkit.cochains import Cochain, coboundary, solve_coboundary
+from dwkit.errors import VerificationFailed
+from dwkit.groups import cyclic_group, GroupHom
+from dwkit.phase import PhaseValue
+
+z2, z4 = cyclic_group(2), cyclic_group(4)
+iota = GroupHom(z2, z4, [0, 2])
+lam = GroupHom(z4, z2, [0, 1, 0, 1])
+ext = A.Extension(z2, z4, z2, iota, lam, A.find_section(lam))
+omega = Cochain.zero(z2, 2, 2)
+exact = coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
+searches = (
+    lambda: A.find_closed_lift(ext, omega),
+    lambda: A.find_boundary_pair(ext, omega),
+    lambda: solve_coboundary(exact),
+)
+print(sys.flags.optimize)
+print([f() is not None for f in searches])
+print(tuple(L.solve_qz_checked.cache_info()[:2]))
+honest = L.SparseElimination.solve_qz
+
+def wrong(self, b, den):
+    (x, m), _y = honest(self, b, den)
+    return ([2 * v + 1 for v in x], 2 * m), None
+
+forgeries = (
+    lambda self, b, den: (None, {0: 1}),
+    lambda self, b, den: (None, {}),
+    wrong,
+)
+for forged in forgeries:
+    L.SparseElimination.solve_qz = forged
+    for f in searches:
+        try:
+            f()
+        except VerificationFailed as exc:
+            print(exc)
+        else:
+            print("no error")
+print(tuple(L.solve_qz_checked.cache_info()[:2]))
+"""
+
+
+def test_forged_engine_fails_verification_on_memo_hits_under_optimize():
+    out = _run_optimized(_WARM_MEMO_FORGERY_RUN)
+    assert out[:3] == ["1", "[True, True, True]", "(0, 3)"]
+    assert out[3:6] == ["certificate must annihilate the rows"] * 3
+    assert out[6:9] == ["certificate must separate the right-hand side"] * 3
+    assert out[9:] == [
+        "solver output must be closed",
+        "solver output must restrict to omega",
+        "solver output must have coboundary y",
+        "(9, 3)",
+    ]

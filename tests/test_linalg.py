@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from dwkit import cochains
 from dwkit.groups import dihedral_group
-from dwkit.linalg import SparseElimination
+from dwkit.linalg import QZ_MEMO_SIZE, SparseElimination, solve_qz_checked
 
 
 @settings(max_examples=40, deadline=None)
@@ -58,6 +58,8 @@ def test_solve_qz_returns_a_solution_or_a_certificate(rows, cols, den, seed):
     row_dicts = [{c: v for c, v in enumerate(row) if v} for row in a]
     sol, y = SparseElimination(row_dicts, cols).solve_qz(b, den)
     assert (sol is None) != (y is None)
+    # packed op logs replay, forward and reversed, exactly as the tuples
+    assert SparseElimination(row_dicts, cols).pack().solve_qz(b, den) == (sol, y)
     if sol is not None:
         x, m = sol
         for r in range(rows):
@@ -67,6 +69,50 @@ def test_solve_qz_returns_a_solution_or_a_certificate(rows, cols, den, seed):
         assert all(sum(y.get(r, 0) * a[r][c] for r in range(rows)) == 0
                    for c in range(cols))
         assert sum(v * b[r] for r, v in y.items()) % den
+
+
+def test_solve_qz_checked_memo_replays_and_evicts():
+    """A hit replays the stored elimination without building the rows,
+    except to check a certificate; the least recently used key goes first."""
+    solve_qz_checked.cache_clear()
+    builds = []
+
+    def system(key):
+        def build():
+            builds.append(key)
+            return [{0: 2}, {0: 4}], 1  # 2x = b0/den, 4x = b1/den
+
+        return build
+
+    x, m = solve_qz_checked("a", system("a"), [1, 2], 2)
+    assert (Fraction(2 * x[0], m) - Fraction(1, 2)).denominator == 1
+    x, m = solve_qz_checked("a", system("a"), [1, 2], 4)
+    assert (Fraction(2 * x[0], m) - Fraction(1, 4)).denominator == 1
+    assert (Fraction(4 * x[0], m) - Fraction(2, 4)).denominator == 1
+    assert builds == ["a"]
+    # 4x = 2 * 2x = 1 = 0, not 1/2: a certificate, checked on rebuilt rows
+    assert solve_qz_checked("a", system("a"), [1, 1], 2) is None
+    assert builds == ["a", "a"]
+    assert solve_qz_checked.cache_info() == (2, 1, QZ_MEMO_SIZE, 1)
+    for k in range(QZ_MEMO_SIZE):
+        solve_qz_checked(k, system(k), [0, 0], 1)
+    info = solve_qz_checked.cache_info()
+    assert (info.misses, info.currsize) == (QZ_MEMO_SIZE + 1, QZ_MEMO_SIZE)
+    solve_qz_checked("a", system("a"), [0, 0], 1)
+    assert solve_qz_checked.cache_info().misses == QZ_MEMO_SIZE + 2
+    solve_qz_checked.cache_clear()
+    assert solve_qz_checked.cache_info() == (0, 0, QZ_MEMO_SIZE, 0)
+
+
+def test_pack_keeps_a_log_that_needs_more_than_64_bits():
+    elim = SparseElimination([{0: 1}], 1).pack()
+    assert list(elim.row_ops) == [] and len(elim.col_ops) == 0
+    ops = [(0, 1, 3), (2, 0, 2**63)]
+    elim.row_ops, elim.col_ops = ops, ops[:1]
+    elim.pack()
+    assert elim.row_ops is ops
+    assert list(elim.col_ops) == ops[:1]
+    assert list(reversed(elim.col_ops)) == ops[:1]
 
 
 def test_solve_linear_examples():
