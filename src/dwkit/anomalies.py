@@ -8,6 +8,9 @@ each decided by one integral elimination (Q/Z is injective); a search that
 finds nothing returns None only after checking an integer certificate
 y^T A = 0, y.b != 0 (mod den) against its rows as built:
 
+* first obstruction: closed c_g on D and b_{g1,g2} with
+  U(g1, g2) + c_{g1^-1} + alpha(g1)^* c_{g2^-1} - c_{(g1 g2)^-1}
+  = delta b_{g1,g2}, i.e. d2 of omega vanishes in H^2(G; H^{n-1}(D));
 * closed lift: omegahat on Ghat with delta omegahat = 0, iota^* omegahat = omega;
 * boundary pair: (omega' on Ghat, theta on G) with iota^* omega' = omega,
   delta omega' = lambda^* theta, delta theta = 0.
@@ -15,10 +18,10 @@ y^T A = 0, y.b != 0 (mod den) against its rows as built:
 Each system's matrix depends only on the extension and the degree; omega
 enters through the right-hand side alone.  So the elimination is shared
 across every omega on one extension: solve_qz_checked's in-process memo,
-keyed by (Ghat, D, iota, n) for lifts and (Ghat, G, D, iota, lambda, n)
-for pairs, makes it once and replays it, while every returned lift and
-pair is still re-verified and every None still has its certificate
-checked.
+keyed by (G, D, alpha, n) for the first obstruction, (Ghat, D, iota, n)
+for lifts and (Ghat, G, D, iota, lambda, n) for pairs, makes it once and
+replays it, while every returned family, lift and pair is still
+re-verified and every None still has its certificate checked.
 
 Coboundary-type constraints are imposed only on tuples whose first entry is
 a group generator; this is equivalent to the full system because the
@@ -64,7 +67,7 @@ from .invariants import (
     monomial_defect,
     transgress_torus,
 )
-from .linalg import SparseElimination, solve_qz_checked
+from .linalg import solve_qz_checked
 from .phase import PhaseValue
 
 
@@ -322,94 +325,84 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     trivial; on success return (True, corrected Phi family), else
     (False, None).
 
-    The corrected family satisfies the coherence relation up to coboundary,
-    re-verified directly with solve_coboundary for every pair.
+    With U(g1, g2) the closed obstruction cochains of the family, [U]
+    vanishes iff closed c_g (g != 1) and b_{g1,g2} exist with
+    U + c_{g1^-1} + alpha(g1)^* c_{g2^-1} - c_{(g1 g2)^-1} = delta b_{g1,g2}:
+    one Q/Z system on generator-led tuples of D (see the module docstring).
+    Phi_g + c_g is returned only after each c_g is re-verified closed and
+    each corrected U to be delta b.
     """
     g_grp, d_grp = ext.quotient, ext.kernel
-    n = omega.degree
-    coh = cohomology(d_grp, n - 1)
-    slots = coh.invariant_factors
-    r = len(slots)
+    n, inv = omega.degree, g_grp.inverses
     sigma = _ext_sigma(ext)
+    actions = {g: ext.action(g) for g in g_grp.elements()}
 
-    def obstruction(family, g1, g2):
-        i1, i2 = g_grp.inverses[g1], g_grp.inverses[g2]
+    pairs = list(itertools.product(g_grp.elements(), repeat=2))
+    slants = [_sigma_slant(omega, d_grp, sigma(inv[g1], inv[g2]))
+              for g1, g2 in pairs]
+
+    def obstruction(family, p):
+        g1, g2 = pairs[p]
         return (
-            family[i1]
-            + pullback(ext.action(g1), family[i2])
-            - family[g_grp.inverses[g_grp.mul(g1, g2)]]
-            + _sigma_slant(omega, d_grp, sigma(i1, i2))
+            family[inv[g1]]
+            + pullback(actions[g1], family[inv[g2]])
+            - family[inv[g_grp.mul(g1, g2)]]
+            + slants[p]
         )
 
-    us = {}
-    for g1 in g_grp.elements():
-        for g2 in g_grp.elements():
-            u = obstruction(phis, g1, g2)
-            if not is_cocycle(u):
-                raise NotACocycle("obstruction cochain must be closed")
-            us[(g1, g2)] = coh.classify(u)
+    us = [obstruction(phis, p) for p in range(len(pairs))]
+    if not all(map(is_cocycle, us)):
+        raise NotACocycle("obstruction cochain must be closed")
 
-    if r == 0:
-        trivial = all(all(v == 0 for v in c) for c in us.values())
-        return (True, dict(phis)) if trivial else (False, None)
+    # columns: c_g for g != 1 in blocks of idx_c, then b_{g1,g2} per pair
+    gens = d_grp.generators()
+    idx_c, idx_b = TupleIndex(d_grp, n - 1), TupleIndex(d_grp, n - 2)
+    block = {g: k * idx_c.size for k, g in enumerate(g_grp.nonidentity())}
+    off_b = len(block) * idx_c.size
+    lead = list(idx_b.rows(gens))
 
-    # action of g on H^{n-1}(D) classes, as columns in slot coordinates
-    act = {}
-    for g in g_grp.elements():
-        cols = [
-            coh.classify(pullback(ext.action(g), coh.generators[j]))
-            for j in range(r)
-        ]
-        act[g] = cols
+    def build():
+        _, crows = delta_matrix_rows(d_grp, n - 1, gens, idx_c)
+        rows = [{block[g] + c: v for c, v in row.items()}
+                for g in block for row in crows]
+        _, brows = delta_matrix_rows(d_grp, n - 2, gens, idx_b)
+        for p, (g1, g2) in enumerate(pairs):
+            terms = ((inv[g1], 1, False), (inv[g2], 1, True),
+                     (inv[g_grp.mul(g1, g2)], -1, False))
+            for t, brow in zip(lead, brows):
+                row = {off_b + p * idx_b.size + c: -v for c, v in brow.items()}
+                for g, sign, acted in terms:
+                    if g in block:
+                        at = tuple(map(actions[g1], t)) if acted else t
+                        c = block[g] + idx_c.index(at)
+                        row[c] = row.get(c, 0) + sign
+                rows.append(row)
+        return rows, off_b + len(pairs) * idx_b.size
 
-    big = lcm(*slots)
-    non_id = [g for g in g_grp.elements() if g != g_grp.identity]
-    var = {
-        (g, j): idx
-        for idx, (g, j) in enumerate((g, j) for g in non_id for j in range(r))
-    }
-    rows, rhs = [], []
-    for g1 in g_grp.elements():
-        for g2 in g_grp.elements():
-            g12 = g_grp.mul(g1, g2)
-            for i in range(r):
-                scale = big // slots[i]
-                row = {}
-
-                def add(col, v):
-                    if col is not None:
-                        row[col] = (row.get(col, 0) + v) % big
-
-                if g1 != g_grp.identity:
-                    add(var[(g1, i)], scale)
-                if g2 != g_grp.identity:
-                    for j in range(r):
-                        a = act[g1][j][i]
-                        if a:
-                            add(var[(g2, j)], scale * a)
-                if g12 != g_grp.identity:
-                    add(var[(g12, i)], -scale)
-                rows.append({k: v for k, v in row.items() if v % big})
-                rhs.append((-scale * us[(g1, g2)][i]) % big)
-    elim = SparseElimination(rows, len(var), modulus=big)
-    sol = elim.solve(rhs)
+    den = lcm(*(u.denominator() for u in us))
+    rhs = [0] * (len(block) * idx_c.row_count(gens))
+    for u in us:
+        rhs += [-int(u.value(t).as_fraction() * den) for t in lead]
+    key = ("first_obstruction", g_grp, d_grp,
+           tuple(actions[g].map for g in g_grp.elements()), n)
+    sol = solve_qz_checked(key, build, rhs, den)
     if sol is None:
         return False, None
-
-    corrected = {g_grp.identity: phis[g_grp.identity]}
-    for g in non_id:
-        ginv = g_grp.inverses[g]
-        corr = phis[g]
-        for j in range(r):
-            w = sol[var[(ginv, j)]] % slots[j]
-            if w:
-                corr = corr + w * coh.generators[j]
-        corrected[g] = corr
-    # strict re-verification: coherence up to coboundary for every pair
-    for g1 in g_grp.elements():
-        for g2 in g_grp.elements():
-            if solve_coboundary(obstruction(corrected, g1, g2)) is None:
-                return False, None
+    x, m = sol
+    corrected = dict(phis)
+    for g, off in block.items():
+        c = vector_cochain(d_grp, n - 1, x[off:off + idx_c.size], m,
+                           index=idx_c)
+        if not is_cocycle(c):
+            raise VerificationFailed("solver output must be closed")
+        corrected[g] = phis[g] + c
+    for p in range(len(pairs)):
+        off = off_b + p * idx_b.size
+        b = vector_cochain(d_grp, n - 2, x[off:off + idx_b.size], m,
+                           index=idx_b)
+        u = obstruction(corrected, p)
+        if not (is_cocycle(u) and coboundary_agrees(b, u, idx_b)):
+            raise VerificationFailed("corrected obstruction must be delta b")
     return True, corrected
 
 
@@ -594,7 +587,9 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
     n = omega_p.degree
     g_grp, ghat = ext.quotient, ext.total
     if len(phi) != n:
-        raise NonCommuting(phi, f"expected a commuting {n}-tuple")
+        raise DegreeMismatch(
+            f"sector must be a commuting {n}-tuple (n = deg omega'), got "
+            f"length {len(phi)}")
     for a in phi:
         for b in phi:
             if not g_grp.commute(a, b):

@@ -1,13 +1,13 @@
-"""Exact linear algebra over Z, Z/m and Q/Z.
+"""Exact linear algebra over Z and Q/Z.
 
-:class:`SparseElimination` is sparse fraction-free diagonalization with
-operation logs, the engine behind every coboundary / lift / kernel
-computation.  Row and column operations are recorded and replayed on
+:class:`SparseElimination` is sparse fraction-free diagonalization over Z
+with operation logs, the engine behind every cohomology group and every
+Q/Z search.  Row and column operations are recorded and replayed on
 vectors, so no dense transform matrices are ever materialized.
 
 "No solution" is a verdict (``None``), not an exception: the diagonal form
-fully decouples the system, so the verdict is definitive over the stated
-ring.  Over Q/Z it also comes with an integer certificate y, y^T A = 0 and
+fully decouples the system, and Q/Z is injective, so the verdict is
+definitive.  It comes with an integer certificate y, y^T A = 0 and
 y.b not in den*Z, that :func:`solve_qz_checked` checks against the rows
 before elimination.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import OrderedDict, namedtuple
-from math import gcd, lcm
+from math import lcm
 
 from .errors import VerificationFailed
 
@@ -36,10 +36,9 @@ QZ_MEMO_SIZE = 64
 class SparseElimination:
     """Diagonalize a sparse integer matrix by logged row/column operations.
 
-    Solves A x = b/den in Q/Z over an integral elimination, or A x = b
-    (mod m) when a modulus is given; the elimination is shared across
-    right-hand sides.  Column operations are replayed on coordinate vectors
-    instead of materializing the transform.
+    Solves A x = b/den in Q/Z; the elimination is shared across right-hand
+    sides.  Column operations are replayed on coordinate vectors instead of
+    materializing the transform.
 
     Pivot rule: the next pivot column is the one of least current fill,
     ties broken by the smaller column index, read from a lazy heap of
@@ -49,21 +48,17 @@ class SparseElimination:
     on how the heap is stored.
     """
 
-    def __init__(self, row_dicts, ncols, modulus=None):
-        if modulus is not None and modulus < 1:
-            raise ValueError("modulus must be positive")
+    # always integral; bench/tracer.py reads it to name an elimination
+    modulus = None
+
+    def __init__(self, row_dicts, ncols):
         self.ncols = ncols
-        self.modulus = modulus
-        self.rows = [dict(r) for r in row_dicts]
+        self.rows = [{c: v for c, v in r.items() if v} for r in row_dicts]
         self.nrows = len(self.rows)
         self.colrows = [set() for _ in range(ncols)]
         for r, row in enumerate(self.rows):
-            for c in list(row):
-                row[c] = self._red(row[c])
-                if row[c]:
-                    self.colrows[c].add(r)
-                else:
-                    del row[c]
+            for c in row:
+                self.colrows[c].add(r)
         self.row_ops = []  # ("a", i, j, q): row_i += q * row_j
         self.col_ops = []  # ("a", i, j, q): col_i += q * col_j
         self.pivots = []  # (row, col, value)
@@ -71,22 +66,12 @@ class SparseElimination:
         self.pivot_cols = set()
         self._done = False
 
-    # balanced residue, to keep magnitudes small in the modular case
-    def _red(self, v):
-        m = self.modulus
-        if m is None:
-            return v
-        v %= m
-        if 2 * v > m:
-            v -= m
-        return v
-
     def _row_add(self, i, j, q):
         """row_i += q * row_j."""
         self.row_ops.append((i, j, q))
         ri = self.rows[i]
         for c, v in self.rows[j].items():
-            nv = self._red(ri.get(c, 0) + q * v)
+            nv = ri.get(c, 0) + q * v
             if nv:
                 if c not in ri:
                     self.colrows[c].add(i)
@@ -100,7 +85,7 @@ class SparseElimination:
         self.col_ops.append((i, j, q))
         for r in list(self.colrows[j]):
             row = self.rows[r]
-            nv = self._red(row.get(i, 0) + q * row[j])
+            nv = row.get(i, 0) + q * row[j]
             if nv:
                 if i not in row:
                     self.colrows[i].add(r)
@@ -267,28 +252,8 @@ class SparseElimination:
 
     # -- solving ---------------------------------------------------------------
 
-    def solve(self, b):
-        """One solution of A x = b (mod m), or None."""
-        m = self.modulus
-        if m is None:
-            raise ValueError("solve needs a modulus; use solve_qz over Z")
-        self.eliminate()
-        bt = self.apply_row_ops(self.row_ops, b)
-        x = [0] * self.ncols
-        for r, c, d in self.pivots:
-            val = bt[r] % m
-            g = gcd(d % m, m)
-            if val % g:
-                return None
-            mm = m // g
-            x[c] = (val // g) * pow(d // g, -1, mm) % mm
-        for r in range(self.nrows):
-            if r not in self.pivot_rows and bt[r] % m:
-                return None
-        return [v % m for v in self.apply_col_ops(x)]
-
-    def solve_qz(self, b, den):
-        """Solve A x = b/den in (Q/Z)^rows for an integral elimination.
+    def solve(self, b, den):
+        """Solve A x = b/den in (Q/Z)^rows.
 
         Q/Z is injective, so with U A V = D the system is solvable iff
         (U b)_r = 0 (mod den) on every non-pivot row r.  Returns
@@ -301,8 +266,6 @@ class SparseElimination:
           the first non-pivot row r with (U b)_r != 0 (mod den): y^T A = 0
           and y.b != 0 (mod den).
         """
-        if self.modulus is not None:
-            raise ValueError("solve_qz needs an integral elimination")
         self.eliminate()
         bt = self.apply_row_ops(self.row_ops, b)
         for r in range(self.nrows):
@@ -325,24 +288,14 @@ class SparseElimination:
         return {k: v for k, v in y.items() if v}
 
     def kernel(self):
-        """Vectors spanning all solutions of A x = 0 over the ring."""
+        """A Z-basis of the integer solutions of A x = 0: V e_f for every
+        free column f."""
         self.eliminate()
-        m = self.modulus
         basis = []
         for f in self.free_cols:
             e = [0] * self.ncols
             e[f] = 1
-            v = self.apply_col_ops(e)
-            if m is not None:
-                v = [w % m for w in v]
-            basis.append(v)
-        if m is not None:
-            for r, c, d in self.pivots:
-                g = gcd(d % m, m)
-                if g > 1:
-                    e = [0] * self.ncols
-                    e[c] = m // g
-                    basis.append([w % m for w in self.apply_col_ops(e)])
+            basis.append(self.apply_col_ops(e))
         return basis
 
 
@@ -421,7 +374,7 @@ def solve_qz_checked(key, build, b, den):
     VerificationFailed.
     """
     # looked up per call: a replaced engine class gets entries of its own,
-    # and a hit calls the solve_qz its class has now
+    # and a hit calls the solve its class has now
     engine = SparseElimination
     rows = None
 
@@ -430,7 +383,7 @@ def solve_qz_checked(key, build, b, den):
         rows, ncols = build()
         return engine(rows, ncols).pack()
 
-    sol, y = _eliminations.get((engine, key), eliminate).solve_qz(b, den)
+    sol, y = _eliminations.get((engine, key), eliminate).solve(b, den)
     if sol is not None:
         return sol
     if rows is None:

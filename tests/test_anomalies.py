@@ -35,6 +35,7 @@ from dwkit.cochains import (
     cochain_vector,
     cohomology,
     delta_matrix_rows,
+    interval_pairing,
     is_cocycle,
     pullback,
     solve_coboundary,
@@ -42,7 +43,6 @@ from dwkit.cochains import (
 from dwkit.errors import (
     DegreeMismatch,
     InvalidCocycle,
-    NonCommuting,
     NotABoundaryPair,
     SectionNotValid,
 )
@@ -181,6 +181,34 @@ def z4_boundary_pair():
     return ext, omega_p, theta
 
 
+def order_sixteen_extension():
+    """A central extension of K4 = Z2^2 by K4 with trivial action whose
+    total group is non-abelian, with a centre of order 4 and 7
+    involutions, and is not the Pauli group."""
+    k4 = product_group([2, 2])
+    sigma = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 2, 3], [0, 1, 2, 3]]
+    alpha = [list(k4.elements()) for _ in k4.elements()]
+    return extension_from_cocycle(NonAbelianCocycle(k4, k4, alpha, sigma))
+
+
+def z2_extension(kernel, aut, s11):
+    """Z2 acting on the kernel by the involution ``aut``, with
+    sigma(1, 1) = s11."""
+    z2 = cyclic_group(2)
+    return extension_from_cocycle(NonAbelianCocycle(
+        z2, kernel, [list(kernel.elements()), aut], [[0, 0], [0, s11]]))
+
+
+def cohomology_classes(group, n):
+    """Every class of H^n(group; U(1)) as a sum of generator cocycles."""
+    coh = cohomology(group, n)
+    for coeffs in itertools.product(*map(range, coh.invariant_factors)):
+        omega = Cochain.zero(group, n)
+        for k, gen in zip(coeffs, coh.generators):
+            omega = omega + k * gen
+        yield omega
+
+
 # --------------------------------------------------------------------------
 # cocycle data and round trips
 
@@ -267,6 +295,86 @@ def test_first_obstruction_fails_for_doubling():
     assert report.invariant_class and not report.first_obstruction_trivial
 
 
+def first_obstruction_oracle(ext, omega, phis):
+    """Brute-force reference for is_first_obstruction_trivial.
+
+    Works in the class coordinates of H^{n-1}(D) = sum of Z/slot_j: tries
+    every correction Phi_g -> Phi_g + x_g (g != 1) by a class vector x_g
+    and decides [U] + delta_G x = 0 pair by pair, with the G-action on
+    classes read off by classify.  No linear system is solved.
+    """
+    g_grp, d_grp, ghat, s = ext.quotient, ext.kernel, ext.total, ext.section
+    inv, mul = g_grp.inverses, g_grp.mul
+    coh = cohomology(d_grp, omega.degree - 1)
+    slots = coh.invariant_factors
+    ident = GroupHom.identity(d_grp)
+
+    def sigma(a, b):
+        return ext.iota_inverse(
+            ghat.word([s[a], s[b], ghat.inverses[s[mul(a, b)]]]))
+
+    act = {g: [coh.classify(pullback(ext.action(g), gen))
+               for gen in coh.generators] for g in g_grp.elements()}
+    u = {}
+    for g1, g2 in itertools.product(g_grp.elements(), repeat=2):
+        i1, i2 = inv[g1], inv[g2]
+        u[g1, g2] = coh.classify(
+            phis[i1] + pullback(ext.action(g1), phis[i2])
+            - phis[inv[mul(g1, g2)]]
+            + interval_pairing(omega, sigma(i1, i2), ident))
+
+    def acted(g, v):
+        return [sum(v[j] * act[g][j][i] for j in range(len(slots)))
+                for i in range(len(slots))]
+
+    non_id = g_grp.nonidentity()
+    classes = list(itertools.product(*map(range, slots)))
+    for xs in itertools.product(classes, repeat=len(non_id)):
+        x = dict(zip(non_id, xs))
+        x[g_grp.identity] = (0,) * len(slots)
+        if all((u[g1, g2][i] + x[inv[g1]][i] + acted(g1, x[inv[g2]])[i]
+                - x[inv[mul(g1, g2)]][i]) % slot == 0
+               for g1, g2 in u for i, slot in enumerate(slots)):
+            return True
+    return False
+
+
+def test_first_obstruction_matches_brute_force_oracle(monkeypatch):
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    rng = random.Random(11)
+    cases = [
+        (doubling_extension(2), w1),
+        (d8_in_pauli_extension(), catalog_cocycle("dihedral8_2cocycle", {})),
+        (klein_in_d8_extension(), w1 + coboundary(
+            random_cochain(product_group([2, 2]), 1, 2, rng))),
+    ]
+    for ext in (z2_in_z4_extension(), z4_in_z16_extension(3, 3)):
+        cases += [(ext, omega) for omega in cohomology_classes(ext.kernel, 3)]
+    ext = order_sixteen_extension()
+    cases += [(ext, omega)
+              for omega in itertools.islice(cohomology_classes(ext.kernel, 3), 1, None)]
+    # the action decides these: Z2 inverts Z4 inside Q8, and swaps two
+    # elements of K4 inside D8 = K4 x| Z2
+    q8 = z2_extension(cyclic_group(4), [0, 3, 2, 1], 2)
+    cases += [(q8, omega) for omega in cohomology_classes(q8.kernel, 3)]
+    cases.append((z2_extension(product_group([2, 2]), [0, 1, 3, 2], 0), w1))
+    assert len(cases) == 3 + 2 + 3 + 7 + 4 + 1
+
+    def forbidden(*_args):
+        raise AssertionError("the oracle must not solve a linear system")
+
+    verdicts = []
+    for ext, omega in cases:
+        ok, phis = is_invariant_class(ext, omega)
+        assert ok
+        got, _ = is_first_obstruction_trivial(ext, omega, phis)
+        with monkeypatch.context() as mp:
+            mp.setattr(SparseElimination, "solve", forbidden)
+            assert first_obstruction_oracle(ext, omega, phis) == got
+        verdicts.append(got)
+    assert verdicts == [False, False] + [True] * 18
+
+
 def test_anomaly_report_rejects_degree_one():
     with pytest.raises(DegreeMismatch, match="deg omega >= 2"):
         anomaly_report(center_of_d8_extension(), center_sign_character())
@@ -351,18 +459,15 @@ def test_warm_searches_equal_cold_ones(monkeypatch):
     monkeypatch.setattr(cochains, "solve_qz_checked", recording)
     cases = []
     for ext, n in ((doubling_extension(2), 2), (z4_in_z16_extension(4, 2), 3)):
-        coh = cohomology(ext.kernel, n)
-        for coeffs in itertools.product(*map(range, coh.invariant_factors)):
-            omega = Cochain.zero(ext.kernel, n)
-            for k, gen in zip(coeffs, coh.generators):
-                omega = omega + k * gen
-            cases.append((ext, omega))
+        cases += [(ext, omega) for omega in cohomology_classes(ext.kernel, n)]
     assert len(cases) == 2 + 4
 
     def one_round():
         return [_exact((anomaly_report(ext, omega),
                         find_closed_lift(ext, omega),
-                        find_boundary_pair(ext, omega)))
+                        find_boundary_pair(ext, omega),
+                        is_first_obstruction_trivial(
+                            ext, omega, is_invariant_class(ext, omega)[1])))
                 for ext, omega in cases]
 
     solve_qz_checked.cache_clear()
@@ -374,6 +479,7 @@ def test_warm_searches_equal_cold_ones(monkeypatch):
     assert [r[0][-1] for r in first] == [
         "anomaly_free", "first_obstruction_fails"] + ["anomaly_free"] * 4
     assert [r[2] is None for r in first] == [False, True] + [False] * 4
+    assert [r[3][0] for r in first] == [True, False] + [True] * 4
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +568,7 @@ def test_relative_partition_empty_fibre_is_zero():
 
 def test_relative_partition_input_validation():
     ext, omega_p, theta = z4_boundary_pair()
-    with pytest.raises(NonCommuting):
+    with pytest.raises(DegreeMismatch, match="2-tuple .*got length 1"):
         relative_partition_torus(ext, omega_p, theta, (0,))
     with pytest.raises(NotABoundaryPair):
         relative_partition_torus(ext, omega_p, Cochain.zero(ext.quotient, 3, 1), (0, 0))
@@ -550,18 +656,30 @@ def test_type_three_transgression_is_not_loop_exact():
 
 
 def solvable_on_all_rows(y):
-    """Whether delta x = y is solvable on the full row set (no generator
-    restriction), over Z/M with M = den * |G| (|G| kills the cohomology of
-    G): a reference independent of solve_coboundary's Q/Z solve."""
+    """Whether delta x = y is solvable over Q/Z on the full row set (no
+    generator restriction): a reference for solve_coboundary's solve on
+    generator-led rows.  The engine's answer is checked on every row: a
+    solution satisfies each one, a certificate annihilates them all and
+    separates y."""
     g, n, loops = y.group, y.degree, y.loops
     den = y.denominator()
-    m_work = den * g.order
     index, index_n = TupleIndex(g, n - 1, loops), TupleIndex(g, n, loops)
     tuples, rows = delta_matrix_rows(g, n - 1, index=index)
     yvec = cochain_vector(y, index_n, scale_to=den)
-    rhs = [m_work // den * yvec[index_n.index(t)] for t in tuples]
-    elim = SparseElimination(rows, index.size, modulus=m_work)
-    return elim.solve(rhs) is not None
+    rhs = [yvec[index_n.index(t)] for t in tuples]
+    sol, cert = SparseElimination(rows, index.size).solve(rhs, den)
+    if sol is not None:
+        x, m = sol
+        assert all((sum(v * x[c] for c, v in row.items()) * den - b * m)
+                   % (m * den) == 0 for row, b in zip(rows, rhs))
+        return True
+    acc = {}
+    for r, v in cert.items():
+        for c, a in rows[r].items():
+            acc[c] = acc.get(c, 0) + v * a
+    assert not any(acc.values())
+    assert sum(v * rhs[r] for r, v in cert.items()) % den
+    return False
 
 
 def test_generator_rows_decide_loop_coboundaries():
@@ -597,8 +715,8 @@ from dwkit.errors import VerificationFailed
 from dwkit.groups import cyclic_group, GroupHom
 
 class WrongSolution(L.SparseElimination):
-    def solve_qz(self, b, den):
-        sol, y = super().solve_qz(b, den)
+    def solve(self, b, den):
+        sol, y = super().solve(b, den)
         if sol is None:
             return sol, y
         x, m = sol
@@ -659,7 +777,7 @@ print(sys.flags.optimize)
 print([f() is not None for f in searches])
 for forged in ({0: 1}, {}):
     class Forged(L.SparseElimination):
-        def solve_qz(self, b, den):
+        def solve(self, b, den):
             return None, dict(forged)
 
     L.SparseElimination = Forged
@@ -692,8 +810,8 @@ from dwkit.groups import cyclic_group
 from dwkit.phase import PhaseValue
 
 class WrongSolution(L.SparseElimination):
-    def solve_qz(self, b, den):
-        sol, y = super().solve_qz(b, den)
+    def solve(self, b, den):
+        sol, y = super().solve(b, den)
         if sol is None:
             return sol, y
         x, m = sol
@@ -715,16 +833,20 @@ def test_wrong_primitive_fails_verification_under_optimize():
     ]
 
 
-# the three searches warm the memo of eliminated systems, then the engine's
-# solve_qz is replaced on the class itself, so every later call is a memo
-# hit that must still go through the forged engine and fail its checks
+# the four searches warm the memo of eliminated systems, then the engine's
+# solve is replaced on the class itself, so every later call is a memo
+# hit that must still go through the forged engine and fail its checks; the
+# first obstruction of the Z2^2 in Z4^2 doubling has no solution, so a
+# wrong solution cannot reach it, but a forged certificate must fail
 _WARM_MEMO_FORGERY_RUN = """
 import sys
 import dwkit.anomalies as A
 import dwkit.linalg as L
-from dwkit.cochains import Cochain, coboundary, solve_coboundary
+from dwkit.cochains import Cochain, catalog_cocycle, coboundary, solve_coboundary
 from dwkit.errors import VerificationFailed
-from dwkit.groups import cyclic_group, GroupHom
+from dwkit.groups import (
+    GroupHom, cyclic_group, product_digits, product_group, product_index,
+)
 from dwkit.phase import PhaseValue
 
 z2, z4 = cyclic_group(2), cyclic_group(4)
@@ -733,18 +855,32 @@ lam = GroupHom(z4, z2, [0, 1, 0, 1])
 ext = A.Extension(z2, z4, z2, iota, lam, A.find_section(lam))
 omega = Cochain.zero(z2, 2, 2)
 exact = coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
+k4, z4sq = product_group([2, 2]), product_group([4, 4])
+double = GroupHom(k4, z4sq, [
+    product_index([4, 4], [2 * a for a in product_digits([2, 2], x)])
+    for x in k4.elements()])
+halve = GroupHom(z4sq, k4, [
+    product_index([2, 2], [a % 2 for a in product_digits([4, 4], x)])
+    for x in z4sq.elements()])
+doubling = A.Extension(k4, z4sq, k4, double, halve, A.find_section(halve))
+w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+_ok, phis = A.is_invariant_class(doubling, w1)
 searches = (
     lambda: A.find_closed_lift(ext, omega),
     lambda: A.find_boundary_pair(ext, omega),
     lambda: solve_coboundary(exact),
+    lambda: A.is_first_obstruction_trivial(doubling, w1, phis)[1],
 )
 print(sys.flags.optimize)
 print([f() is not None for f in searches])
 print(tuple(L.solve_qz_checked.cache_info()[:2]))
-honest = L.SparseElimination.solve_qz
+honest = L.SparseElimination.solve
 
 def wrong(self, b, den):
-    (x, m), _y = honest(self, b, den)
+    sol, y = honest(self, b, den)
+    if sol is None:
+        return sol, y
+    x, m = sol
     return ([2 * v + 1 for v in x], 2 * m), None
 
 forgeries = (
@@ -753,7 +889,7 @@ forgeries = (
     wrong,
 )
 for forged in forgeries:
-    L.SparseElimination.solve_qz = forged
+    L.SparseElimination.solve = forged
     for f in searches:
         try:
             f()
@@ -767,12 +903,54 @@ print(tuple(L.solve_qz_checked.cache_info()[:2]))
 
 def test_forged_engine_fails_verification_on_memo_hits_under_optimize():
     out = _run_optimized(_WARM_MEMO_FORGERY_RUN)
-    assert out[:3] == ["1", "[True, True, True]", "(0, 3)"]
-    assert out[3:6] == ["certificate must annihilate the rows"] * 3
-    assert out[6:9] == ["certificate must separate the right-hand side"] * 3
-    assert out[9:] == [
+    assert out[:3] == ["1", "[True, True, True, False]", "(0, 4)"]
+    assert out[3:7] == ["certificate must annihilate the rows"] * 4
+    assert out[7:11] == ["certificate must separate the right-hand side"] * 4
+    assert out[11:] == [
         "solver output must be closed",
         "solver output must restrict to omega",
         "solver output must have coboundary y",
-        "(9, 3)",
+        "no error",
+        "(12, 4)",
+    ]
+
+
+# a Q/Z solver whose solution is off by 1/(2m) in every coordinate; the
+# first-obstruction search must re-verify its corrected family when
+# python -O strips every assert (Phi is found with the honest engine)
+_WRONG_CORRECTION_RUN = """
+import sys
+import dwkit.anomalies as A
+import dwkit.linalg as L
+from dwkit.cochains import catalog_cocycle
+from dwkit.errors import VerificationFailed
+from dwkit.groups import cyclic_group, GroupHom
+
+class WrongSolution(L.SparseElimination):
+    def solve(self, b, den):
+        sol, y = super().solve(b, den)
+        if sol is None:
+            return sol, y
+        x, m = sol
+        return ([2 * v + 1 for v in x], 2 * m), None
+
+print(sys.flags.optimize)
+z2, z4 = cyclic_group(2), cyclic_group(4)
+iota = GroupHom(z2, z4, [0, 2])
+lam = GroupHom(z4, z2, [0, 1, 0, 1])
+ext = A.Extension(z2, z4, z2, iota, lam, A.find_section(lam))
+omega = catalog_cocycle("cyclic_3cocycle", {"N": 2, "k": 1})
+_ok, phis = A.is_invariant_class(ext, omega)
+print(A.is_first_obstruction_trivial(ext, omega, phis)[0])
+L.SparseElimination = WrongSolution
+try:
+    print(A.is_first_obstruction_trivial(ext, omega, phis)[0])
+except VerificationFailed as exc:
+    print(exc)
+"""
+
+
+def test_wrong_first_obstruction_correction_fails_verification_under_optimize():
+    assert _run_optimized(_WRONG_CORRECTION_RUN) == [
+        "1", "True", "corrected obstruction must be delta b",
     ]
