@@ -606,9 +606,7 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
             val = val + evaluate(cyl, torus_fundamental_cycle(g_grp, down))
         return val.reduced()
 
-    # an empty fibre integrates to 0, the empty phase sum
-    weights = integrate(fibre, integrand) if fibre.objects() else {}
-    total = ExactPhaseSum.from_weights(weights)
+    total = ExactPhaseSum.from_weights(integrate(fibre, integrand, empty={}))
     return TorusPartition(total.as_rational(), total)
 
 

@@ -8,6 +8,13 @@ action on states.
 No floating point: sums of phases are carried as integer vectors indexed by
 residues mod M (elements of the group ring Z[Z_M]) and collapsed by exact
 reduction modulo the M-th cyclotomic polynomial.
+
+The torus sums and circle transgression run on integer numerators at the
+cocycle's modulus M: each value is read once as numerator * (M / its
+modulus), terms are added as ints, and a PhaseValue is built only at the
+boundary, for each distinct residue of a sum and each nonzero transgressed
+value.  ``torus_fundamental_cycle`` and ``evaluate`` in ``dwkit.cochains``
+remain the chain-level reference these sums agree with.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import factorial, lcm
+from operator import itemgetter
 
 from .cochains import (
     Cochain,
+    _signed_permutations,
     coboundary_agrees,
     evaluate,
     is_cocycle,
@@ -140,15 +149,48 @@ def _check_group(group, cochain):
         raise ValueError("cocycle lives on a different group")
 
 
-def _phase_average(group, phases, what):
-    """(1/|G|) * the sum of ``phases``, checked to be a nonnegative integer.
+def _numerators(theta):
+    """theta's values as integer numerators at theta.modulus."""
+    m = theta.modulus
+    return {t: v.numerator * (m // v.modulus) for t, v in theta.values.items()}
 
-    Each phase is counted as an integer and every count divided by |G| once.
+
+def _torus_residues(theta, tuples):
+    """Counter {r: how many of the commuting ``tuples`` t have
+    <theta, [T^n_t]> = r / theta.modulus}.
+
+    The torus cycle of t is the sum over permutations s of
+    sign(s) (t_s(1), ..., t_s(n)), so each tuple costs n! integer lookups;
+    it agrees with ``evaluate(theta, torus_fundamental_cycle(G, t))``.
     """
-    counts = Counter(phases)
-    total = ExactPhaseSum.from_weights(
-        {p: Fraction(c, group.order) for p, c in counts.items()}
-    )
+    if theta.is_zero():
+        return Counter({0: len(tuples)})
+    m = theta.modulus
+    get = _numerators(theta).get
+    if theta.degree == 1:
+        # itemgetter of one index returns the entry, not a 1-tuple
+        return Counter(get(t, 0) for t in tuples)
+    plus, minus = [], []
+    for sign, perm in _signed_permutations(theta.degree):
+        (plus if sign > 0 else minus).append(itemgetter(*perm))
+    out = Counter()
+    for t in tuples:
+        acc = 0
+        for p in plus:
+            acc += get(p(t), 0)
+        for p in minus:
+            acc -= get(p(t), 0)
+        out[acc % m] += 1
+    return out
+
+
+def _phase_average(group, residues, modulus, what):
+    """(1/|G|) * the sum of the phases r/modulus counted by ``residues``,
+    checked to be a nonnegative integer."""
+    total = ExactPhaseSum.from_weights({
+        PhaseValue(r, modulus): Fraction(c, group.order)
+        for r, c in residues.items()
+    })
     value = total.as_rational()
     if value is None or value < 0 or value.denominator != 1:
         raise VerificationFailed(f"{what} must be a nonnegative integer")
@@ -169,23 +211,26 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
         raise DegreeMismatch("torus dimension must be >= 1")
     if not is_cocycle(theta):
         raise NotACocycle("dw_partition_torus needs a cocycle")
+    return _partition_torus(group, theta, n)
+
+
+def _partition_torus(group, theta, n):
+    """dw_partition_torus without the input checks."""
     tuples = gauge_groupoid(group, n).objects()
     terms = len(tuples) * factorial(n)
     if terms > TORUS_TERM_BUDGET:
         raise BudgetExceeded(f"torus cycle terms for T^{n}", terms,
                              TORUS_TERM_BUDGET)
-    return _phase_average(
-        group,
-        (evaluate(theta, torus_fundamental_cycle(group, t)) for t in tuples),
-        "partition sum of a cocycle",
-    )
+    return _phase_average(group, _torus_residues(theta, tuples),
+                          theta.modulus, "partition sum of a cocycle")
 
 
 def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
     """Number of irreducible omega-twisted representations of G.
 
     Computed as (1/|G|) * sum over commuting pairs of
-    omega(h,g) - omega(g,h).
+    omega(h,g) - omega(g,h); swapping the pair shows this is the 2-torus
+    sum of omega.
     """
     _check_group(group, omega)
     if omega.degree != 2:
@@ -194,10 +239,8 @@ def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
         raise NotACocycle("twisted_irrep_count needs a cocycle")
     return int(_phase_average(
         group,
-        (
-            omega.value((h, g)) - omega.value((g, h))
-            for (g, h) in gauge_groupoid(group, 2).objects()
-        ),
+        _torus_residues(omega, gauge_groupoid(group, 2).objects()),
+        omega.modulus,
         "twisted representation count",
     ))
 
@@ -249,25 +292,27 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
     if degree < 1:
         raise DegreeMismatch("transgression needs degree >= 1")
     g = theta.group
+    m = theta.modulus
+    get = _numerators(theta).get
+    table, inverses = g.table, g.inverses
     vals = {}
     non_id = g.nonidentity()
     for base in gauge_groupoid(g, theta.loops + 1).objects():
         phi, loop = base[:-1], base[-1]
         for args in iter_product(non_id, repeat=degree - 1):
-            acc = PhaseValue.zero(theta.modulus)
+            acc = 0
             sign = 1
             carried = loop
             for i in range(degree):
-                acc = acc + sign * theta.value(
-                    phi + args[:i] + (carried,) + args[i:]
-                )
+                acc += sign * get(phi + args[:i] + (carried,) + args[i:], 0)
                 sign = -sign
                 if i < degree - 1:
                     x = args[i]
-                    carried = g.mul(g.mul(g.inverses[x], carried), x)
-            if not acc.is_zero():
-                vals[base + args] = acc
-    return Cochain(g, degree - 1, theta.modulus, vals, theta.loops + 1)
+                    carried = table[table[inverses[x]][carried]][x]
+            acc %= m
+            if acc:
+                vals[base + args] = PhaseValue(acc, m)
+    return Cochain(g, degree - 1, m, vals, theta.loops + 1)
 
 
 def transgress_torus(theta: Cochain, times=None, check=True) -> Cochain:
@@ -371,14 +416,15 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
     n = theta.degree
     if n < 2:
         raise DegreeMismatch("state spaces need degree >= 2")
+    _check_group(group, theta)
     if not is_cocycle(theta):
         raise NotACocycle("state_space_torus needs a cocycle")
     k = n - 1
-    bundle = transgress_torus(theta, n - 1)
+    bundle = transgress_torus(theta, n - 1, check=False)
     basis = flat_basis(
         gauge_groupoid(group, k), lambda x, y: bundle.value(x + (y,))
     )
-    dim = dw_partition_torus(group, theta, n).value
+    dim = _partition_torus(group, theta, n).value
     if dim != len(basis):
         raise VerificationFailed(
             "section count must match the partition function"

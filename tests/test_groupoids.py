@@ -153,6 +153,21 @@ def test_integrate_phase_values():
     }
 
 
+def test_integrate_empty_groupoid_is_the_empty_phase_sum():
+    z2 = cyclic_group(2)
+    empty = FinGroupoid(z2, (), lambda k, x: x)
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return PhaseValue(1, 2)
+
+    assert integrate(empty, f, empty={}) == {}
+    assert integrate(empty, lambda x: 1) == Fraction(0)
+    assert calls == []
+    assert cardinality(empty) == 0
+
+
 def test_cavalieri_along_reduction():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     hom = GroupHom(z4, z2, [0, 1, 0, 1])

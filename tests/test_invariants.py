@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd
@@ -23,8 +24,10 @@ from dwkit.groupoids import gauge_groupoid
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
+    dihedral_exponents,
     dihedral_group,
     pauli_group,
+    product_digits,
     product_group,
     product_index,
 )
@@ -42,6 +45,7 @@ from dwkit.invariants import (
     twisted_irrep_count,
 )
 from dwkit.anomalies import Extension, find_closed_lift, find_section
+from dwkit.io import loop_cochain_json
 from dwkit.phase import PhaseValue
 
 
@@ -162,6 +166,74 @@ def test_partition_rejects_bad_input():
 
 
 # --------------------------------------------------------------------------
+# the integer torus kernels against the chain-level reference
+
+
+def torus_reference_sum(group, theta, n):
+    """Z(T^n)'s phase sum from evaluate on each shuffle cycle."""
+    phases = Counter(
+        evaluate(theta, torus_fundamental_cycle(group, t))
+        for t in gauge_groupoid(group, n).objects()
+    )
+    return ExactPhaseSum.from_weights(
+        {p: Fraction(c, group.order) for p, c in phases.items()}
+    )
+
+
+def kernel_classes():
+    """(group, n, cocycles): cohomology generators where they are cheap to
+    compute, else classes pulled back from K4 (H^4(S3; U(1)) = 0)."""
+    z4, k4, s3 = cyclic_group(4), product_group([2, 2]), dihedral_group(6)
+    d8, z2_3 = dihedral_group(8), product_group([2, 2, 2])
+    # D8 -> D8/Z(D8) = K4, a^i b^j -> (i mod 2, j); Z2^3 -> Z2^2 drops a digit
+    d8_onto = [(i % 2, j) for i, j in
+               (dihedral_exponents(8, x) for x in d8.elements())]
+    z2_3_onto = [product_digits([2, 2, 2], x)[:2] for x in z2_3.elements()]
+
+    def gens(group, n):
+        return list(cohomology(group, n).generators)
+
+    def from_klein(group, digits, n):
+        onto = GroupHom(group, k4, [product_index([2, 2], d) for d in digits])
+        return [pullback(onto, gens(k4, n)[0])]
+
+    cases = [(grp, n, gens(grp, n)) for grp in (z4, k4) for n in (1, 2, 3, 4)]
+    cases += [(s3, n, gens(s3, n)) for n in (1, 2, 3)] + [(s3, 4, [])]
+    cases += [(d8, n, gens(d8, n)) for n in (1, 2, 3)]
+    cases += [(d8, 4, from_klein(d8, d8_onto, 4))]
+    cases += [(z2_3, n, gens(z2_3, n)) for n in (1, 2)]
+    cases += [(z2_3, 3, [type_three_cocycle()] + from_klein(z2_3, z2_3_onto, 3))]
+    cases += [(z2_3, 4, from_klein(z2_3, z2_3_onto, 4))]
+    cases += [(pauli_group(), n, gens(pauli_group(), n)) for n in (1, 2)]
+    return cases
+
+
+def shifted_cocycles(group, n, classes, rng):
+    """Each class and zero shifted by a random coboundary, once as it is
+    and once declared at twice its modulus, so that every value's reduced
+    modulus properly divides the cochain's."""
+    out = []
+    for omega in [Cochain.zero(group, n)] + classes:
+        mod = 2 * omega.modulus
+        shifted = omega + coboundary(random_cochain(group, n - 1, mod, rng))
+        out += [shifted, Cochain(group, n, 2 * shifted.modulus, shifted.values)]
+    return out
+
+
+def test_partition_kernel_matches_evaluated_torus_cycles():
+    rng = random.Random(41)
+    for group, n, classes in kernel_classes():
+        for theta in shifted_cocycles(group, n, classes, rng):
+            want = torus_reference_sum(group, theta, n)
+            got = dw_partition_torus(group, theta, n)
+            assert got.phase_sum.counts == want.counts
+            assert got.phase_sum.modulus == want.modulus
+            assert got.value == want.as_rational()
+            if n == 2:
+                assert twisted_irrep_count(group, theta) == got.value
+
+
+# --------------------------------------------------------------------------
 # twisted representation counts
 
 
@@ -249,6 +321,53 @@ def test_transgress_torus_counts_iterations():
     for times in range(1, theta.degree + 1):
         out = transgress_torus(theta, times)
         assert (out.loops, out.degree) == (times, theta.degree - times)
+
+
+def reference_transgress_circle(theta):
+    """Circle transgression in PhaseValue arithmetic, term by term; an
+    independent reference for transgress_circle."""
+    g, k = theta.group, theta.degree
+    vals = {}
+    for base in gauge_groupoid(g, theta.loops + 1).objects():
+        phi, loop = base[:-1], base[-1]
+        for args in iter_product(g.nonidentity(), repeat=k - 1):
+            acc = PhaseValue.zero(theta.modulus)
+            sign = 1
+            carried = loop
+            for i in range(k):
+                acc = acc + sign * theta.value(
+                    phi + args[:i] + (carried,) + args[i:]
+                )
+                sign = -sign
+                if i < k - 1:
+                    x = args[i]
+                    carried = g.mul(g.mul(g.inverses[x], carried), x)
+            if not acc.is_zero():
+                vals[base + args] = acc
+    return Cochain(g, k - 1, theta.modulus, vals, theta.loops + 1)
+
+
+def gens(group, n):
+    return list(cohomology(group, n).generators)
+
+
+def test_transgression_kernel_matches_reference_loop():
+    rng = random.Random(43)
+    inputs = []
+    for group in (cyclic_group(4), product_group([2, 2]), dihedral_group(6),
+                  dihedral_group(8)):
+        for theta in shifted_cocycles(group, 3, gens(group, 3), rng):
+            inputs += [theta, transgress_circle(theta),
+                       transgress_torus(theta, 2)]
+        for loops in (0, 1, 2):
+            for degree in (1, 2, 3):
+                inputs.append(random_cochain(group, degree, 4, rng, loops=loops))
+    assert {c.loops for c in inputs} == {0, 1, 2}
+    for c in inputs:
+        got = transgress_circle(c, check=False)
+        want = reference_transgress_circle(c)
+        assert loop_cochain_json(got) == loop_cochain_json(want)
+        assert list(got.values) == list(want.values)
 
 
 def dpr_reference(theta, g, x, y):
