@@ -180,6 +180,10 @@ def torus_reference_sum(group, theta, n):
     )
 
 
+def gens(group, n):
+    return list(cohomology(group, n).generators)
+
+
 def kernel_classes():
     """(group, n, cocycles): cohomology generators where they are cheap to
     compute, else classes pulled back from K4 (H^4(S3; U(1)) = 0)."""
@@ -189,9 +193,6 @@ def kernel_classes():
     d8_onto = [(i % 2, j) for i, j in
                (dihedral_exponents(8, x) for x in d8.elements())]
     z2_3_onto = [product_digits([2, 2, 2], x)[:2] for x in z2_3.elements()]
-
-    def gens(group, n):
-        return list(cohomology(group, n).generators)
 
     def from_klein(group, digits, n):
         onto = GroupHom(group, k4, [product_index([2, 2], d) for d in digits])
@@ -345,10 +346,6 @@ def reference_transgress_circle(theta):
             if not acc.is_zero():
                 vals[base + args] = acc
     return Cochain(g, k - 1, theta.modulus, vals, theta.loops + 1)
-
-
-def gens(group, n):
-    return list(cohomology(group, n).generators)
 
 
 def test_transgression_kernel_matches_reference_loop():
