@@ -606,7 +606,9 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
             val = val + evaluate(cyl, torus_fundamental_cycle(g_grp, down))
         return val.reduced()
 
-    total = ExactPhaseSum.from_weights(integrate(fibre, integrand, empty={}))
+    # an empty fibre integrates to 0, the empty phase sum
+    weights = integrate(fibre, integrand) if fibre.objects() else {}
+    total = ExactPhaseSum.from_weights(weights)
     return TorusPartition(total.as_rational(), total)
 
 

@@ -146,18 +146,14 @@ def cardinality(groupoid: FinGroupoid) -> Fraction:
     return total
 
 
-def integrate(groupoid: FinGroupoid, f, *, empty=Fraction(0)):
+def integrate(groupoid: FinGroupoid, f):
     """Integrate f over the groupoid: sum of f(x)/|Aut(x)| over classes.
 
     f must be constant on isomorphism classes (verified; a violating
     morphism is reported otherwise).  If f takes values in PhaseValue the
     result is a dict mapping reduced phases to rational weights; otherwise
-    a single Fraction.  A groupoid with no objects never calls f, so it
-    cannot tell the two apart: it integrates to ``empty``, which a
-    phase-valued caller sets to the empty phase sum {}.
+    a single Fraction.
     """
-    if not groupoid.objects():
-        return empty
     phase_weights = {}
     rational_total = Fraction(0)
     saw_phase = False

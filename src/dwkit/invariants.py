@@ -163,8 +163,6 @@ def _torus_residues(theta, tuples):
     sign(s) (t_s(1), ..., t_s(n)), so each tuple costs n! integer lookups;
     it agrees with ``evaluate(theta, torus_fundamental_cycle(G, t))``.
     """
-    if theta.is_zero():
-        return Counter({0: len(tuples)})
     m = theta.modulus
     get = _numerators(theta).get
     if theta.degree == 1:

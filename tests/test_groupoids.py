@@ -153,17 +153,16 @@ def test_integrate_phase_values():
     }
 
 
-def test_integrate_empty_groupoid_is_the_empty_phase_sum():
+def test_integrate_empty_groupoid_is_zero():
     z2 = cyclic_group(2)
     empty = FinGroupoid(z2, (), lambda k, x: x)
     calls = []
 
     def f(x):
         calls.append(x)
-        return PhaseValue(1, 2)
+        return 1
 
-    assert integrate(empty, f, empty={}) == {}
-    assert integrate(empty, lambda x: 1) == Fraction(0)
+    assert integrate(empty, f) == Fraction(0)
     assert calls == []
     assert cardinality(empty) == 0
 
