@@ -153,20 +153,6 @@ def test_integrate_phase_values():
     }
 
 
-def test_integrate_empty_groupoid_is_zero():
-    z2 = cyclic_group(2)
-    empty = FinGroupoid(z2, (), lambda k, x: x)
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return 1
-
-    assert integrate(empty, f) == Fraction(0)
-    assert calls == []
-    assert cardinality(empty) == 0
-
-
 def test_cavalieri_along_reduction():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     hom = GroupHom(z4, z2, [0, 1, 0, 1])
