@@ -236,39 +236,6 @@ def cocycle_from_extension(ext: Extension) -> NonAbelianCocycle:
     return NonAbelianCocycle(g_grp, d_grp, alpha, sigma)
 
 
-def extension_round_trip_iso(ext: Extension) -> GroupHom:
-    """The canonical equivalence from ext to its cocycle reconstruction.
-
-    Sends x to (lambda(x), iota^{-1}(x * s(lambda(x))^{-1})); verified to be
-    an isomorphism commuting with iota and lambda.
-    """
-    rebuilt = extension_from_cocycle(cocycle_from_extension(ext))
-    ghat, g_grp, d_grp = ext.total, ext.quotient, ext.kernel
-    dn = d_grp.order
-    mapping = []
-    for x in ghat.elements():
-        g = ext.lam(x)
-        d = ext.iota_inverse(ghat.mul(x, ghat.inverses[ext.section[g]]))
-        mapping.append(g * dn + d)
-    phi = GroupHom(ghat, rebuilt.total, mapping)
-    if not phi.is_injective():
-        raise VerificationFailed("round-trip map must be an isomorphism")
-    if any(phi(ext.iota(d)) != rebuilt.iota(d) for d in d_grp.elements()):
-        raise VerificationFailed("round-trip map must commute with iota")
-    if any(rebuilt.lam(phi(x)) != ext.lam(x) for x in ghat.elements()):
-        raise VerificationFailed("round-trip map must commute with lambda")
-    return phi
-
-
-def direct_product_extension(d_grp: FiniteGroup, g_grp: FiniteGroup) -> Extension:
-    """The split extension with trivial action: Ghat = D x G."""
-    alpha = [list(d_grp.elements()) for _ in g_grp.elements()]
-    sigma = [[d_grp.identity] * g_grp.order for _ in g_grp.elements()]
-    return extension_from_cocycle(
-        NonAbelianCocycle(g_grp, d_grp, alpha, sigma, check=False)
-    )
-
-
 # ---------------------------------------------------------------------------
 # obstruction searches
 
@@ -401,7 +368,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
         b = vector_cochain(d_grp, n - 2, x[off:off + idx_b.size], m,
                            index=idx_b)
         u = obstruction(corrected, p)
-        if not (is_cocycle(u) and coboundary_agrees(b, u, idx_b)):
+        if not (is_cocycle(u) and coboundary_agrees(b, u)):
             raise VerificationFailed("corrected obstruction must be delta b")
     return True, corrected
 

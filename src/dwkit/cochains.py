@@ -24,14 +24,19 @@ with c~ integral.  Then delta c = 0 iff delta c~ = 0 mod den, and
 delta c~ mod den is a Z/den-cocycle (delta delta c~ = 0 over Z).  Hence
 ``is_cocycle`` reads delta c~ mod den on the generator-led tuples only.  The
 same holds for delta c = y with y closed, since delta c - y is then a cocycle
-(``coboundary_agrees``); only ``coboundary`` builds every tuple.
+(``coboundary_agrees``); only ``coboundary`` builds every tuple.  The faces of
+the generator-led tuples depend only on (group, degree, loops), so their
+column indices are kept per key as integer arrays and each check is a signed
+sum of gathers from c~.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import (
     BudgetExceeded,
@@ -41,7 +46,7 @@ from .errors import (
     UnknownFamily,
     VerificationFailed,
 )
-from .groupoids import gauge_groupoid
+from .groupoids import COHOMOLOGY_MEMO_SIZE, gauge_groupoid
 from .groups import (
     FiniteGroup,
     GroupHom,
@@ -55,8 +60,6 @@ from .linalg import SparseElimination, solve_qz_checked
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
-# (group, degree) results that cohomology() keeps in-process
-COHOMOLOGY_MEMO_SIZE = 64
 
 
 # -- cochains ----------------------------------------------------------------
@@ -177,10 +180,7 @@ class Cochain:
 
     def denominator(self):
         """lcm of the reduced denominators of all values (1 if zero)."""
-        d = 1
-        for v in self.values.values():
-            d = lcm(d, v.reduced().modulus)
-        return d
+        return lcm(*{v.modulus for v in self.values.values()})
 
     def __repr__(self):
         return (
@@ -195,21 +195,16 @@ def all_tuples(group, n):
 
 
 class TupleIndex:
-    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain).
+    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain)."""
 
-    ``bases`` reuses the X_m of another index on the same group and loops.
-    """
-
-    def __init__(self, group, n, loops=0, bases=None):
+    def __init__(self, group, n, loops=0):
         self.group = group
         self.n = n
         self.loops = loops
         self.nonid = group.nonidentity()
         self.pos = {g: i for i, g in enumerate(self.nonid)}
         self.radix = len(self.nonid)
-        if bases is None:
-            bases = gauge_groupoid(group, loops).objects() if loops else [()]
-        self.bases = bases
+        self.bases = gauge_groupoid(group, loops).objects() if loops else [()]
         self.base_pos = {b: i for i, b in enumerate(self.bases)}
         self.size = len(self.bases) * self.radix**n
 
@@ -254,25 +249,53 @@ class TupleIndex:
 
 
 def _delta_faces(group, t, loops=0):
-    """Faces of the differential at t = base + args: pairs (sign, face).
+    """Faces of the differential at t = base + args, by position.
 
-    The arguments of t are not the identity.  Face 0 drops x_1 and
-    transports the base to x_1^{-1} base x_1; a face whose merged argument
-    is the identity is dropped (normalized complex).
+    The arguments of t are not the identity.  Face j carries the sign
+    (-1)^j; face 0 drops x_1 and transports the base to x_1^{-1} base x_1.
+    A face whose merged argument is the identity is None (normalized
+    complex).
     """
     f0 = t[loops + 1:]
     if loops:
         xi = group.inverses[t[loops]]
         f0 = tuple(group.conjugate(xi, b) for b in t[:loops]) + f0
-    faces = [(1, f0)]
-    sign = -1
+    faces = [f0]
     for i in range(loops, len(t) - 1):
         x = group.mul(t[i], t[i + 1])
-        if x != group.identity:
-            faces.append((sign, t[:i] + (x,) + t[i + 2:]))
-        sign = -sign
-    faces.append((sign, t[:-1]))
+        faces.append(None if x == group.identity else t[:i] + (x,) + t[i + 2:])
+    faces.append(t[:-1])
     return faces
+
+
+def _face_columns(index, first_args=None):
+    """delta on ``index`` as n+2 arrays, one per face position: entry r of
+    array j is the index of face j of the r-th tuple of
+    ``index.rows(first_args)``, or index.size (a zero slot) if it is None."""
+    group, loops, look, zero = index.group, index.loops, index.index, index.size
+    cols = [array("l") for _ in range(index.n + 2)]
+    for t in index.rows(first_args):
+        for col, f in zip(cols, _delta_faces(group, t, loops)):
+            col.append(zero if f is None else look(f))
+    return cols
+
+
+def _apply_faces(cols, vec):
+    """delta of the integer vector vec (its zero slot appended) over the
+    rows of ``cols``, as an iterator."""
+    acc = map(vec.__getitem__, cols[0])
+    for j in range(1, len(cols)):
+        acc = map(sub if j % 2 else add, acc, map(vec.__getitem__, cols[j]))
+    return acc
+
+
+@lru_cache(maxsize=COHOMOLOGY_MEMO_SIZE)
+def _generator_faces(group, n, loops):
+    """(index, generator positions, face columns) of the generator-led
+    rows of delta on n-cochains."""
+    index = TupleIndex(group, n, loops)
+    gens = group.generators()
+    return index, {s: i for i, s in enumerate(gens)}, _face_columns(index, gens)
 
 
 def coboundary(c):
@@ -280,20 +303,21 @@ def coboundary(c):
     g, n, m = c.group, c.degree, c.loops
     den = c.denominator()
     index = TupleIndex(g, n, m)
-    vec = cochain_vector(c, index, scale_to=den)
-    vals = {t: PhaseValue(v, den)
-            for t, v in _integral_coboundary(g, vec, index, index.rows())
+    vec = cochain_vector(c, index, scale_to=den) + [0]
+    acc = _apply_faces(_face_columns(index), vec)
+    vals = {t: PhaseValue(v, den) for t, v in zip(index.rows(), acc)
             if v % den}
     return Cochain(g, n + 1, c.modulus, vals, m)
 
 
-def coboundary_agrees(c, y=None, index=None):
+def coboundary_agrees(c, y=None):
     """Whether delta c and y (default 0) agree on every generator-led tuple.
 
     For a closed y, delta c - y is a cocycle, so this decides delta c == y
-    exactly (module docstring); a caller proves y closed first.  Returns at
-    the first tuple that differs.  ``index`` is c's TupleIndex if the caller
-    has one.
+    exactly (module docstring); a caller proves y closed first.  The face
+    columns come from a memo per (group, degree, loops) of the
+    COHOMOLOGY_MEMO_SIZE most recently used keys;
+    ``coboundary_agrees.cache_info()`` counts its hits and misses.
     """
     g, n, m = c.group, c.degree, c.loops
     den = c.denominator()
@@ -301,16 +325,23 @@ def coboundary_agrees(c, y=None, index=None):
         if (y.group, y.degree, y.loops) != (g, n + 1, m):
             return False
         den = lcm(den, y.denominator())
-    index = index or TupleIndex(g, n, m)
-    vec = cochain_vector(c, index, scale_to=den)
-    for t, v in _integral_coboundary(g, vec, index, index.rows(g.generators())):
-        if y is not None:
-            w = y.values.get(t)
-            if w is not None:
-                v -= w.numerator * (den // w.modulus)
-        if v % den:
-            return False
-    return True
+    index, lead, cols = _generator_faces(g, n, m)
+    acc = _apply_faces(cols, cochain_vector(c, index, scale_to=den) + [0])
+    if y is not None:
+        # row of base + (s, rest) is (base, s, rest) in mixed radix
+        acc = list(acc)
+        tail = index.radix**n
+        for t, w in y.values.items():
+            k = lead.get(t[m])
+            if k is not None:
+                b, rest = divmod(index.index(t[:m] + t[m + 1:]), tail)
+                acc[(b * len(lead) + k) * tail + rest] -= (
+                    w.numerator * (den // w.modulus))
+    return not any(map(den.__rmod__, acc))
+
+
+coboundary_agrees.cache_info = _generator_faces.cache_info
+coboundary_agrees.cache_clear = _generator_faces.cache_clear
 
 
 def is_cocycle(c):
@@ -395,8 +426,9 @@ class FormalChain:
         """Bar boundary (adjoint to the coboundary under the pairing)."""
         terms = {}
         for t, k in self.terms.items():
-            for sign, f in _delta_faces(self.group, t):
-                terms[f] = terms.get(f, 0) + sign * k
+            for j, f in enumerate(_delta_faces(self.group, t)):
+                if f is not None:
+                    terms[f] = terms.get(f, 0) + (-k if j % 2 else k)
         return FormalChain(self.group, self.degree - 1, terms)
 
     def __repr__(self):
@@ -551,9 +583,11 @@ def delta_matrix_rows(group, n, first_args=None, index=None):
     rows = []
     for t in index.rows(first_args):
         row = {}
-        for sign, f in _delta_faces(group, t, index.loops):
+        for j, f in enumerate(_delta_faces(group, t, index.loops)):
+            if f is None:
+                continue
             c = index.index(f)
-            v = row.get(c, 0) + sign
+            v = row.get(c, 0) + (-1 if j % 2 else 1)
             if v:
                 row[c] = v
             else:
@@ -572,9 +606,8 @@ def cochain_vector(c: Cochain, index: TupleIndex, scale_to=None):
     """Integer vector of c on the index, scaled to denominator ``scale_to``."""
     den = scale_to or c.denominator()
     vec = [0] * index.size
-    for t, v in c.values.items():
-        f = v.as_fraction()
-        vec[index.index(t)] = f.numerator * (den // f.denominator)
+    for t, v in c.values.items():  # values are stored reduced
+        vec[index.index(t)] = v.numerator * (den // v.modulus)
     return vec
 
 
@@ -589,19 +622,6 @@ def vector_cochain(group, degree, vec, modulus, index=None):
 
 
 # -- cohomology -----------------------------------------------------------------
-
-
-def _integral_coboundary(group, vec, index, rows):
-    """delta of an integer cochain vector on ``index``: (t, value) at each
-    row tuple t in ``rows``."""
-    loops = index.loops
-    for t in rows:
-        acc = 0
-        for sign, f in _delta_faces(group, t, loops):
-            v = vec[index.index(f)]
-            if v:
-                acc += sign * v
-        yield t, acc
 
 
 def _factor(d):
@@ -818,7 +838,7 @@ def solve_coboundary(y: Cochain):
     if y.is_zero():
         return Cochain.zero(g, n - 1, y.modulus, loops)
     index = TupleIndex(g, n - 1, loops)
-    if not coboundary_agrees(y, index=TupleIndex(g, n, loops, index.bases)):
+    if not coboundary_agrees(y):
         return None
     den = y.denominator()
     gens = g.generators()
@@ -832,6 +852,6 @@ def solve_coboundary(y: Cochain):
     if sol is None:
         return None
     x = vector_cochain(g, n - 1, *sol, index=index)
-    if not coboundary_agrees(x, y, index):
+    if not coboundary_agrees(x, y):
         raise VerificationFailed("solver output must have coboundary y")
     return x

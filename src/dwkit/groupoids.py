@@ -14,12 +14,16 @@ checked to be constant on orbits before summing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BudgetExceeded, NotGaugeInvariant
 from .groups import FiniteGroup, GroupHom
 from .phase import PhaseValue
 
 GAUGE_TUPLE_BUDGET = 10**6
+# (group, degree) entries that cochains.cohomology, its face tables and
+# gauge_groupoid each keep in-process
+COHOMOLOGY_MEMO_SIZE = 64
 
 
 class FinGroupoid:
@@ -89,11 +93,22 @@ class FinGroupoid:
 
 
 def gauge_groupoid(group: FiniteGroup, n: int) -> FinGroupoid:
-    """Bun_G(T^n): commuting n-tuples in G under simultaneous conjugation."""
+    """Bun_G(T^n): commuting n-tuples in G under simultaneous conjugation.
+
+    Memoized per (group, n), with its orbit walk, for the
+    COHOMOLOGY_MEMO_SIZE most recently used keys; equal groups share one
+    groupoid.  ``gauge_groupoid.cache_info()`` counts hits and misses, and
+    the dimension and budget checks run before the lookup.
+    """
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
     if group.order**n > GAUGE_TUPLE_BUDGET:
         raise BudgetExceeded("gauge groupoid tuples", group.order**n, GAUGE_TUPLE_BUDGET)
+    return _gauge_groupoid(group, n)
+
+
+@lru_cache(maxsize=COHOMOLOGY_MEMO_SIZE)
+def _gauge_groupoid(group, n):
     tuples = [()]
     for _ in range(n):
         nxt = []
@@ -107,9 +122,8 @@ def gauge_groupoid(group: FiniteGroup, n: int) -> FinGroupoid:
     )
 
 
-def delooping(group: FiniteGroup) -> FinGroupoid:
-    """BG, the one-object groupoid with automorphism group G."""
-    return gauge_groupoid(group, 0)
+gauge_groupoid.cache_info = _gauge_groupoid.cache_info
+gauge_groupoid.cache_clear = _gauge_groupoid.cache_clear
 
 
 def homotopy_fiber(hom: GroupHom, y) -> FinGroupoid:

@@ -414,38 +414,3 @@ class GroupHom:
     def image(self):
         return sorted(set(self.map))
 
-
-def find_isomorphism(a: FiniteGroup, b: FiniteGroup):
-    """An isomorphism a -> b found by exhaustive generator-image search.
-
-    Returns a GroupHom, or None if the groups are not isomorphic.
-    """
-    if a.order != b.order:
-        return None
-    gens = a.generators()
-    words = {a.identity: ()}
-    frontier = [a.identity]
-    while frontier:
-        x = frontier.pop(0)
-        for i in range(len(gens)):
-            y = a.mul(x, gens[i])
-            if y not in words:
-                words[y] = words[x] + (i,)
-                frontier.append(y)
-    orders = [a.element_order(g) for g in gens]
-    candidates = [
-        [h for h in b.elements() if b.element_order(h) == o] for o in orders
-    ]
-    for imgs in itertools.product(*candidates):
-        mapping = [0] * a.order
-        for x, w in words.items():
-            mapping[x] = b.word([imgs[i] for i in w])
-        if len(set(mapping)) != a.order:
-            continue
-        if all(
-            mapping[a.mul(x, y)] == b.mul(mapping[x], mapping[y])
-            for x in range(a.order)
-            for y in range(a.order)
-        ):
-            return GroupHom(a, b, mapping, check=False)
-    return None

@@ -39,8 +39,11 @@ class PhaseValue:
         return Fraction(self.numerator, self.modulus)
 
     def reduced(self):
-        f = self.as_fraction()
-        return PhaseValue(f.numerator, f.denominator)
+        """The same value over the least modulus (0 is 0/1)."""
+        d = gcd(self.numerator, self.modulus)
+        if d == 1:
+            return self
+        return PhaseValue(self.numerator // d, self.modulus // d)
 
     def is_zero(self):
         return self.numerator % self.modulus == 0

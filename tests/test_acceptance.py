@@ -15,14 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from support import random_cochain
+from support import direct_product_extension, random_cochain
 
 from test_anomalies import d8_in_pauli_extension, z4_boundary_pair
 
 from dwkit.anomalies import (
     Extension,
     anomaly_report,
-    direct_product_extension,
     find_boundary_pair,
     find_closed_lift,
     find_section,

@@ -8,7 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from support import random_cochain
+from support import (
+    direct_product_extension,
+    extension_round_trip_iso,
+    find_isomorphism,
+    random_cochain,
+)
 
 from dwkit import anomalies, cochains
 from dwkit.anomalies import (
@@ -16,9 +21,7 @@ from dwkit.anomalies import (
     NonAbelianCocycle,
     anomaly_report,
     cocycle_from_extension,
-    direct_product_extension,
     extension_from_cocycle,
-    extension_round_trip_iso,
     find_boundary_pair,
     find_closed_lift,
     find_section,
@@ -53,7 +56,6 @@ from dwkit.groups import (
     dihedral_exponents,
     dihedral_group,
     dihedral_index,
-    find_isomorphism,
     pauli_group,
     product_group,
     product_index,

@@ -17,6 +17,7 @@ from dwkit.cochains import (
     _crt_pair,
     catalog_cocycle,
     coboundary,
+    coboundary_agrees,
     cohomology,
     evaluate,
     interval_pairing,
@@ -534,7 +535,7 @@ _SMALL_GROUPS = (cyclic_group(3), cyclic_group(4), product_group([2, 2]),
 @given(
     group=st.sampled_from(_SMALL_GROUPS),
     degree=st.integers(1, 2),
-    loops=st.integers(0, 1),
+    loops=st.integers(0, 2),
     modulus=st.sampled_from([2, 3, 4, 6]),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
@@ -543,7 +544,8 @@ def test_is_cocycle_agrees_with_the_full_coboundary(group, degree, loops,
                                                     modulus, seed, data):
     rng = random.Random(seed)
     c = random_cochain(group, degree, modulus, rng, loops=loops)
-    assert is_cocycle(c) == coboundary(c).is_zero()
+    dc = coboundary(c)
+    assert is_cocycle(c) == dc.is_zero()
     closed = coboundary(random_cochain(group, degree - 1, modulus, rng,
                                        loops=loops))
     assert is_cocycle(closed)
@@ -551,3 +553,24 @@ def test_is_cocycle_agrees_with_the_full_coboundary(group, degree, loops,
     v = PhaseValue(data.draw(st.integers(1, modulus - 1)), modulus)
     bad = _bump(closed, t, v)
     assert is_cocycle(bad) == coboundary(bad).is_zero()
+    # against a closed right-hand side, and one changed on a single
+    # generator-led tuple
+    y = coboundary(random_cochain(group, degree, modulus, rng, loops=loops))
+    for rhs in (dc, y, dc + y):
+        assert coboundary_agrees(c, rhs) == (dc == rhs)
+    lead = [u for u in TupleIndex(group, degree + 1, loops).all()
+            if u[loops] in group.generators()]
+    u = data.draw(st.sampled_from(lead))
+    assert not coboundary_agrees(c, _bump(dc, u, v))
+
+
+def test_face_and_gauge_memos_count_a_hit_on_a_repeated_call():
+    s3 = dihedral_group(6)
+    c = random_cochain(s3, 2, 6, random.Random(1), loops=1)
+    assert is_cocycle(c) == coboundary(c).is_zero()
+    faces, gauge = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
+    is_cocycle(c)
+    gauge_groupoid(s3, 1)
+    after = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
+    assert [(i.hits, i.misses) for i in after] == [
+        (faces.hits + 1, faces.misses), (gauge.hits + 1, gauge.misses)]

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from support import delooping
+
 from dwkit.errors import BudgetExceeded, NotGaugeInvariant
 from dwkit.groupoids import (
     FinGroupoid,
     cardinality,
-    delooping,
     gauge_groupoid,
     homotopy_fiber,
     integrate,
@@ -17,6 +18,7 @@ from dwkit.groups import (
     cyclic_group,
     dihedral_exponents,
     dihedral_group,
+    group_from_table,
     product_group,
     product_index,
 )
@@ -120,8 +122,22 @@ def test_gauge_groupoid_abelian():
 
 
 def test_gauge_groupoid_budget():
+    info = gauge_groupoid.cache_info()
     with pytest.raises(BudgetExceeded):
         gauge_groupoid(product_group([4, 4, 4]), 4)
+    with pytest.raises(ValueError):
+        gauge_groupoid(product_group([4, 4, 4]), -1)
+    assert gauge_groupoid.cache_info() == info
+
+
+def test_equal_groups_share_their_gauge_groupoids():
+    d8 = dihedral_group(8)
+    copy = group_from_table(d8.order, [list(row) for row in d8.table])
+    assert copy is not d8 and copy == d8
+    for n in (0, 1, 2):
+        x, y = gauge_groupoid(d8, n), gauge_groupoid(copy, n)
+        assert x.objects() == y.objects()
+        assert x.isomorphism_classes() == y.isomorphism_classes()
 
 
 def test_integrate_constant_recovers_cardinality():

@@ -1,5 +1,7 @@
 import pytest
 
+from support import find_isomorphism
+
 from dwkit.errors import NotAGroup, UnknownBuiltin
 from dwkit.groups import (
     GroupHom,
@@ -7,7 +9,6 @@ from dwkit.groups import (
     cyclic_group,
     dihedral_group,
     dihedral_index,
-    find_isomorphism,
     group_from_table,
     pauli_group,
     product_group,

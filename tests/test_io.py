@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from support import random_cochain
+from support import direct_product_extension, random_cochain
 from test_invariants import type_three_cocycle
 
-from dwkit.anomalies import direct_product_extension
 from dwkit.cochains import catalog_cocycle
 from dwkit.groups import cyclic_group, dihedral_group, pauli_group, product_group
 from dwkit.invariants import transgress_circle, transgress_torus

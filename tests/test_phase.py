@@ -57,6 +57,13 @@ def test_reduced_lowers_modulus():
     assert z.modulus == 1
 
 
+@given(st.one_of(st.just(0), st.integers()), moduli)
+def test_reduced_matches_the_fraction(n, m):
+    v = PhaseValue(n, m).reduced()
+    f = Fraction(n % m, m)
+    assert (v.numerator, v.modulus) == (f.numerator, f.denominator)
+
+
 def test_invalid_modulus_rejected():
     with pytest.raises(ValueError):
         PhaseValue(1, 0)
