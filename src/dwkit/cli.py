@@ -9,29 +9,25 @@ sweeps.
 Output is JSON on stdout when --json is given and human-readable text
 otherwise; logs go to stderr.  The cohomology cache directory comes from
 --cache or the DWKIT_CACHE environment variable.
+
+Imports: the module level takes only argparse, json, os, re and sys and
+the light layers errors, groups and io, which parsing and ``group`` need.
+Every other layer (cochains, invariants, anomalies) and hashlib, tempfile
+and time are imported inside the handler or helper that calls them, so a
+fresh interpreter loads only what its subcommand runs.
+``tests/test_cli.py::test_cli_imports_only_the_layers_a_subcommand_runs``
+enforces this.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
 import sys
-import tempfile
-import time
-from fractions import Fraction
 
 from . import __version__
-from .anomalies import anomaly_report
-from .cochains import (
-    Cochain,
-    catalog_cocycle,
-    cohomology,
-    is_cocycle,
-    solve_coboundary,
-)
 from .errors import (
     BudgetExceeded,
     DegreeMismatch,
@@ -41,17 +37,9 @@ from .errors import (
     UnknownFamily,
 )
 from .groups import builtin_group, dihedral_group
-from .invariants import (
-    dw_partition_torus,
-    matches_dpr,
-    state_space_torus,
-    transgress_torus,
-    twisted_irrep_count,
-)
 from .io import (
     FormatError,
     cochain_json,
-    group_json,
     loop_cochain_json,
     parse_cochain,
     parse_extension,
@@ -114,6 +102,7 @@ def load_cochain_spec(spec, group):
     groups and the catalog 3-cocycle for cyclic groups; ``d8omega`` is the
     catalog dihedral cocycle.
     """
+    from .cochains import catalog_cocycle
     s = spec.strip().lower()
     try:
         if s == "d8omega":
@@ -167,34 +156,38 @@ def _log(msg):
 
 
 def _cache_key(group, degree, budget):
+    import hashlib
     blob = f"{group.canonical_hash()}:{degree}:{budget}:{CACHE_VERSION}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _cache_load(cache_dir, group, degree, budget):
+    from .cochains import is_cocycle
     path = os.path.join(cache_dir, _cache_key(group, degree, budget) + ".json")
-    if not os.path.exists(path):
-        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("version") != CACHE_VERSION:
+        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
             return None
-        factors = [int(d) for d in payload["factors"]]
-        gens = [parse_cochain(obj, group) for obj in payload["generators"]]
+        factors, gens = payload["factors"], payload["generators"]
+        if not isinstance(factors, list) or not isinstance(gens, list):
+            return None
         if len(gens) != len(factors):
             return None
+        factors = [int(d) for d in factors]
+        gens = [parse_cochain(obj, group) for obj in gens]
         for d, gen in zip(factors, gens):
             if gen.degree != degree or not is_cocycle(gen):
                 return None
             if gen.denominator() != d:
                 return None
         return factors, gens
-    except (OSError, ValueError, KeyError, FormatError):
+    except (OSError, ValueError, KeyError, TypeError, FormatError):
         return None
 
 
 def _cache_store(cache_dir, group, degree, budget, factors, gens):
+    import tempfile
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, _cache_key(group, degree, budget) + ".json")
     payload = {
@@ -233,10 +226,9 @@ def cmd_group(args):
 
 
 def cmd_cohomology(args):
+    from .cochains import BAR_MATRIX_NNZ_BUDGET, cohomology
     group = load_group_spec(args.group)
     degree = args.degree
-    from .cochains import BAR_MATRIX_NNZ_BUDGET
-
     budget = BAR_MATRIX_NNZ_BUDGET
     cache_dir = args.cache or os.environ.get("DWKIT_CACHE")
     cached = None
@@ -262,6 +254,7 @@ def cmd_cohomology(args):
 
 
 def _dw_cocycle(args, group, degree):
+    from .cochains import Cochain
     if args.untwisted:
         return Cochain(group, degree, 1, {})
     if not args.cocycle:
@@ -295,6 +288,7 @@ _DW_SUMS = {
 
 
 def cmd_dw(args):
+    from .invariants import dw_partition_torus, state_space_torus
     group = load_group_spec(args.group)
     if args.invariant in _DW_SUMS:
         name, *dims = _DW_SUMS[args.invariant]
@@ -322,6 +316,8 @@ def cmd_dw(args):
 
 
 def cmd_anomaly(args):
+    import time
+    from .anomalies import anomaly_report
     ext = parse_extension(_load_json_file(args.extension))
     omega = load_cochain_spec(args.cocycle, ext.kernel)
     started = time.monotonic()
@@ -353,6 +349,8 @@ def cmd_anomaly(args):
 
 
 def cmd_transgress(args):
+    from .cochains import is_cocycle
+    from .invariants import matches_dpr, transgress_torus
     group = load_group_spec(args.group)
     theta = load_cochain_spec(args.cocycle, group)
     if not is_cocycle(theta):

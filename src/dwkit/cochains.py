@@ -48,7 +48,6 @@ from .errors import (
 )
 from .groupoids import COHOMOLOGY_MEMO_SIZE, gauge_groupoid
 from .groups import (
-    FiniteGroup,
     GroupHom,
     cyclic_group,
     dihedral_exponents,

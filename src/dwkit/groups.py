@@ -5,7 +5,6 @@ Elements are dense indices 0..order-1; all algebra runs on the table.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 
@@ -160,6 +159,7 @@ class FiniteGroup:
         """Deterministic cross-run identity for caching."""
         if self._hash is not None:
             return self._hash
+        import hashlib
         h = hashlib.sha256()
         h.update(str(self.order).encode())
         for row in self.table:

@@ -44,7 +44,7 @@ from .errors import (
     VerificationFailed,
 )
 from .groupoids import gauge_groupoid
-from .groups import FiniteGroup, GroupHom
+from .groups import FiniteGroup
 from .phase import PhaseValue
 
 # torus-cycle terms (commuting tuples times n!) one dw_partition_torus may sum

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .anomalies import Extension, find_section
-from .cochains import Cochain
 from .groups import FiniteGroup, GroupHom, builtin_group, group_from_table, product_index
 from .phase import PhaseValue
 
@@ -110,6 +108,7 @@ def _parse_descriptor(desc, factors):
 
 
 def parse_cochain(obj, group: FiniteGroup | None = None) -> Cochain:
+    from .cochains import Cochain
     _require_keys(obj, ["group", "degree", "modulus", "values"], what="cochain")
     gobj = obj["group"]
     if isinstance(gobj, str):
@@ -131,6 +130,8 @@ def parse_cochain(obj, group: FiniteGroup | None = None) -> Cochain:
     modulus = int(obj["modulus"])
     if degree < 0 or modulus < 1:
         raise FormatError("cochain degree/modulus out of range")
+    if not isinstance(obj["values"], dict):
+        raise FormatError("cochain values must be a JSON object")
     values = {}
     for key, text in obj["values"].items():
         parts = key.split("|") if key else []
@@ -181,6 +182,7 @@ def loop_cochain_json(lc: Cochain) -> dict:
 
 
 def parse_extension(obj) -> Extension:
+    from .anomalies import Extension, find_section
     _require_keys(
         obj, ["D", "Ghat", "G", "iota", "lambda"], ["section"], "extension"
     )

@@ -100,6 +100,30 @@ def test_cohomology_cache_rejects_tampering(capsys, tmp_path):
     assert out2 == out1
 
 
+@pytest.mark.parametrize("entry", [
+    [],
+    None,
+    {"version": "2", "factors": 4, "generators": []},
+    {"version": "2", "factors": [2], "generators": {}},
+    {"version": "2", "factors": [None], "generators": [{}]},
+    {"version": "2", "factors": [2], "generators": [
+        {"group": {"kind": "builtin", "name": "cyclic", "params": {"n": 2}},
+         "degree": 3, "modulus": 2, "values": []}]},
+])
+def test_cohomology_cache_entry_of_wrong_shape_is_a_miss(capsys, tmp_path, entry):
+    cache = str(tmp_path / "cache")
+    argv = [
+        "cohomology", "--group", "z2", "--degree", "3", "--json",
+        "--cache", cache,
+    ]
+    _, out1, _ = run(capsys, *argv)
+    (name,) = os.listdir(cache)
+    Path(cache, name).write_text(json.dumps(entry))
+    code, out2, err = run(capsys, *argv)
+    assert code == 0 and "cache hit" not in err and "Traceback" not in err
+    assert out2 == out1
+
+
 def test_dw_commands(capsys):
     code, out, _ = run(
         capsys, "dw", "torus", "--group", "s3", "--untwisted", "--dim", "2", "--json"
@@ -266,3 +290,34 @@ def test_cli_import_loads_only_the_standard_library():
         [sys.executable, "-S", "-c", check],
         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
     )
+
+
+def test_cli_imports_only_the_layers_a_subcommand_runs():
+    # a fresh -S interpreter: the test process has every layer loaded already
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = (
+        "import contextlib, io, json, sys\n"
+        "from dwkit.cli import main\n"
+        "loaded = [sorted(set(sys.argv[1:]) & set(sys.modules))]\n"
+        "for argv in (['group', 'show', 'z6', '--json'],\n"
+        "             ['cohomology', '--group', 'z4', '--degree', '3', '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if main(argv):\n"
+        "            sys.exit(f'{argv} failed')\n"
+        "    loaded.append(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    deferred = [
+        "dwkit.cochains", "dwkit.linalg", "dwkit.groupoids",
+        "dwkit.invariants", "dwkit.anomalies",
+        "hashlib", "tempfile", "dataclasses",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", check, *deferred],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+        capture_output=True, text=True,
+    )
+    after_import, after_group, after_cohomology = json.loads(proc.stdout)
+    assert after_import == [] and after_group == []
+    assert "dwkit.cochains" in after_cohomology
+    assert not {"dwkit.invariants", "dwkit.anomalies"} & set(after_cohomology)

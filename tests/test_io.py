@@ -98,6 +98,8 @@ def test_cochain_format_errors():
     bad_elt = dict(base, values={"7": "1/2"})
     with pytest.raises(FormatError):
         parse_cochain(bad_elt)
+    with pytest.raises(FormatError):
+        parse_cochain(dict(base, values=[]))
 
 
 def test_loop_cochain_emission():
