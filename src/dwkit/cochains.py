@@ -46,7 +46,7 @@ from .errors import (
     UnknownFamily,
     VerificationFailed,
 )
-from .groupoids import COHOMOLOGY_MEMO_SIZE, gauge_groupoid
+from .groupoids import gauge_groupoid
 from .groups import (
     GroupHom,
     cyclic_group,
@@ -55,10 +55,16 @@ from .groups import (
     product_digits,
     product_group,
 )
-from .linalg import SparseElimination, solve_qz_checked
+from .linalg import SparseElimination, _Memo, solve_qz_checked
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
+# the cohomology workload asks for 17 (group, degree) keys, once each
+COHOMOLOGY_GROUP_MEMO_SIZE = 64
+_cohomology_groups = _Memo(COHOMOLOGY_GROUP_MEMO_SIZE)
+# an anomaly pass asks for 27 (group, degree, loops) keys in about 645 calls
+FACE_MEMO_SIZE = 64
+_face_tables = _Memo(FACE_MEMO_SIZE)
 
 
 # -- cochains ----------------------------------------------------------------
@@ -216,13 +222,6 @@ class TupleIndex:
             i = i * self.radix + self.pos[g]
         return i
 
-    def tuple(self, i):
-        out = []
-        for _ in range(self.n):
-            out.append(self.nonid[i % self.radix])
-            i //= self.radix
-        return self.bases[i] + tuple(reversed(out))
-
     def all(self):
         args = itertools.product(self.nonid, repeat=self.n)
         if not self.loops:
@@ -288,7 +287,6 @@ def _apply_faces(cols, vec):
     return acc
 
 
-@lru_cache(maxsize=COHOMOLOGY_MEMO_SIZE)
 def _generator_faces(group, n, loops):
     """(index, generator positions, face columns) of the generator-led
     rows of delta on n-cochains."""
@@ -315,7 +313,7 @@ def coboundary_agrees(c, y=None):
     For a closed y, delta c - y is a cocycle, so this decides delta c == y
     exactly (module docstring); a caller proves y closed first.  The face
     columns come from a memo per (group, degree, loops) of the
-    COHOMOLOGY_MEMO_SIZE most recently used keys;
+    FACE_MEMO_SIZE most recently used keys;
     ``coboundary_agrees.cache_info()`` counts its hits and misses.
     """
     g, n, m = c.group, c.degree, c.loops
@@ -324,7 +322,7 @@ def coboundary_agrees(c, y=None):
         if (y.group, y.degree, y.loops) != (g, n + 1, m):
             return False
         den = lcm(den, y.denominator())
-    index, lead, cols = _generator_faces(g, n, m)
+    index, lead, cols = _face_tables.get((g, n, m), lambda: _generator_faces(g, n, m))
     acc = _apply_faces(cols, cochain_vector(c, index, scale_to=den) + [0])
     if y is not None:
         # row of base + (s, rest) is (base, s, rest) in mixed radix
@@ -339,8 +337,8 @@ def coboundary_agrees(c, y=None):
     return not any(map(den.__rmod__, acc))
 
 
-coboundary_agrees.cache_info = _generator_faces.cache_info
-coboundary_agrees.cache_clear = _generator_faces.cache_clear
+coboundary_agrees.cache_info = _face_tables.cache_info
+coboundary_agrees.cache_clear = _face_tables.cache_clear
 
 
 def is_cocycle(c):
@@ -613,10 +611,8 @@ def cochain_vector(c: Cochain, index: TupleIndex, scale_to=None):
 def vector_cochain(group, degree, vec, modulus, index=None):
     """Cochain with values vec[i]/modulus on the indexed tuples."""
     index = index or TupleIndex(group, degree)
-    vals = {}
-    for i, v in enumerate(vec):
-        if v % modulus:
-            vals[index.tuple(i)] = PhaseValue(v, modulus)
+    vals = {t: PhaseValue(v, modulus)
+            for t, v in zip(index.all(), vec, strict=True) if v % modulus}
     return Cochain(group, degree, modulus, vals, index.loops)
 
 
@@ -708,10 +704,11 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     and every generator is checked to classify as its unit vector.
 
     Results are memoized in-process per (group, degree), for the
-    COHOMOLOGY_MEMO_SIZE most recently used keys; ``cohomology.cache_info()`` counts hits and
-    misses.  The degree and budget checks run before the lookup, and every
-    call returns new lists whose generators live on the caller's group
-    object (equal groups may serialize differently, see ``builtin_spec``).
+    COHOMOLOGY_GROUP_MEMO_SIZE most recently used keys;
+    ``cohomology.cache_info()`` counts hits and misses.  The degree and
+    budget checks run before the lookup, and every call returns new lists
+    whose generators live on the caller's group object (equal groups may
+    serialize differently, see ``builtin_spec``).
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -720,7 +717,7 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
         raise BudgetExceeded(
             f"bar matrix for H^{n}({group.label or 'G'})", nnz, budget
         )
-    h = _cohomology(group, n)
+    h = _cohomology_groups.get((group, n), lambda: _cohomology(group, n))
     generators = h.generators
     if h.group is not group:
         generators = [Cochain(group, n, c.modulus, c.values)
@@ -729,7 +726,6 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
                            list(generators), h._data)
 
 
-@lru_cache(maxsize=COHOMOLOGY_MEMO_SIZE)
 def _cohomology(group, n):
     k = n + 1
     gens = group.generators()
@@ -814,8 +810,8 @@ def _cohomology(group, n):
     return h
 
 
-cohomology.cache_info = _cohomology.cache_info
-cohomology.cache_clear = _cohomology.cache_clear
+cohomology.cache_info = _cohomology_groups.cache_info
+cohomology.cache_clear = _cohomology_groups.cache_clear
 
 
 # -- coboundary solving ---------------------------------------------------------

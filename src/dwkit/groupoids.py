@@ -14,16 +14,16 @@ checked to be constant on orbits before summing.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BudgetExceeded, NotGaugeInvariant
 from .groups import FiniteGroup, GroupHom
+from .linalg import _Memo
 from .phase import PhaseValue
 
 GAUGE_TUPLE_BUDGET = 10**6
-# (group, degree) entries that cochains.cohomology, its face tables and
-# gauge_groupoid each keep in-process
-COHOMOLOGY_MEMO_SIZE = 64
+# an invariants pass asks for 85 (group, n) keys in 126 calls
+GAUGE_MEMO_SIZE = 256
+_gauge_groupoids = _Memo(GAUGE_MEMO_SIZE)
 
 
 class FinGroupoid:
@@ -38,7 +38,7 @@ class FinGroupoid:
         self.act = act
         self._objects = tuple(objects)
         self._classes = None
-        self._stab = {}  # representative -> stabilizer order
+        self._stab = {}  # representative -> stabilizer, in element order
         self._transport = {}  # object -> (representative, transporter)
 
     def objects(self):
@@ -47,10 +47,10 @@ class FinGroupoid:
     def isomorphism_classes(self):
         """The orbits, each sorted by repr with its representative first.
 
-        One walk per orbit applies every group element to one object; it
-        records the stabilizer order of the representative and a
-        transporter to every member.  Raises ValueError if an image is not
-        an object.
+        One walk per orbit applies every group element to one object x; it
+        records a transporter to every member and the representative's
+        stabilizer, t Stab(x) t^{-1} for the t taking x to it.  Raises
+        ValueError if an image is not an object.
         """
         if self._classes is None:
             g, act = self.group, self.act
@@ -60,19 +60,20 @@ class FinGroupoid:
                 if x in self._transport:
                     continue
                 reach = {}  # image -> first k with act(k, x) == image
-                fixing = 0
+                fixing = []
                 for k in g.elements():
                     y = act(k, x)
                     if y not in known:
                         raise ValueError(f"{y!r} = act({k!r}, {x!r}) is not an object")
                     reach.setdefault(y, k)
-                    fixing += y == x
+                    if y == x:
+                        fixing.append(k)
                 cls = sorted(reach, key=repr)
                 rep = cls[0]
                 back = g.inverses[reach[rep]]
                 for y, k in reach.items():
                     self._transport[y] = (rep, g.mul(k, back))
-                self._stab[rep] = fixing
+                self._stab[rep] = tuple(sorted(g.conjugate(reach[rep], s) for s in fixing))
                 classes.append(cls)
             self._classes = sorted(classes, key=lambda c: repr(c[0]))
         return self._classes
@@ -85,30 +86,31 @@ class FinGroupoid:
 
     def stabilizer_order(self, x):
         """|Aut(x)|, the order of the stabilizer of x."""
-        return self._stab[self.transporter(x)[0]]
+        return len(self._stab[self.transporter(x)[0]])
 
     def aut(self, x):
-        """Automorphisms of x: the group elements that fix it."""
-        return tuple(k for k in self.group.elements() if self.act(k, x) == x)
+        """Automorphisms of the object x in element order, read off its
+        orbit's walk: Stab(k.rep) = k Stab(rep) k^{-1}."""
+        rep, k = self.transporter(x)
+        return tuple(sorted(self.group.conjugate(k, s) for s in self._stab[rep]))
 
 
 def gauge_groupoid(group: FiniteGroup, n: int) -> FinGroupoid:
     """Bun_G(T^n): commuting n-tuples in G under simultaneous conjugation.
 
-    Memoized per (group, n), with its orbit walk, for the
-    COHOMOLOGY_MEMO_SIZE most recently used keys; equal groups share one
-    groupoid.  ``gauge_groupoid.cache_info()`` counts hits and misses, and
-    the dimension and budget checks run before the lookup.
+    Memoized per (group, n), with its orbit walk, for the GAUGE_MEMO_SIZE
+    most recently used keys; equal groups share one groupoid.
+    ``gauge_groupoid.cache_info()`` counts hits and misses, and the
+    dimension and budget checks run before the lookup.
     """
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
     if group.order**n > GAUGE_TUPLE_BUDGET:
         raise BudgetExceeded("gauge groupoid tuples", group.order**n, GAUGE_TUPLE_BUDGET)
-    return _gauge_groupoid(group, n)
+    return _gauge_groupoids.get((group, n), lambda: _build_gauge_groupoid(group, n))
 
 
-@lru_cache(maxsize=COHOMOLOGY_MEMO_SIZE)
-def _gauge_groupoid(group, n):
+def _build_gauge_groupoid(group, n):
     tuples = [()]
     for _ in range(n):
         nxt = []
@@ -122,8 +124,8 @@ def _gauge_groupoid(group, n):
     )
 
 
-gauge_groupoid.cache_info = _gauge_groupoid.cache_info
-gauge_groupoid.cache_clear = _gauge_groupoid.cache_clear
+gauge_groupoid.cache_info = _gauge_groupoids.cache_info
+gauge_groupoid.cache_clear = _gauge_groupoids.cache_clear
 
 
 def homotopy_fiber(hom: GroupHom, y) -> FinGroupoid:

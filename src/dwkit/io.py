@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NotAGroup, UnknownBuiltin
 from .groups import FiniteGroup, GroupHom, builtin_group, group_from_table, product_index
 from .phase import PhaseValue
 
@@ -45,6 +46,18 @@ def _require_keys(obj, required, optional=(), what="object"):
         raise FormatError(f"{what} has unknown keys {unknown}")
 
 
+def _parse(convert, value, field):
+    """convert(value), with a malformed value reported as a FormatError
+    naming ``field`` (a bare int() raises ValueError, TypeError or
+    OverflowError, which the CLI does not map)."""
+    try:
+        return convert(value)
+    except (NotAGroup, UnknownBuiltin):
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise FormatError(f"{field} is malformed ({exc})") from None
+
+
 # -- groups ------------------------------------------------------------------
 
 
@@ -53,10 +66,11 @@ def parse_group(obj) -> FiniteGroup:
     kind = obj["kind"]
     if kind == "table":
         _require_keys(obj, ["kind", "order", "table"], what="group")
-        return group_from_table(int(obj["order"]), obj["table"])
+        return group_from_table(_parse(int, obj["order"], "group order"), obj["table"])
     if kind == "builtin":
         _require_keys(obj, ["kind", "name"], ["params"], "group")
-        return builtin_group(obj["name"], obj.get("params", {}))
+        return _parse(lambda params: builtin_group(obj["name"], params),
+                      obj.get("params", {}), "group params")
     raise FormatError(f"unknown group kind {kind!r}")
 
 
@@ -78,7 +92,8 @@ def _product_factors(obj):
         and obj.get("kind") == "builtin"
         and obj.get("name") == "product"
     ):
-        return [int(n) for n in obj.get("params", {}).get("factors", [])]
+        return _parse(lambda fs: [int(n) for n in fs],
+                      obj.get("params", {}).get("factors", []), "product factors")
     return None
 
 
@@ -86,7 +101,7 @@ def _product_factors(obj):
 
 
 def _parse_phase(text, modulus):
-    frac = Fraction(str(text))
+    frac = _parse(Fraction, str(text), "cochain value")
     if frac.denominator == 1:
         return PhaseValue(0, 1)
     if modulus % frac.denominator:
@@ -103,8 +118,9 @@ def _parse_descriptor(desc, factors):
             raise FormatError(
                 "digit descriptors are only valid for product builtins"
             )
-        return product_index(factors, [int(d) for d in desc.split(",")])
-    return int(desc)
+        return product_index(factors, [_parse(int, d, "tuple descriptor")
+                                       for d in desc.split(",")])
+    return _parse(int, desc, "tuple descriptor")
 
 
 def parse_cochain(obj, group: FiniteGroup | None = None) -> Cochain:
@@ -126,8 +142,8 @@ def parse_cochain(obj, group: FiniteGroup | None = None) -> Cochain:
         elif parsed.canonical_hash() != group.canonical_hash():
             raise FormatError("cochain group does not match the given group")
         factors = _product_factors(gobj)
-    degree = int(obj["degree"])
-    modulus = int(obj["modulus"])
+    degree = _parse(int, obj["degree"], "cochain degree")
+    modulus = _parse(int, obj["modulus"], "cochain modulus")
     if degree < 0 or modulus < 1:
         raise FormatError("cochain degree/modulus out of range")
     if not isinstance(obj["values"], dict):
@@ -189,10 +205,12 @@ def parse_extension(obj) -> Extension:
     d_grp = parse_group(obj["D"])
     ghat = parse_group(obj["Ghat"])
     g_grp = parse_group(obj["G"])
-    iota = GroupHom(d_grp, ghat, [int(x) for x in obj["iota"]])
-    lam = GroupHom(ghat, g_grp, [int(x) for x in obj["lambda"]])
+    iota = _parse(lambda m: GroupHom(d_grp, ghat, [int(x) for x in m]),
+                  obj["iota"], "iota")
+    lam = _parse(lambda m: GroupHom(ghat, g_grp, [int(x) for x in m]),
+                 obj["lambda"], "lambda")
     if "section" in obj:
-        section = tuple(int(x) for x in obj["section"])
+        section = _parse(lambda s: tuple(int(x) for x in s), obj["section"], "section")
     else:
         section = find_section(lam)
     return Extension(d_grp, ghat, g_grp, iota, lam, section)

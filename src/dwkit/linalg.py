@@ -26,7 +26,7 @@ from math import lcm
 
 from .errors import VerificationFailed
 
-# eliminated Q/Z systems that solve_qz_checked keeps in-process
+# eliminated Q/Z systems kept in-process; an anomaly pass asks for 20 in 43 solves
 QZ_MEMO_SIZE = 64
 
 
@@ -329,7 +329,9 @@ class _PackedOps:
 
 class _Memo:
     """The ``maxsize`` most recently used key -> value pairs, with counts of
-    hits and misses."""
+    hits and misses; the package's one bounded memo type.  Each memo's bound,
+    named next to it, is the least power of two at least twice the most keys
+    one pass of a benchmark workload asks of it."""
 
     def __init__(self, maxsize):
         self.maxsize = maxsize

@@ -29,11 +29,6 @@ class PhaseValue:
     def zero(modulus=1):
         return PhaseValue(0, modulus)
 
-    @staticmethod
-    def from_fraction(frac):
-        frac = Fraction(frac)
-        return PhaseValue(frac.numerator % frac.denominator, frac.denominator)
-
     def as_fraction(self):
         """Reduced representative in [0, 1)."""
         return Fraction(self.numerator, self.modulus)

@@ -34,6 +34,12 @@ def delooping(group: FiniteGroup) -> FinGroupoid:
     return gauge_groupoid(group, 0)
 
 
+def scanned_aut(groupoid: FinGroupoid, x):
+    """Aut(x) by a scan of the group: the elements k with k.x = x, in
+    element order."""
+    return tuple(k for k in groupoid.group.elements() if groupoid.act(k, x) == x)
+
+
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup):
     """An isomorphism a -> b found by exhaustive generator-image search.
 

@@ -58,6 +58,20 @@ def test_malformed_json_reports_position(capsys, tmp_path):
     assert "line" in err and "column" in err
 
 
+def test_malformed_numbers_in_input_files_end_in_an_error_line(capsys, tmp_path):
+    group = tmp_path / "badg.json"
+    group.write_text(json.dumps({"kind": "table", "order": "x", "table": [[0]]}))
+    cocycle = tmp_path / "bad.json"
+    doc = cochain_json(cohomology(cyclic_group(2), 3).generators[0])
+    cocycle.write_text(json.dumps(dict(doc, degree=[3])))
+    for argv, field in ((["group", "show", str(group)], "group order"),
+                        (["transgress", "--group", "z2", "--cocycle", str(cocycle)],
+                         "cochain degree")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
 def test_cohomology_output_and_generators(capsys):
     code, out, _ = run(capsys, "cohomology", "--group", "z4", "--degree", "3", "--json")
     assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from support import random_cochain
 
 from dwkit.cochains import (
+    FACE_MEMO_SIZE,
     Cochain,
     FormalChain,
     TupleIndex,
@@ -34,7 +35,7 @@ from dwkit.errors import (
     UnknownFamily,
     VerificationFailed,
 )
-from dwkit.groupoids import gauge_groupoid
+from dwkit.groupoids import GAUGE_MEMO_SIZE, gauge_groupoid
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
@@ -574,3 +575,13 @@ def test_face_and_gauge_memos_count_a_hit_on_a_repeated_call():
     after = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
     assert [(i.hits, i.misses) for i in after] == [
         (faces.hits + 1, faces.misses), (gauge.hits + 1, gauge.misses)]
+    assert [i.maxsize for i in after] == [FACE_MEMO_SIZE, GAUGE_MEMO_SIZE]
+    # an invariants pass asks for 85 distinct (group, n): a repeated round
+    # of 90 cheap keys is all hits
+    keys = [(cyclic_group(m), n) for m in range(1, 31) for n in (0, 1, 2)]
+    for _round in range(2):
+        gauge = gauge_groupoid.cache_info()
+        for group, n in keys:
+            gauge_groupoid(group, n)
+    after = gauge_groupoid.cache_info()
+    assert (after.hits, after.misses) == (gauge.hits + len(keys), gauge.misses)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from support import delooping
+from support import delooping, scanned_aut
 
 from dwkit.errors import BudgetExceeded, NotGaugeInvariant
 from dwkit.groupoids import (
@@ -19,6 +19,7 @@ from dwkit.groups import (
     dihedral_exponents,
     dihedral_group,
     group_from_table,
+    pauli_group,
     product_group,
     product_index,
 )
@@ -241,13 +242,15 @@ def test_integrate_is_the_object_sum_over_the_group_order():
 
 
 def test_transporters_and_stabilizers():
-    x = gauge_groupoid(dihedral_group(8), 2)
+    tori = [gauge_groupoid(g, 2)
+            for g in (dihedral_group(8), dihedral_group(6), pauli_group())]
     fib = homotopy_fiber(d8_to_k4(), (1, 2))
-    for grpd in (x, fib):
+    for grpd in (*tori, fib):
         for cls in grpd.isomorphism_classes():
             for y in cls:
                 rep, k = grpd.transporter(y)
                 assert rep == cls[0] and grpd.act(k, rep) == y
+                assert grpd.aut(y) == scanned_aut(grpd, y)
                 assert grpd.stabilizer_order(y) == len(grpd.aut(y))
 
 

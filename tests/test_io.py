@@ -165,3 +165,50 @@ def test_extension_round_trip():
     del doc["section"]
     again = parse_extension(doc)
     assert again.lam.map == ext.lam.map
+
+
+
+def _malformed(kind, path, value):
+    """A valid document of ``kind`` with the entry at ``path`` set to
+    ``value``; a last path entry None renames the first tuple key instead."""
+    k4 = product_group([2, 2])
+    doc = json.loads(json.dumps({
+        "table": {"kind": "table", "order": 4, "table": k4.table},
+        "builtin": group_json(k4),
+        "cochain": cochain_json(catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})),
+        "extension": extension_json(
+            direct_product_extension(cyclic_group(2), cyclic_group(2))),
+    }[kind]))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if path[-1] is None:
+        target[value] = target.pop(next(iter(target)))
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, value, field", [
+    ("table", ["order"], "x", "group order"),
+    ("builtin", ["params", "factors"], ["x", 2], "group params"),
+    ("builtin", ["params"], {}, "group params"),
+    ("cochain", ["degree"], "x", "cochain degree"),
+    ("cochain", ["degree"], [2], "cochain degree"),
+    ("cochain", ["modulus"], "x", "cochain modulus"),
+    ("cochain", ["values", None], "1,x|0,1", "tuple descriptor"),
+    ("cochain", ["values", None], "x|1", "tuple descriptor"),
+    ("cochain", ["values", "1|1"], "half", "cochain value"),
+    ("cochain", ["values", "1|1"], "1/0", "cochain value"),
+    ("extension", ["iota"], ["x", 1], "iota"),
+    ("extension", ["lambda"], 5, "lambda"),
+    ("extension", ["lambda"], [0, 1], "lambda"),
+    ("extension", ["section"], [0, None], "section"),
+])
+def test_malformed_numbers_raise_a_format_error_naming_the_field(
+        kind, path, value, field):
+    doc = _malformed(kind, path, value)
+    parse = {"table": parse_group, "builtin": parse_group,
+             "cochain": parse_cochain, "extension": parse_extension}[kind]
+    with pytest.raises(FormatError, match=field):
+        parse(doc)
