@@ -167,7 +167,6 @@ def test_extension_round_trip():
     assert again.lam.map == ext.lam.map
 
 
-
 def _malformed(kind, path, value):
     """A valid document of ``kind`` with the entry at ``path`` set to
     ``value``; a last path entry None renames the first tuple key instead."""
