@@ -229,6 +229,8 @@ def cmd_cohomology(args):
     from .cochains import BAR_MATRIX_NNZ_BUDGET, cohomology
     group = load_group_spec(args.group)
     degree = args.degree
+    if degree < 1:
+        raise CliError(f"--degree must be >= 1, got {degree}")
     budget = BAR_MATRIX_NNZ_BUDGET
     cache_dir = args.cache or os.environ.get("DWKIT_CACHE")
     cached = None

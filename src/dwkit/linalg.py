@@ -46,6 +46,13 @@ class SparseElimination:
     it once with a copy count, and it pops in exactly the order of a heap
     that holds every pushed copy, so the pivots and op logs do not depend
     on how the heap is stored.
+
+    Pivot step (``_pivot_on_column``), one inlined loop: the pivot row is
+    the first in column c's set order by (entry not a unit, length).  Row,
+    then column, operations clear c by the balanced quotient (q = v * p if
+    |p| = 1), restarting on any smaller remainder.  The op logs depend on
+    every set and dict operation's order, which the step keeps: set order
+    breaks pivot-row ties, dict order sets the clearing order.
     """
 
     # always integral; bench/tracer.py reads it to name an elimination
@@ -59,48 +66,12 @@ class SparseElimination:
         for r, row in enumerate(self.rows):
             for c in row:
                 self.colrows[c].add(r)
-        self.row_ops = []  # ("a", i, j, q): row_i += q * row_j
-        self.col_ops = []  # ("a", i, j, q): col_i += q * col_j
+        self.row_ops = []  # (i, j, q): row_i += q * row_j
+        self.col_ops = []  # (i, j, q): col_i += q * col_j
         self.pivots = []  # (row, col, value)
         self.pivot_rows = set()
         self.pivot_cols = set()
         self._done = False
-
-    def _row_add(self, i, j, q):
-        """row_i += q * row_j."""
-        self.row_ops.append((i, j, q))
-        ri = self.rows[i]
-        for c, v in self.rows[j].items():
-            nv = ri.get(c, 0) + q * v
-            if nv:
-                if c not in ri:
-                    self.colrows[c].add(i)
-                ri[c] = nv
-            elif c in ri:
-                del ri[c]
-                self.colrows[c].discard(i)
-
-    def _col_add(self, i, j, q):
-        """col_i += q * col_j."""
-        self.col_ops.append((i, j, q))
-        for r in list(self.colrows[j]):
-            row = self.rows[r]
-            nv = row.get(i, 0) + q * row[j]
-            if nv:
-                if i not in row:
-                    self.colrows[i].add(r)
-                row[i] = nv
-            elif i in row:
-                del row[i]
-                self.colrows[i].discard(r)
-
-    @staticmethod
-    def _balanced_quot(v, p):
-        """q minimizing |v - q*p|."""
-        q, rem = divmod(v, p)
-        if 2 * abs(rem) > abs(p):
-            q += 1
-        return q
 
     def eliminate(self):
         if self._done:
@@ -113,14 +84,6 @@ class SparseElimination:
         heap = [(len(rc), c) for c, rc in enumerate(colrows) if rc]
         heapq.heapify(heap)
         copies = dict.fromkeys(heap, 1)
-
-        def push(key, n=1):
-            if key in copies:
-                copies[key] += n
-            else:
-                copies[key] = n
-                heappush(heap, key)
-
         while heap:
             key = heappop(heap)
             n = copies.pop(key)
@@ -131,17 +94,26 @@ class SparseElimination:
             cur = len(colrows[c])
             if cur > sz:
                 # every copy is re-pushed at the current fill in turn
-                push((cur, c), n)
+                key = (cur, c)
+                m = copies.get(key, 0)
+                if not m:
+                    heappush(heap, key)
+                copies[key] = m + n
                 continue
             # valid, or shrunk (a copy re-pushed at the smaller fill would
             # be the heap minimum and pivot next): one copy is spent
             if n > 1:
-                push(key, n - 1)
+                copies[key] = n - 1
+                heappush(heap, key)
             self._pivot_on_column(c)
             # new fill may have revived columns never pushed as nonempty
             for c2 in self.rows_touched:
                 if c2 not in pivot_cols and colrows[c2]:
-                    push((len(colrows[c2]), c2))
+                    key = (len(colrows[c2]), c2)
+                    m = copies.get(key, 0)
+                    if not m:
+                        heappush(heap, key)
+                    copies[key] = m + 1
         # anything left (late fill) gets a final sweep
         for c in range(self.ncols):
             if c not in self.pivot_cols and self.colrows[c]:
@@ -153,53 +125,74 @@ class SparseElimination:
         return self
 
     def _pivot_on_column(self, c):
-        self.rows_touched = set()
-        r = min(
-            self.colrows[c],
-            key=lambda rr: (abs(self.rows[rr][c]) != 1, len(self.rows[rr])),
-        )
+        rows, colrows = self.rows, self.colrows
+        row_ops, col_ops = self.row_ops, self.col_ops
+        touched = self.rows_touched = set()
+        # a row has at most ncols entries, so key k ranks every unit first
+        nonunit = self.ncols + 1
+        best = 2 * nonunit
+        for rr in colrows[c]:
+            row = rows[rr]
+            k = len(row) if row[c] in (1, -1) else len(row) + nonunit
+            if k < best:
+                r, best = rr, k
         while True:
-            # clear column c by row operations
-            moved = False
-            p = self.rows[r][c]
-            for r2 in list(self.colrows[c]):
+            prow = rows[r]
+            p = prow[c]
+            unit, ap = p in (1, -1), abs(p)
+            for r2 in list(colrows[c]):
                 if r2 == r:
                     continue
-                q = self._balanced_quot(self.rows[r2][c], p)
-                if q:
-                    self._row_add(r2, r, -q)
-                    self.rows_touched.update(self.rows[r2])
-                if c in self.rows[r2]:
-                    # remainder is strictly smaller: better pivot
+                ri = rows[r2]
+                if unit:
+                    q = ri[c] * p
+                else:
+                    q, rem = divmod(ri[c], p)
+                    if 2 * abs(rem) > ap:
+                        q += 1
+                if q:  # row_r2 -= q * row_r
+                    q = -q
+                    row_ops.append((r2, r, q))
+                    for cc, w in prow.items():
+                        old = ri.get(cc)
+                        if old is None:
+                            ri[cc] = q * w
+                            colrows[cc].add(r2)
+                        elif nv := old + q * w:
+                            ri[cc] = nv
+                        else:
+                            del ri[cc]
+                            colrows[cc].discard(r2)
+                    touched.update(ri)
+                if c in ri:  # a smaller remainder: restart on row r2
                     r = r2
-                    moved = True
                     break
-            if moved:
-                continue
-            # clear row r by column operations (column c is now exclusive
-            # to row r, so each column op touches only row r)
-            p = self.rows[r][c]
-            moved = False
-            for c2 in list(self.rows[r]):
-                if c2 == c:
-                    continue
-                q = self._balanced_quot(self.rows[r][c2], p)
-                if q:
-                    self._col_add(c2, c, -q)
-                if c2 in self.rows[r]:
-                    c = c2
-                    moved = True
+            else:
+                # column c is row r's alone now, so col_c2 -= q * col_c
+                # changes only entry (r, c2)
+                for c2 in list(prow):
+                    if c2 == c:
+                        continue
+                    q, rem = divmod(prow[c2], p)
+                    if 2 * abs(rem) > ap:
+                        q += 1
+                        rem -= p
+                    if q:
+                        col_ops.append((c2, c, -q))
+                    if rem:  # a smaller remainder: restart on column c2
+                        prow[c2] = rem
+                        c = c2
+                        break
+                    del prow[c2]
+                    colrows[c2].discard(r)
+                else:
                     break
-            if moved:
-                continue
-            break
-        d = self.rows[r][c]
-        self.pivots.append((r, c, d))
+        # retire the pivot entry
+        self.pivots.append((r, c, p))
         self.pivot_rows.add(r)
         self.pivot_cols.add(c)
-        # retire the pivot entry
-        del self.rows[r][c]
-        self.colrows[c].discard(r)
+        del prow[c]
+        colrows[c].discard(r)
 
     def pack(self):
         """Eliminate, then keep only what a replay reads: drop the emptied

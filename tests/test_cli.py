@@ -83,6 +83,16 @@ def test_cohomology_output_and_generators(capsys):
         assert gen.degree == 3 and is_cocycle(gen)
 
 
+def test_cohomology_degree_out_of_range_ends_in_an_error_line(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for degree in ("0", "-1"):
+        code, out, err = run(capsys, "cohomology", "--group", "z4",
+                             "--degree", degree, "--cache", str(cache))
+        assert (code, out) == (1, "")
+        assert err == f"error: --degree must be >= 1, got {degree}\n"
+    assert not cache.exists()
+
+
 def test_cohomology_cache_round_trip(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     argv = [

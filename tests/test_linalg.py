@@ -1,12 +1,17 @@
+import hashlib
 import heapq
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from dwkit import cochains
-from dwkit.groups import dihedral_group
+from dwkit import cochains, linalg
+from dwkit.anomalies import is_first_obstruction_trivial, is_invariant_class
+from dwkit.cochains import catalog_cocycle
+from dwkit.groups import dihedral_group, pauli_group, product_group
 from dwkit.linalg import QZ_MEMO_SIZE, SparseElimination, solve_qz_checked
+
+from test_anomalies import doubling_extension
 
 
 @settings(max_examples=80, deadline=None)
@@ -188,3 +193,81 @@ def test_pivot_order_matches_lazy_heap_on_random_matrices(nrows, ncols, seed):
     got = SparseElimination(rows, ncols).eliminate()
     want = _lazy_heap_eliminate(SparseElimination(rows, ncols))
     assert _outcome(got) == _outcome(want)
+
+
+# -- recorded op logs ----------------------------------------------------------
+
+# sha256 of repr((pivots, row_ops, col_ops, free_cols)) per system, as the
+# engine first recorded them; any change to a pivot, an op or their order
+# shows here, whatever drives the pivot step
+RECORDED_DIGESTS = {
+    "d8_h3": [
+        "6354ff8d1e277a2d506ff526d0826a354c66652b71606e862b709d0ebbd99d11",
+        "d3563ac94cb82c270c4a3d0b8e001e2fbaeedc2a4304b89ba304d5104e1bbdd4",
+    ],
+    "z3xz3_h2": [
+        "0e0166a2ad9199f1d1dc03322a7c200bbbe2aad8a8f61d65e0329e9496c13ab4",
+        "30be91214c5fd7e798d8da08c049268e16282171477b2edbcba14417aee1dd61",
+    ],
+    "pauli_h1": [
+        "1120ada9c6788cd752d5d4f2575e7b740123cc029e9c37a39c73c59c303914e5",
+        "dfda2d57c3926e0f4a85d0df87841dde615212400df139e7850455003c03e2e6",
+    ],
+    "first_obstruction": [
+        "6c8f19cdf4258ab4a95ca76226e6a86ac7041b72406c7cc8a7b46f1294e46cb8",
+    ],
+    "random": [
+        "6b76d21b5f361a147a254f36beb5c49f1c7ef2161e0440e10c9007d28146ad31",
+    ],
+}
+
+
+def _digest(outcome):
+    return hashlib.sha256(repr(outcome).encode()).hexdigest()
+
+
+def _eliminations_of(monkeypatch, module, run):
+    """Digests of the eliminations ``run()`` makes through ``module`` (a
+    packed op log reads as the list of triples it packs)."""
+    made = []
+
+    class Recording(SparseElimination):
+        def __init__(self, rows, ncols):
+            super().__init__(rows, ncols)
+            made.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "SparseElimination", Recording)
+        run()
+    return [_digest((e.pivots, list(e.row_ops), list(e.col_ops), e.free_cols))
+            for e in made]
+
+
+def test_elimination_op_logs_match_recorded_digests(monkeypatch):
+    got = {}
+    for name, group, n in [("d8_h3", dihedral_group(8), 3),
+                           ("z3xz3_h2", product_group([3, 3]), 2),
+                           ("pauli_h1", pauli_group(), 1)]:
+        cochains.cohomology.cache_clear()  # a memo hit would eliminate nothing
+        got[name] = _eliminations_of(
+            monkeypatch, cochains, lambda: cochains.cohomology(group, n))
+    ext = doubling_extension(2)
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    _ok, phis = is_invariant_class(ext, w1)
+    solve_qz_checked.cache_clear()
+    got["first_obstruction"] = _eliminations_of(
+        monkeypatch, linalg,
+        lambda: is_first_obstruction_trivial(ext, w1, phis))
+    # small dense-ish matrices: non-unit pivots, and pivots that move to a
+    # smaller remainder in another row or column
+    outcomes = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(4, 16), rng.randint(4, 16)
+        density = rng.choice([0.2, 0.4, 0.7])
+        rows = [{c: rng.randint(-3, 5) for c in range(ncols)
+                 if rng.random() < density} for _ in range(nrows)]
+        outcomes.append(_outcome(SparseElimination(rows, ncols).eliminate()))
+    assert any(abs(d) > 1 for pivots, *_ in outcomes for _r, _c, d in pivots)
+    got["random"] = [_digest(outcomes)]
+    assert got == RECORDED_DIGESTS
