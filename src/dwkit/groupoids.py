@@ -21,7 +21,7 @@ from .linalg import _Memo
 from .phase import PhaseValue
 
 GAUGE_TUPLE_BUDGET = 10**6
-# an invariants pass asks for 85 (group, n) keys in 126 calls
+# an invariants pass asks for 85 (group, n) keys in 117 calls
 GAUGE_MEMO_SIZE = 256
 _gauge_groupoids = _Memo(GAUGE_MEMO_SIZE)
 

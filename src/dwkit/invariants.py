@@ -13,19 +13,24 @@ The torus sums and circle transgression run on integer numerators at the
 cocycle's modulus M: each value is read once as numerator * (M / its
 modulus), terms are added as ints, and a PhaseValue is built only at the
 boundary, for each distinct residue of a sum and each nonzero transgressed
-value.  ``torus_fundamental_cycle`` and ``evaluate`` in ``dwkit.cochains``
-remain the chain-level reference these sums agree with.
+value.  Both gather those numerators through integer tables that depend
+only on the group, degree and loops, memoized for the KERNEL_MEMO_SIZE most
+recently used keys; ``dw_partition_torus.cache_info()`` and
+``transgress_circle.cache_info()`` report that one memo.
+``torus_fundamental_cycle`` and ``evaluate`` in ``dwkit.cochains`` remain
+the chain-level reference these sums agree with.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import count, cycle, product as iter_product, repeat
 from math import factorial, lcm
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .cochains import (
     Cochain,
@@ -45,10 +50,14 @@ from .errors import (
 )
 from .groupoids import gauge_groupoid
 from .groups import FiniteGroup
+from .linalg import _Memo
 from .phase import PhaseValue
 
-# torus-cycle terms (commuting tuples times n!) one dw_partition_torus may sum
+# torus-cycle terms (commuting tuples times n!) one torus table may index
 TORUS_TERM_BUDGET = 10**7
+# an invariants pass asks for 91 torus and transgression keys in 120 calls
+KERNEL_MEMO_SIZE = 256
+_kernel_tables = _Memo(KERNEL_MEMO_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +164,43 @@ def _numerators(theta):
     return {t: v.numerator * (m // v.modulus) for t, v in theta.values.items()}
 
 
-def _torus_residues(theta, tuples):
-    """Counter {r: how many of the commuting ``tuples`` t have
+def _signed_sum(acc, nums, signed):
+    """acc plus sign * (nums gathered at cols), for each (sign, cols) of
+    ``signed``, as a list."""
+    at = nums.__getitem__
+    for sign, cols in signed:
+        acc = list(map(add if sign > 0 else sub, acc, map(at, cols)))
+    return acc
+
+
+def _torus_residues(theta):
+    """Counter {r: how many commuting n-tuples t (n = deg theta) have
     <theta, [T^n_t]> = r / theta.modulus}.
 
-    The torus cycle of t is the sum over permutations s of
-    sign(s) (t_s(1), ..., t_s(n)), so each tuple costs n! integer lookups;
-    it agrees with ``evaluate(theta, torus_fundamental_cycle(G, t))``.
+    The torus cycle of t is the sum over permutations s of sign(s) t o s,
+    as in ``evaluate(theta, torus_fundamental_cycle(G, t))``, and t o s is
+    again a commuting tuple.  The torus table of (G, n) holds, per
+    non-identity s, (sign(s), the position of each t o s among the tuples
+    of ``gauge_groupoid(G, n)``); a call reads theta's numerators once per
+    tuple and adds the gathered columns.  The budget on tuples times n!
+    is checked before the table is looked up or built.
     """
-    m = theta.modulus
-    get = _numerators(theta).get
-    if theta.degree == 1:
-        # itemgetter of one index returns the entry, not a 1-tuple
-        return Counter(get(t, 0) for t in tuples)
-    plus, minus = [], []
-    for sign, perm in _signed_permutations(theta.degree):
-        (plus if sign > 0 else minus).append(itemgetter(*perm))
-    out = Counter()
-    for t in tuples:
-        acc = 0
-        for p in plus:
-            acc += get(p(t), 0)
-        for p in minus:
-            acc -= get(p(t), 0)
-        out[acc % m] += 1
-    return out
+    group, n, m = theta.group, theta.degree, theta.modulus
+    tuples = gauge_groupoid(group, n).objects()
+    terms = len(tuples) * factorial(n)
+    if terms > TORUS_TERM_BUDGET:
+        raise BudgetExceeded(f"torus cycle terms for T^{n}", terms,
+                             TORUS_TERM_BUDGET)
+
+    def build():
+        position = {t: i for i, t in enumerate(tuples)}.__getitem__
+        return tuple(
+            (sign, array("l", map(position, map(itemgetter(*perm), tuples))))
+            for sign, perm in _signed_permutations(n)[1:])
+
+    signed = _kernel_tables.get(("torus", group, n), build)
+    nums = list(map(_numerators(theta).get, tuples, repeat(0)))
+    return Counter(map(m.__rmod__, _signed_sum(nums, nums, signed)))
 
 
 def _phase_average(group, residues, modulus, what):
@@ -209,18 +230,13 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
         raise DegreeMismatch("torus dimension must be >= 1")
     if not is_cocycle(theta):
         raise NotACocycle("dw_partition_torus needs a cocycle")
-    return _partition_torus(group, theta, n)
+    return _partition_torus(group, theta)
 
 
-def _partition_torus(group, theta, n):
+def _partition_torus(group, theta):
     """dw_partition_torus without the input checks."""
-    tuples = gauge_groupoid(group, n).objects()
-    terms = len(tuples) * factorial(n)
-    if terms > TORUS_TERM_BUDGET:
-        raise BudgetExceeded(f"torus cycle terms for T^{n}", terms,
-                             TORUS_TERM_BUDGET)
-    return _phase_average(group, _torus_residues(theta, tuples),
-                          theta.modulus, "partition sum of a cocycle")
+    return _phase_average(group, _torus_residues(theta), theta.modulus,
+                          "partition sum of a cocycle")
 
 
 def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
@@ -235,12 +251,8 @@ def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
         raise DegreeMismatch("twisted representations need a 2-cocycle")
     if not is_cocycle(omega):
         raise NotACocycle("twisted_irrep_count needs a cocycle")
-    return int(_phase_average(
-        group,
-        _torus_residues(omega, gauge_groupoid(group, 2).objects()),
-        omega.modulus,
-        "twisted representation count",
-    ))
+    return int(_phase_average(group, _torus_residues(omega), omega.modulus,
+                              "twisted representation count"))
 
 
 def omega_regular_class_count(group: FiniteGroup, omega: Cochain) -> int:
@@ -283,34 +295,49 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
     the output is a cocycle.  Pass ``check=False`` to apply the formula to
     a non-closed cochain (the output is then just a transport datum, not a
     cocycle).
+
+    Row base + args (base in ``gauge_groupoid(G, m + 1)``, args nonidentity)
+    gets the alternating sum of theta on its k faces
+    phi + args[:i] + (carried,) + args[i:].  The table of (G, k, m) holds
+    the rows base-major, the distinct faces, and k arrays of face positions;
+    a call reads theta's numerators once per face and gathers them.
     """
     if check and not is_cocycle(theta):
         raise NotACocycle("transgression needs a cocycle")
     degree = theta.degree
     if degree < 1:
         raise DegreeMismatch("transgression needs degree >= 1")
-    g = theta.group
-    m = theta.modulus
-    get = _numerators(theta).get
-    table, inverses = g.table, g.inverses
-    vals = {}
-    non_id = g.nonidentity()
-    for base in gauge_groupoid(g, theta.loops + 1).objects():
-        phi, loop = base[:-1], base[-1]
-        for args in iter_product(non_id, repeat=degree - 1):
-            acc = 0
-            sign = 1
-            carried = loop
-            for i in range(degree):
-                acc += sign * get(phi + args[:i] + (carried,) + args[i:], 0)
-                sign = -sign
-                if i < degree - 1:
-                    x = args[i]
+    g, m, loops = theta.group, theta.modulus, theta.loops
+
+    def build():
+        table, inverses, non_id = g.table, g.inverses, g.nonidentity()
+        position, rows = defaultdict(count().__next__), []
+        cols = [array("l") for _ in range(degree)]
+        for base in gauge_groupoid(g, loops + 1).objects():
+            phi, loop = base[:-1], base[-1]
+            for args in iter_product(non_id, repeat=degree - 1):
+                row = base + args  # face 0: the loop carried past no arg
+                rows.append(row)
+                cols[0].append(position[row])
+                carried = loop
+                for i in range(1, degree):
+                    x = args[i - 1]
                     carried = table[table[inverses[x]][carried]][x]
-            acc %= m
-            if acc:
-                vals[base + args] = PhaseValue(acc, m)
-    return Cochain(g, degree - 1, m, vals, theta.loops + 1)
+                    cols[i].append(position[phi + args[:i] + (carried,) + args[i:]])
+        return list(position), cols, rows
+
+    faces, cols, rows = _kernel_tables.get(("transgress", g, degree, loops),
+                                           build)
+    nums = list(map(_numerators(theta).get, faces, repeat(0)))
+    acc = _signed_sum(list(map(nums.__getitem__, cols[0])), nums,
+                      zip(cycle((-1, 1)), cols[1:]))
+    vals = {row: PhaseValue(a, m)
+            for row, a in zip(rows, map(m.__rmod__, acc)) if a}
+    return Cochain(g, degree - 1, m, vals, loops + 1)
+
+
+dw_partition_torus.cache_info = transgress_circle.cache_info = _kernel_tables.cache_info
+dw_partition_torus.cache_clear = transgress_circle.cache_clear = _kernel_tables.cache_clear
 
 
 def transgress_torus(theta: Cochain, times=None, check=True) -> Cochain:
@@ -422,7 +449,7 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
     basis = flat_basis(
         gauge_groupoid(group, k), lambda x, y: bundle.value(x + (y,))
     )
-    dim = _partition_torus(group, theta, n).value
+    dim = _partition_torus(group, theta).value
     if dim != len(basis):
         raise VerificationFailed(
             "section count must match the partition function"

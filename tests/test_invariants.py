@@ -19,7 +19,13 @@ from dwkit.cochains import (
     pullback,
     torus_fundamental_cycle,
 )
-from dwkit.errors import DegreeMismatch, IncompatiblePhases, NotACocycle
+from dwkit import invariants
+from dwkit.errors import (
+    BudgetExceeded,
+    DegreeMismatch,
+    IncompatiblePhases,
+    NotACocycle,
+)
 from dwkit.groupoids import gauge_groupoid
 from dwkit.groups import (
     GroupHom,
@@ -32,6 +38,7 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import (
+    KERNEL_MEMO_SIZE,
     ExactPhaseSum,
     dpr_double_cocycle,
     drinfeld_double_simple_count,
@@ -232,6 +239,62 @@ def test_partition_kernel_matches_evaluated_torus_cycles():
             assert got.value == want.as_rational()
             if n == 2:
                 assert twisted_irrep_count(group, theta) == got.value
+
+
+def test_torus_term_budget_bounds_every_torus_sum(monkeypatch):
+    d8 = dihedral_group(8)
+    w = catalog_cocycle("dihedral8_2cocycle", {})
+    assert twisted_irrep_count(d8, w) == 2
+    info = dw_partition_torus.cache_info()
+    # D8 has 40 commuting pairs: 80 terms
+    monkeypatch.setattr(invariants, "TORUS_TERM_BUDGET", 10)
+    with pytest.raises(BudgetExceeded):
+        dw_partition_torus(d8, w, 2)
+    with pytest.raises(BudgetExceeded):
+        twisted_irrep_count(d8, w)
+    # raised before the table lookup, so the memo saw neither call
+    assert dw_partition_torus.cache_info() == info
+    with pytest.raises(BudgetExceeded):
+        state_space_torus(d8, w)
+
+
+def _kernel_traffic():
+    info = transgress_circle.cache_info()
+    assert dw_partition_torus.cache_info() == info
+    return info.hits, info.misses
+
+
+def test_kernel_tables_are_shared_per_group_and_degree():
+    z4, k4 = cyclic_group(4), product_group([2, 2])
+    a, b = gens(z4, 3)[0], 3 * gens(z4, 3)[0]
+    dw_partition_torus.cache_clear()
+    assert _kernel_traffic() == (0, 0)
+    # a second cocycle on the same (G, n) hits the table the first one built
+    for theta, traffic in ((a, (0, 1)), (b, (1, 1))):
+        got = dw_partition_torus(z4, theta, 3)
+        assert got.phase_sum == torus_reference_sum(z4, theta, 3)
+        assert _kernel_traffic() == traffic
+    for theta, traffic in ((a, (1, 2)), (b, (2, 2))):
+        got = transgress_circle(theta)
+        assert list(got.values.items()) == list(
+            reference_transgress_circle(theta).values.items())
+        assert _kernel_traffic() == traffic
+    # Z4 and K4 have the same order but tables of their own
+    for group in (z4, k4):
+        theta = gens(group, 2)[0] if group is k4 else Cochain.zero(z4, 2)
+        before = _kernel_traffic()
+        got = dw_partition_torus(group, theta, 2)
+        assert got.phase_sum == torus_reference_sum(group, theta, 2)
+        assert _kernel_traffic() == (before[0], before[1] + 1)
+    # tables built again after cache_clear give the same answers
+    transgress_circle.cache_clear()
+    omega = gens(k4, 2)[0]
+    got = dw_partition_torus(k4, omega, 2)
+    assert got.phase_sum == torus_reference_sum(k4, omega, 2)
+    assert list(transgress_circle(a).values.items()) == list(
+        reference_transgress_circle(a).values.items())
+    assert _kernel_traffic() == (0, 2)
+    assert dw_partition_torus.cache_info().maxsize == KERNEL_MEMO_SIZE
 
 
 # --------------------------------------------------------------------------
