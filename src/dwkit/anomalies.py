@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import lcm
+from operator import neg
 
 from .cochains import (
     Cochain,
@@ -40,12 +41,11 @@ from .cochains import (
     coboundary_agrees,
     cohomology,
     delta_matrix_rows,
-    evaluate,
     interval_pairing,
     is_cocycle,
+    numerators_at,
     pullback,
     solve_coboundary,
-    torus_fundamental_cycle,
     vector_cochain,
 )
 from .errors import (
@@ -65,6 +65,7 @@ from .invariants import (
     TorusPartition,
     flat_basis,
     monomial_defect,
+    torus_pairing,
     transgress_torus,
 )
 from .linalg import solve_qz_checked
@@ -349,7 +350,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     den = lcm(*(u.denominator() for u in us))
     rhs = [0] * (len(block) * idx_c.row_count(gens))
     for u in us:
-        rhs += [-int(u.value(t).as_fraction() * den) for t in lead]
+        rhs += map(neg, numerators_at(u, lead, den))
     key = ("first_obstruction", g_grp, d_grp,
            tuple(actions[g].map for g in g_grp.elements()), n)
     sol = solve_qz_checked(key, build, rhs, den)
@@ -381,12 +382,9 @@ def _restriction_rows(ext, n, index):
 
 def _restriction_rhs(ext, omega):
     """omega on the rows of _restriction_rows, over its denominator."""
-    den = omega.denominator()
-    rhs = []
-    for t in itertools.product(ext.kernel.nonidentity(), repeat=omega.degree):
-        f = omega.value(t).as_fraction()
-        rhs.append(f.numerator * (den // f.denominator))
-    return rhs
+    return numerators_at(
+        omega, itertools.product(ext.kernel.nonidentity(), repeat=omega.degree),
+        omega.denominator())
 
 
 def find_closed_lift(ext: Extension, omega: Cochain):
@@ -552,7 +550,7 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
     """
     _verify_boundary_pair(ext, omega_p, theta)
     n = omega_p.degree
-    g_grp, ghat = ext.quotient, ext.total
+    g_grp = ext.quotient
     if len(phi) != n:
         raise DegreeMismatch(
             f"sector must be a commuting {n}-tuple (n = deg omega'), got "
@@ -563,15 +561,16 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
                 raise NonCommuting(a, b)
     fibre = homotopy_fiber(ext.lam, phi)
     ident = GroupHom.identity(g_grp)
+    m = lcm(omega_p.modulus, theta.modulus)
+    top = omega_p.numerators(m)
 
     def integrand(obj):
         phihat, h = obj
-        val = evaluate(omega_p, torus_fundamental_cycle(ghat, phihat))
-        down = tuple(ext.lam(x) for x in phihat)
+        x = torus_pairing(top, phihat)
         if h != g_grp.identity:
-            cyl = interval_pairing(theta, h, ident)
-            val = val + evaluate(cyl, torus_fundamental_cycle(g_grp, down))
-        return val.reduced()
+            cyl = interval_pairing(theta, h, ident).numerators(m)
+            x += torus_pairing(cyl, tuple(ext.lam(y) for y in phihat))
+        return PhaseValue(x, m).reduced()
 
     # an empty fibre integrates to 0, the empty phase sum
     weights = integrate(fibre, integrand) if fibre.objects() else {}

@@ -2,7 +2,8 @@
 
 Subcommands: group, cohomology, dw, anomaly, transgress.  Exit codes:
 0 success (or anomaly-free verdict), 1 fault (bad input, budget, parse
-error), 2 definitive negative verdict (an obstruction was found or a
+error, or a ``VerificationFailed``, e.g. an anomaly report whose d3 stage
+is undecided), 2 definitive negative verdict (an obstruction was found or a
 solver proved NoSolution), so shell pipelines can script obstruction
 sweeps.
 
@@ -35,6 +36,7 @@ from .errors import (
     NotAGroup,
     UnknownBuiltin,
     UnknownFamily,
+    VerificationFailed,
 )
 from .groups import builtin_group, dihedral_group
 from .io import (
@@ -435,6 +437,7 @@ def main(argv=None):
         UnknownFamily,
         BudgetExceeded,
         DegreeMismatch,
+        VerificationFailed,
     ) as exc:
         _log(f"error: {exc}")
         return 1

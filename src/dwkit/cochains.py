@@ -28,20 +28,25 @@ same holds for delta c = y with y closed, since delta c - y is then a cocycle
 the generator-led tuples depend only on (group, degree, loops), so their
 column indices are kept per key as integer arrays and each check is a signed
 sum of gathers from c~.
+
+Cochain arithmetic runs on integer numerators.  Sums, differences,
+multiples, slants (``interval_pairing``) and solve right-hand sides read
+each stored value once as numerator * (M / its modulus) at the result
+modulus M (``Cochain.numerators``), treat an absent tuple as 0, add ints
+and reduce mod M; a PhaseValue is built only for a nonzero result, already
+reduced.  ``pullback`` gathers the stored (immutable) values themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
 from .errors import (
     BudgetExceeded,
     DegreeMismatch,
-    NonCommuting,
     NotACocycle,
     UnknownFamily,
     VerificationFailed,
@@ -124,20 +129,25 @@ class Cochain:
     def is_zero(self):
         return not self.values
 
+    def numerators(self, modulus=None):
+        """{t: x} with c(t) = x/modulus at every stored tuple; ``modulus``
+        (default self.modulus) is a multiple of every value's modulus."""
+        m = modulus or self.modulus
+        return {t: v.numerator * (m // v.modulus)
+                for t, v in self.values.items()}
+
     def _combine(self, other, sign):
         if (self.group, self.degree, self.loops) != (
             other.group, other.degree, other.loops
         ):
             raise DegreeMismatch("cochains not compatible")
         m = lcm(self.modulus, other.modulus)
-        vals = dict(self.values)
-        for t, v in other.values.items():
-            w = vals.get(t, PhaseValue.zero(1)) + (sign * v)
-            if w.is_zero():
-                vals.pop(t, None)
-            else:
-                vals[t] = w
-        return Cochain(self.group, self.degree, m, vals, self.loops)
+        nums = self.numerators(m)
+        get = nums.get
+        for t, x in other.numerators(m).items():
+            nums[t] = get(t, 0) + sign * x
+        return Cochain(self.group, self.degree, m, _phases(nums.items(), m),
+                       self.loops)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -146,22 +156,17 @@ class Cochain:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return Cochain(
-            self.group,
-            self.degree,
-            self.modulus,
-            {t: -v for t, v in self.values.items()},
-            self.loops,
-        )
+        return self * -1
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
+        m = self.modulus
         return Cochain(
             self.group,
             self.degree,
-            self.modulus,
-            {t: v * k for t, v in self.values.items()},
+            m,
+            _phases(((t, x * k) for t, x in self.numerators().items()), m),
             self.loops,
         )
 
@@ -192,6 +197,18 @@ class Cochain:
             f"Cochain(degree={self.degree}, loops={self.loops}, "
             f"modulus={self.modulus}, support={len(self.values)})"
         )
+
+
+def _phases(items, m):
+    """{t: x/m} over the (t, x) of ``items`` with x nonzero mod m, each
+    value built reduced (so Cochain.__init__ keeps it as it is)."""
+    out = {}
+    for t, x in items:
+        x %= m
+        if x:
+            d = gcd(x, m)
+            out[t] = PhaseValue(x // d, m // d)
+    return out
 
 
 def all_tuples(group, n):
@@ -302,9 +319,8 @@ def coboundary(c):
     index = TupleIndex(g, n, m)
     vec = cochain_vector(c, index, scale_to=den) + [0]
     acc = _apply_faces(_face_columns(index), vec)
-    vals = {t: PhaseValue(v, den) for t, v in zip(index.rows(), acc)
-            if v % den}
-    return Cochain(g, n + 1, c.modulus, vals, m)
+    return Cochain(g, n + 1, c.modulus, _phases(zip(index.rows(), acc), den),
+                   m)
 
 
 def coboundary_agrees(c, y=None):
@@ -347,133 +363,16 @@ def is_cocycle(c):
 
 
 def pullback(f: GroupHom, c: Cochain):
-    """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized."""
-    src = f.source
+    """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized.
+
+    The stored values are immutable, so they are gathered as they are."""
+    get, image = c.values.get, f.map.__getitem__
     vals = {}
-    for t in all_tuples(src, c.degree):
-        v = c.value(tuple(f(g) for g in t))
-        if not v.is_zero():
+    for t in all_tuples(f.source, c.degree):
+        v = get(tuple(map(image, t)))
+        if v is not None:
             vals[t] = v
-    return Cochain(src, c.degree, c.modulus, vals)
-
-
-# -- formal chains and torus cycles --------------------------------------------
-
-
-class FormalChain:
-    """Finitely supported integer combination of bar n-simplices."""
-
-    __slots__ = ("group", "degree", "terms")
-
-    def __init__(self, group, degree, terms=None):
-        cleaned = {}
-        e = group.identity
-        for t, k in (terms or {}).items():
-            t = tuple(t)
-            if len(t) != degree:
-                raise ValueError(f"tuple {t} has wrong length")
-            if k and e not in t:
-                cleaned[t] = cleaned.get(t, 0) + k
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(
-            self, "terms", {t: k for t, k in cleaned.items() if k}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalChain is immutable")
-
-    @staticmethod
-    def zero(group, degree):
-        return FormalChain(group, degree, {})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.group != other.group or self.degree != other.degree:
-            raise DegreeMismatch("chains not compatible")
-        terms = dict(self.terms)
-        for t, k in other.terms.items():
-            terms[t] = terms.get(t, 0) + k
-        return FormalChain(self.group, self.degree, terms)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return FormalChain(
-            self.group, self.degree, {t: v * k for t, v in self.terms.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalChain):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def boundary(self):
-        """Bar boundary (adjoint to the coboundary under the pairing)."""
-        terms = {}
-        for t, k in self.terms.items():
-            for j, f in enumerate(_delta_faces(self.group, t)):
-                if f is not None:
-                    terms[f] = terms.get(f, 0) + (-k if j % 2 else k)
-        return FormalChain(self.group, self.degree - 1, terms)
-
-    def __repr__(self):
-        return f"FormalChain(degree={self.degree}, terms={len(self.terms)})"
-
-
-@lru_cache(maxsize=None)
-def _signed_permutations(n):
-    """(sign, permutation) for every permutation of range(n)."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
-        )
-        out.append(((-1) ** inversions, perm))
-    return tuple(out)
-
-
-def torus_fundamental_cycle(group, elems):
-    """Fundamental cycle of the n-torus with the given commuting holonomies.
-
-    The n-fold shuffle product of the 1-cycles (g_i), which is
-    sum over permutations s of sign(s) (g_s(1), ..., g_s(n)).
-    """
-    elems = tuple(elems)
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if not group.commute(elems[i], elems[j]):
-                raise NonCommuting(elems[i], elems[j])
-    terms = {}
-    for sign, perm in _signed_permutations(len(elems)):
-        t = tuple(elems[i] for i in perm)
-        terms[t] = terms.get(t, 0) + sign
-    return FormalChain(group, len(elems), terms)
-
-
-def evaluate(c: Cochain, z: FormalChain):
-    """Pairing <c, z> = sum of coeff * c(tuple) in Q/Z."""
-    if c.group != z.group:
-        raise DegreeMismatch("cochain and chain on different groups")
-    if c.degree != z.degree:
-        raise DegreeMismatch(
-            f"cochain degree {c.degree} vs chain degree {z.degree}"
-        )
-    acc = PhaseValue.zero(c.modulus)
-    for t, k in z.terms.items():
-        acc = acc + k * c.value(t)
-    return acc
+    return Cochain(f.source, c.degree, c.modulus, vals)
 
 
 def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
@@ -485,26 +384,21 @@ def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
     """
     ghg = omega_hat.group
     d_grp = iota.source
-    n = omega_hat.degree
+    n, m = omega_hat.degree, omega_hat.modulus
     if n < 1:
         raise DegreeMismatch("interval pairing needs degree >= 1")
-    vals = {}
+    get, image = omega_hat.numerators().get, iota.map.__getitem__
+    slants = []
     for t in all_tuples(d_grp, n - 1):
-        up = [iota(d) for d in t]
-        acc = PhaseValue.zero(omega_hat.modulus)
-        sign = 1
+        up = tuple(map(image, t))
+        conj = tuple(ghg.conjugate(ghat, u) for u in up)
+        acc = 0
         for i in range(n):
             # conjugate the entries that sit past the interval direction
-            args = (
-                [ghg.conjugate(ghat, u) for u in up[:i]]
-                + [ghat]
-                + up[i:]
-            )
-            acc = acc + sign * omega_hat.value(tuple(args))
-            sign = -sign
-        if not acc.is_zero():
-            vals[t] = acc
-    return Cochain(d_grp, n - 1, omega_hat.modulus, vals)
+            x = get(conj[:i] + (ghat,) + up[i:], 0)
+            acc += -x if i % 2 else x
+        slants.append((t, acc))
+    return Cochain(d_grp, n - 1, m, _phases(slants, m))
 
 
 # -- catalog cocycles ----------------------------------------------------------
@@ -608,11 +502,16 @@ def cochain_vector(c: Cochain, index: TupleIndex, scale_to=None):
     return vec
 
 
+def numerators_at(c: Cochain, tuples, den):
+    """c at ``tuples`` as integer numerators over den, a multiple of c's
+    denominator (0 where c vanishes): a right-hand side for a Q/Z solve."""
+    return list(map(c.numerators(den).get, tuples, itertools.repeat(0)))
+
+
 def vector_cochain(group, degree, vec, modulus, index=None):
     """Cochain with values vec[i]/modulus on the indexed tuples."""
     index = index or TupleIndex(group, degree)
-    vals = {t: PhaseValue(v, modulus)
-            for t, v in zip(index.all(), vec, strict=True) if v % modulus}
+    vals = _phases(zip(index.all(), vec, strict=True), modulus)
     return Cochain(group, degree, modulus, vals, index.loops)
 
 
@@ -842,7 +741,7 @@ def solve_coboundary(y: Cochain):
         _tuples, rows = delta_matrix_rows(g, n - 1, gens, index)
         return rows, index.size
 
-    rhs = [int(y.value(t).as_fraction() * den) for t in index.rows(gens)]
+    rhs = numerators_at(y, index.rows(gens), den)
     sol = solve_qz_checked(("coboundary", g, n - 1, loops), build, rhs, den)
     if sol is None:
         return None

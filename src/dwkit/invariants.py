@@ -16,9 +16,9 @@ boundary, for each distinct residue of a sum and each nonzero transgressed
 value.  Both gather those numerators through integer tables that depend
 only on the group, degree and loops, memoized for the KERNEL_MEMO_SIZE most
 recently used keys; ``dw_partition_torus.cache_info()`` and
-``transgress_circle.cache_info()`` report that one memo.
-``torus_fundamental_cycle`` and ``evaluate`` in ``dwkit.cochains`` remain
-the chain-level reference these sums agree with.
+``transgress_circle.cache_info()`` report that one memo.  A single torus
+value, as the symmetry action and the relative partition function need it,
+is ``torus_pairing``: the same signed permutation sum at one tuple.
 """
 
 from __future__ import annotations
@@ -28,18 +28,21 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, cycle, product as iter_product, repeat
+from itertools import (
+    count,
+    cycle,
+    permutations,
+    product as iter_product,
+    repeat,
+)
 from math import factorial, lcm
 from operator import add, itemgetter, sub
 
 from .cochains import (
     Cochain,
-    _signed_permutations,
     coboundary_agrees,
-    evaluate,
     is_cocycle,
     pullback,
-    torus_fundamental_cycle,
 )
 from .errors import (
     BudgetExceeded,
@@ -158,10 +161,30 @@ def _check_group(group, cochain):
         raise ValueError("cocycle lives on a different group")
 
 
-def _numerators(theta):
-    """theta's values as integer numerators at theta.modulus."""
-    m = theta.modulus
-    return {t: v.numerator * (m // v.modulus) for t, v in theta.values.items()}
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """(sign, permutation) for every permutation of range(n), identity
+    first."""
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        out.append(((-1) ** inversions, perm))
+    return tuple(out)
+
+
+def torus_pairing(nums, elems):
+    """<c, [T^n]> at the commuting holonomies ``elems``, as an integer over
+    the modulus at which ``nums`` holds c's numerators
+    (``Cochain.numerators``).
+
+    The fundamental cycle of the n-torus is the n-fold shuffle product of
+    the 1-cycles (g_i): the sum over permutations s of sign(s) elems o s.
+    """
+    get = nums.get
+    return sum(sign * get(tuple(map(elems.__getitem__, perm)), 0)
+               for sign, perm in _signed_permutations(len(elems)))
 
 
 def _signed_sum(acc, nums, signed):
@@ -178,12 +201,12 @@ def _torus_residues(theta):
     <theta, [T^n_t]> = r / theta.modulus}.
 
     The torus cycle of t is the sum over permutations s of sign(s) t o s,
-    as in ``evaluate(theta, torus_fundamental_cycle(G, t))``, and t o s is
-    again a commuting tuple.  The torus table of (G, n) holds, per
-    non-identity s, (sign(s), the position of each t o s among the tuples
-    of ``gauge_groupoid(G, n)``); a call reads theta's numerators once per
-    tuple and adds the gathered columns.  The budget on tuples times n!
-    is checked before the table is looked up or built.
+    as in ``torus_pairing``, and t o s is again a commuting tuple.  The
+    torus table of (G, n) holds, per non-identity s, (sign(s), the position
+    of each t o s among the tuples of ``gauge_groupoid(G, n)``); a call
+    reads theta's numerators once per tuple and adds the gathered columns.
+    The budget on tuples times n! is checked before the table is looked up
+    or built.
     """
     group, n, m = theta.group, theta.degree, theta.modulus
     tuples = gauge_groupoid(group, n).objects()
@@ -199,7 +222,7 @@ def _torus_residues(theta):
             for sign, perm in _signed_permutations(n)[1:])
 
     signed = _kernel_tables.get(("torus", group, n), build)
-    nums = list(map(_numerators(theta).get, tuples, repeat(0)))
+    nums = list(map(theta.numerators().get, tuples, repeat(0)))
     return Counter(map(m.__rmod__, _signed_sum(nums, nums, signed)))
 
 
@@ -328,7 +351,7 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
 
     faces, cols, rows = _kernel_tables.get(("transgress", g, degree, loops),
                                            build)
-    nums = list(map(_numerators(theta).get, faces, repeat(0)))
+    nums = list(map(theta.numerators().get, faces, repeat(0)))
     acc = _signed_sum(list(map(nums.__getitem__, cols[0])), nums,
                       zip(cycle((-1, 1)), cols[1:]))
     vals = {row: PhaseValue(a, m)
@@ -511,9 +534,10 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
     for g in sym_group.elements():
         ginv = sym_group.inverses[g]
         a_inv = alpha(ginv)
+        m = lcm(phis[g].modulus, space.line_bundle.modulus)
+        nums, bundle = phis[g].numerators(m), space.line_bundle.numerators(m)
         mat = {}
         for i, phi in enumerate(space.basis):
-            phase = evaluate(phis[g], torus_fundamental_cycle(d_grp, phi))
             psi = tuple(a_inv(x) for x in phi)
             rep_j, y = groupoid.transporter(psi)
             j = basis_index.get(rep_j)
@@ -522,7 +546,8 @@ def symmetry_action(sym_group: FiniteGroup, alpha, phis, space: StateSpace):
                     "symmetry maps a basis orbit outside the basis"
                 )
             # psi = y rep_j y^{-1}: transport from psi to rep_j along y
-            mat[(i, j)] = (phase + space.bundle_phase(psi, y)).reduced()
+            x = torus_pairing(nums, phi) + bundle.get(psi + (y,), 0)
+            mat[(i, j)] = PhaseValue(x, m).reduced()
         matrices[g] = mat
 
     defect = {}

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import lcm
 
 from dwkit.anomalies import (
     Extension,
@@ -9,10 +10,11 @@ from dwkit.anomalies import (
     cocycle_from_extension,
     extension_from_cocycle,
 )
-from dwkit.cochains import Cochain, TupleIndex
-from dwkit.errors import VerificationFailed
+from dwkit.cochains import Cochain, TupleIndex, _delta_faces, all_tuples
+from dwkit.errors import DegreeMismatch, NonCommuting, VerificationFailed
 from dwkit.groupoids import FinGroupoid, gauge_groupoid
 from dwkit.groups import FiniteGroup, GroupHom
+from dwkit.invariants import _signed_permutations
 from dwkit.phase import PhaseValue
 
 
@@ -107,3 +109,166 @@ def direct_product_extension(d_grp: FiniteGroup, g_grp: FiniteGroup) -> Extensio
     return extension_from_cocycle(
         NonAbelianCocycle(g_grp, d_grp, alpha, sigma, check=False)
     )
+
+
+# -- formal chains and torus cycles: the chain-level reference for the
+# integer torus sums and pairings in dwkit.invariants
+
+
+class FormalChain:
+    """Finitely supported integer combination of bar n-simplices."""
+
+    __slots__ = ("group", "degree", "terms")
+
+    def __init__(self, group, degree, terms=None):
+        cleaned = {}
+        e = group.identity
+        for t, k in (terms or {}).items():
+            t = tuple(t)
+            if len(t) != degree:
+                raise ValueError(f"tuple {t} has wrong length")
+            if k and e not in t:
+                cleaned[t] = cleaned.get(t, 0) + k
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(
+            self, "terms", {t: k for t, k in cleaned.items() if k}
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FormalChain is immutable")
+
+    @staticmethod
+    def zero(group, degree):
+        return FormalChain(group, degree, {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        if self.group != other.group or self.degree != other.degree:
+            raise DegreeMismatch("chains not compatible")
+        terms = dict(self.terms)
+        for t, k in other.terms.items():
+            terms[t] = terms.get(t, 0) + k
+        return FormalChain(self.group, self.degree, terms)
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        return FormalChain(
+            self.group, self.degree, {t: v * k for t, v in self.terms.items()}
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, FormalChain):
+            return NotImplemented
+        return (
+            self.group == other.group
+            and self.degree == other.degree
+            and self.terms == other.terms
+        )
+
+    def boundary(self):
+        """Bar boundary (adjoint to the coboundary under the pairing)."""
+        terms = {}
+        for t, k in self.terms.items():
+            for j, f in enumerate(_delta_faces(self.group, t)):
+                if f is not None:
+                    terms[f] = terms.get(f, 0) + (-k if j % 2 else k)
+        return FormalChain(self.group, self.degree - 1, terms)
+
+    def __repr__(self):
+        return f"FormalChain(degree={self.degree}, terms={len(self.terms)})"
+
+
+def torus_fundamental_cycle(group, elems):
+    """Fundamental cycle of the n-torus with the given commuting holonomies.
+
+    The n-fold shuffle product of the 1-cycles (g_i), which is
+    sum over permutations s of sign(s) (g_s(1), ..., g_s(n)).
+    """
+    elems = tuple(elems)
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            if not group.commute(elems[i], elems[j]):
+                raise NonCommuting(elems[i], elems[j])
+    terms = {}
+    for sign, perm in _signed_permutations(len(elems)):
+        t = tuple(elems[i] for i in perm)
+        terms[t] = terms.get(t, 0) + sign
+    return FormalChain(group, len(elems), terms)
+
+
+def evaluate(c: Cochain, z: FormalChain):
+    """Pairing <c, z> = sum of coeff * c(tuple) in Q/Z."""
+    if c.group != z.group:
+        raise DegreeMismatch("cochain and chain on different groups")
+    if c.degree != z.degree:
+        raise DegreeMismatch(
+            f"cochain degree {c.degree} vs chain degree {z.degree}"
+        )
+    acc = PhaseValue.zero(c.modulus)
+    for t, k in z.terms.items():
+        acc = acc + k * c.value(t)
+    return acc
+
+
+# -- PhaseValue reference for the integer cochain algebra of dwkit.cochains
+
+
+def reference_combine(a: Cochain, b: Cochain, sign):
+    """a + sign * b, one PhaseValue sum per tuple of b."""
+    vals = dict(a.values)
+    for t, v in b.values.items():
+        w = vals.get(t, PhaseValue.zero(1)) + (sign * v)
+        if w.is_zero():
+            vals.pop(t, None)
+        else:
+            vals[t] = w
+    return Cochain(a.group, a.degree, lcm(a.modulus, b.modulus), vals,
+                   a.loops)
+
+
+def reference_multiple(c: Cochain, k):
+    """k * c, one PhaseValue product per value."""
+    return Cochain(c.group, c.degree, c.modulus,
+                   {t: v * k for t, v in c.values.items()}, c.loops)
+
+
+def reference_pullback(f: GroupHom, c: Cochain):
+    """f^* c through Cochain.value at every tuple of the source."""
+    vals = {}
+    for t in all_tuples(f.source, c.degree):
+        v = c.value(tuple(f(g) for g in t))
+        if not v.is_zero():
+            vals[t] = v
+    return Cochain(f.source, c.degree, c.modulus, vals)
+
+
+def reference_interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
+    """interval_pairing as a PhaseValue sum of n signed values per tuple."""
+    ghg = omega_hat.group
+    n = omega_hat.degree
+    vals = {}
+    for t in all_tuples(iota.source, n - 1):
+        up = [iota(d) for d in t]
+        acc = PhaseValue.zero(omega_hat.modulus)
+        sign = 1
+        for i in range(n):
+            args = [ghg.conjugate(ghat, u) for u in up[:i]] + [ghat] + up[i:]
+            acc = acc + sign * omega_hat.value(tuple(args))
+            sign = -sign
+        if not acc.is_zero():
+            vals[t] = acc
+    return Cochain(iota.source, n - 1, omega_hat.modulus, vals)
+
+
+def reference_rhs(c: Cochain, tuples, den):
+    """c at ``tuples`` over den, through Fraction arithmetic."""
+    return [int(c.value(t).as_fraction() * den) for t in tuples]

@@ -15,7 +15,12 @@ from fractions import Fraction
 
 import pytest
 
-from support import direct_product_extension, random_cochain
+from support import (
+    direct_product_extension,
+    evaluate,
+    random_cochain,
+    torus_fundamental_cycle,
+)
 
 from test_anomalies import d8_in_pauli_extension, z4_boundary_pair
 
@@ -33,11 +38,9 @@ from dwkit.cochains import (
     catalog_cocycle,
     coboundary,
     cohomology,
-    evaluate,
     interval_pairing,
     is_cocycle,
     pullback,
-    torus_fundamental_cycle,
 )
 from dwkit.groupoids import cardinality, gauge_groupoid, homotopy_fiber
 from dwkit.groups import (

@@ -10,6 +10,7 @@ from test_anomalies import (
     center_of_d8_extension,
     center_sign_character,
     doubling_extension,
+    order_sixteen_extension,
     z2_in_z4_extension,
 )
 from test_io import Z4_TRANSGRESSED_ONCE
@@ -227,6 +228,22 @@ def test_anomaly_rejects_degree_one_cocycle(capsys, tmp_path):
     )
     assert code == 1 and not out
     assert "deg omega >= 2" in err
+
+
+def test_anomaly_with_undecided_d3_stage_ends_in_an_error_line(capsys, tmp_path):
+    """The first H^3(K4) generator on the order-16 central extension passes
+    the first obstruction but has no boundary pair, so anomaly_report
+    raises VerificationFailed: a fault, reported on one line."""
+    ext = order_sixteen_extension()
+    path = tmp_path / "o16.json"
+    path.write_text(json.dumps(extension_json(ext)))
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(cochain_json(cohomology(ext.kernel, 3).generators[0])))
+    code, out, err = run(
+        capsys, "anomaly", "--extension", str(path), "--cocycle", str(w), "--json",
+    )
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "d3 stage is undecided" in err
 
 
 def test_transgress_reports_dpr(capsys):

@@ -3,29 +3,42 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_cochain
+from support import (
+    FormalChain,
+    evaluate,
+    random_cochain,
+    reference_combine,
+    reference_interval_pairing,
+    reference_multiple,
+    reference_pullback,
+    reference_rhs,
+    torus_fundamental_cycle,
+)
+from test_anomalies import doubling_extension, z2_in_z4_extension
+from test_invariants import klein_in_d8_extension
+
+from dwkit import anomalies, cochains
 
 from dwkit.cochains import (
     FACE_MEMO_SIZE,
     Cochain,
-    FormalChain,
     TupleIndex,
     _crt_pair,
     catalog_cocycle,
     coboundary,
     coboundary_agrees,
     cohomology,
-    evaluate,
     interval_pairing,
     is_cocycle,
+    numerators_at,
     pullback,
     solve_coboundary,
-    torus_fundamental_cycle,
 )
 from dwkit.errors import (
     BudgetExceeded,
@@ -394,6 +407,90 @@ def test_interval_pairing_boundary_identity():
         )
         assert coboundary(phi) == w - pullback(conj, w)
     assert interval_pairing(w, d6.identity, ident).values == {}
+
+
+def _mixed_cochain(group, degree, rng, loops=0):
+    """A seeded cochain whose values have several moduli, summed by the
+    PhaseValue reference."""
+    c = Cochain.zero(group, degree, 1, loops)
+    for m in rng.sample([2, 3, 4, 6, 12], 3):
+        c = reference_combine(
+            c, random_cochain(group, degree, m, rng, 0.4, loops), 1)
+    return c
+
+
+def _same(got, want):
+    """Equal values, each stored the same way, in the same order."""
+    assert (got.modulus, got.loops) == (want.modulus, want.loops)
+    assert [(t, v.numerator, v.modulus) for t, v in got.values.items()] == [
+        (t, v.numerator, v.modulus) for t, v in want.values.items()]
+
+
+def test_numerator_algebra_matches_phase_reference(monkeypatch):
+    rng = random.Random(20)
+    d8, z6 = dihedral_group(8), cyclic_group(6)
+    for group, degree, loops in ((d8, 2, 0), (z6, 3, 0), (d8, 1, 1), (z6, 2, 1)):
+        for _ in range(3):
+            a = _mixed_cochain(group, degree, rng, loops)
+            b = _mixed_cochain(group, degree, rng, loops)
+            _same(a + b, reference_combine(a, b, 1))
+            _same(a - b, reference_combine(a, b, -1))
+            _same(a - a, reference_combine(a, a, -1))
+            _same(-a, reference_multiple(a, -1))
+            for k in (0, 1, 5, -7, rng.randrange(-50, 50)):
+                _same(k * a, reference_multiple(a, k))
+                _same(a * k, reference_multiple(a, k))
+        y = _mixed_cochain(group, degree + 1, rng, loops)
+        rows = list(TupleIndex(group, degree, loops).rows(group.generators()))
+        for den in (y.denominator(), 12 * y.denominator()):
+            assert numerators_at(y, rows, den) == reference_rhs(y, rows, den)
+
+    # pullbacks along seeded homomorphisms Z_a -> Z_b and along iota,
+    # lambda and every alpha(g) of an extension with a nontrivial action
+    ext = klein_in_d8_extension()
+    homs = [ext.iota, ext.lam] + [ext.action(g) for g in ext.quotient.elements()]
+    for a, b in ((12, 4), (4, 12), (6, 6)):
+        za, zb = cyclic_group(a), cyclic_group(b)
+        k = rng.randrange(1, b) * (b // gcd(a, b))
+        homs.append(GroupHom(za, zb, [x * k % b for x in za.elements()]))
+    for f in homs:
+        for degree in (1, 2, 3):
+            c = _mixed_cochain(f.target, degree, rng)
+            _same(pullback(f, c), reference_pullback(f, c))
+
+    # slants along iota and along the identity of the total group
+    ghat = ext.total
+    for iota in (ext.iota, GroupHom.identity(ghat)):
+        for degree in (1, 2, 3):
+            w = _mixed_cochain(ghat, degree, rng)
+            for g in ghat.elements():
+                _same(interval_pairing(w, g, iota),
+                      reference_interval_pairing(w, g, iota))
+
+    # every right-hand side the solves build, checked on real inputs
+    callers = set()
+
+    def checked(c, tuples, den):
+        tuples = list(tuples)
+        got = numerators_at(c, tuples, den)
+        assert got == reference_rhs(c, tuples, den)
+        callers.add(sys._getframe(1).f_code.co_name)
+        return got
+
+    monkeypatch.setattr(cochains, "numerators_at", checked)
+    monkeypatch.setattr(anomalies, "numerators_at", checked)
+    for group, degree, loops in ((d8, 1, 0), (z6, 2, 1)):
+        y = coboundary(_mixed_cochain(group, degree, rng, loops))
+        assert coboundary(solve_coboundary(y)) == y
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    theta = catalog_cocycle("cyclic_3cocycle", {"N": 2, "k": 1})
+    assert [anomalies.anomaly_report(e, w).verdict
+            for e, w in ((doubling_extension(2), w1), (ext, w1),
+                         (z2_in_z4_extension(), theta))] == [
+        "first_obstruction_fails", "anomaly_free", "anomaly_free"]
+    assert anomalies.find_boundary_pair(ext, w1) is not None
+    assert callers == {"solve_coboundary", "is_first_obstruction_trivial",
+                       "_restriction_rhs"}
 
 
 # a cohomology run whose elim_b column-op log lost its last entry; the

@@ -6,18 +6,16 @@ from math import gcd
 
 import pytest
 
-from support import random_cochain
+from support import evaluate, random_cochain, torus_fundamental_cycle
 
 from dwkit.cochains import (
     Cochain,
     catalog_cocycle,
     coboundary,
     cohomology,
-    evaluate,
     interval_pairing,
     is_cocycle,
     pullback,
-    torus_fundamental_cycle,
 )
 from dwkit import invariants
 from dwkit.errors import (
