@@ -563,13 +563,16 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
     ident = GroupHom.identity(g_grp)
     m = lcm(omega_p.modulus, theta.modulus)
     top = omega_p.numerators(m)
+    # one theta-cylinder per distinct interval holonomy h of the fibre
+    holonomies = {h for _phihat, h in fibre.objects()} - {g_grp.identity}
+    cylinders = {h: interval_pairing(theta, h, ident).numerators(m)
+                 for h in holonomies}
 
     def integrand(obj):
         phihat, h = obj
         x = torus_pairing(top, phihat)
-        if h != g_grp.identity:
-            cyl = interval_pairing(theta, h, ident).numerators(m)
-            x += torus_pairing(cyl, tuple(ext.lam(y) for y in phihat))
+        if h in cylinders:
+            x += torus_pairing(cylinders[h], tuple(ext.lam(y) for y in phihat))
         return PhaseValue(x, m).reduced()
 
     # an empty fibre integrates to 0, the empty phase sum
@@ -600,7 +603,7 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
     # k-fold transgression of omega' on Ghat; omega' is generally not
     # closed (delta omega' = lambda* theta), so skip the closure check --
     # the result is used only as a transport datum along kernel morphisms.
-    bundle = transgress_torus(omega_p, k, check=False)
+    bundle = transgress_torus(omega_p, k, check=False).numerators(modulus)
 
     sectors = gauge_groupoid(g_grp, k).objects()
     lifts = {}
@@ -611,7 +614,7 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
         return tuple(ghat.conjugate(ext.iota(d), x) for x in t)
 
     def kernel_phase(t, d):
-        return bundle.value(t + (ext.iota(d),))
+        return bundle.get(t + (ext.iota(d),), 0)
 
     # per sector: the kernel's action groupoid on the lifts, and the
     # positions of the orbits whose stabilizer character is trivial
@@ -630,14 +633,14 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
         mat = {}
         for rep, i in src_basis.items():
             moved = tuple(ghat.conjugate(s, x) for x in rep)
-            phase = bundle.value(rep + (ghat.inverses[s],))
+            phase = bundle.get(rep + (ghat.inverses[s],), 0)
             target_rep, d = dst_fibre.transporter(moved)
             j = dst_basis.get(target_rep)
             if j is None:
                 raise IncompatiblePhases("symmetry does not preserve the basis")
             # moved = iota(d) target_rep iota(d)^{-1}: transport from moved
             # to target_rep along iota(d), continuing the path rep -> moved
-            mat[(j, i)] = (phase + kernel_phase(moved, d)).reduced()
+            mat[(j, i)] = (phase + kernel_phase(moved, d)) % modulus
         return mat
 
     vals = {}
@@ -649,16 +652,16 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
                     operator(phi, g1),
                     operator(mid, g2),
                     operator(phi, g_grp.mul(g1, g2)),
+                    modulus.__rmod__,
                 )
                 if per_row is None:
                     raise VerificationFailed("monomial supports must agree")
                 diffs = set(per_row.values())
                 if len(diffs) > 1:
                     raise VerificationFailed("composition defect must be scalar")
-                d = diffs.pop() if diffs else PhaseValue.zero(1)
-                if not d.is_zero():
-                    vals[phi + (g1, g2)] = d
-    defect = Cochain(g_grp, 2, modulus, vals, loops=k)
+                if diffs:
+                    vals[phi + (g1, g2)] = diffs.pop()
+    defect = Cochain._from_numerators(g_grp, 2, modulus, vals.items(), loops=k)
     trans = transgress_torus(theta, k)
     same = solve_coboundary(defect - trans) is not None
     return defect, trans, same

@@ -29,12 +29,13 @@ the generator-led tuples depend only on (group, degree, loops), so their
 column indices are kept per key as integer arrays and each check is a signed
 sum of gathers from c~.
 
-Cochain arithmetic runs on integer numerators.  Sums, differences,
-multiples, slants (``interval_pairing``) and solve right-hand sides read
-each stored value once as numerator * (M / its modulus) at the result
-modulus M (``Cochain.numerators``), treat an absent tuple as 0, add ints
-and reduce mod M; a PhaseValue is built only for a nonzero result, already
-reduced.  ``pullback`` gathers the stored (immutable) values themselves.
+A cochain stores integer numerators: one x in [1, M) per nonzero tuple at
+its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
+and solve right-hand sides read them at the result modulus
+(``Cochain.numerators``), treat an absent tuple as 0 and add ints; the
+result keeps each sum reduced mod M, and drops the zeros, with no further
+check.  ``values`` and ``value`` build PhaseValues on access, for readers
+outside hot loops.
 """
 
 from __future__ import annotations
@@ -80,17 +81,20 @@ class Cochain:
 
     ``loops`` is m (0 for BG).  Values are keyed by base + args: a base in
     X_m followed by n arguments in G, normalized to vanish when an argument
-    is the identity.
+    is the identity.  A cochain stores one integer numerator x in [1, M)
+    per nonzero tuple, the value being x/M at its ``modulus`` M;
+    ``numerators`` reads them.  ``values`` and ``value`` build reduced
+    PhaseValues on access, for readers outside hot loops.
     """
 
-    __slots__ = ("group", "degree", "modulus", "values", "loops")
+    __slots__ = ("group", "degree", "modulus", "_nums", "loops")
 
     def __init__(self, group, degree, modulus, values=None, loops=0):
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        cleaned = {}
+        nums = {}
         e = group.identity
         for t, v in (values or {}).items():
             t = tuple(t)
@@ -108,12 +112,23 @@ class Cochain:
                     f"value modulus {v.modulus} does not divide {modulus}"
                 )
             if not r.is_zero():
-                cleaned[t] = r
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "values", cleaned)
-        object.__setattr__(self, "loops", loops)
+                nums[t] = r.numerator * (modulus // r.modulus)
+        self._set(group, degree, modulus, nums, loops)
+
+    def _set(self, *fields):
+        """Set the fields, given in ``__slots__`` order."""
+        for name, field in zip(self.__slots__, fields):
+            object.__setattr__(self, name, field)
+
+    @classmethod
+    def _from_numerators(cls, group, degree, modulus, items, loops=0):
+        """The cochain x/modulus at each (t, x) of ``items``, x reduced mod
+        modulus and dropped if 0: the library's own results, built from
+        normalized tuples, skip the checks of the public constructor."""
+        c = object.__new__(cls)
+        c._set(group, degree, modulus,
+               {t: r for t, x in items if (r := x % modulus)}, loops)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
@@ -122,19 +137,26 @@ class Cochain:
     def zero(group, degree, modulus=1, loops=0):
         return Cochain(group, degree, modulus, {}, loops)
 
+    @property
+    def values(self):
+        """{t: reduced PhaseValue} over the nonzero tuples, in storage
+        order (a new dict on every access)."""
+        m = self.modulus
+        return {t: PhaseValue(x, m).reduced() for t, x in self._nums.items()}
+
     def value(self, t):
-        v = self.values.get(tuple(t))
-        return v if v is not None else PhaseValue.zero(self.modulus)
+        return PhaseValue(self._nums.get(tuple(t), 0), self.modulus).reduced()
 
     def is_zero(self):
-        return not self.values
+        return not self._nums
 
     def numerators(self, modulus=None):
-        """{t: x} with c(t) = x/modulus at every stored tuple; ``modulus``
-        (default self.modulus) is a multiple of every value's modulus."""
-        m = modulus or self.modulus
-        return {t: v.numerator * (m // v.modulus)
-                for t, v in self.values.items()}
+        """{t: x} with c(t) = x/modulus at every nonzero tuple; ``modulus``
+        (default self.modulus) is a multiple of ``denominator()``."""
+        m, own = modulus or self.modulus, self.modulus
+        if m == own:
+            return dict(self._nums)
+        return {t: x * m // own for t, x in self._nums.items()}
 
     def _combine(self, other, sign):
         if (self.group, self.degree, self.loops) != (
@@ -146,8 +168,8 @@ class Cochain:
         get = nums.get
         for t, x in other.numerators(m).items():
             nums[t] = get(t, 0) + sign * x
-        return Cochain(self.group, self.degree, m, _phases(nums.items(), m),
-                       self.loops)
+        return Cochain._from_numerators(self.group, self.degree, m,
+                                        nums.items(), self.loops)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -161,54 +183,38 @@ class Cochain:
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        m = self.modulus
-        return Cochain(
-            self.group,
-            self.degree,
-            m,
-            _phases(((t, x * k) for t, x in self.numerators().items()), m),
-            self.loops,
-        )
+        return Cochain._from_numerators(
+            self.group, self.degree, self.modulus,
+            ((t, x * k) for t, x in self._nums.items()), self.loops)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
             return NotImplemented
+        # equal values give equal numerators over the same least modulus
+        den = self.denominator()
         return (
             self.group == other.group
             and self.degree == other.degree
             and self.loops == other.loops
-            and self.values == other.values
+            and den == other.denominator()
+            and self.numerators(den) == other.numerators(den)
         )
 
     def __hash__(self):
-        return hash(
-            (self.degree, tuple(sorted(self.values.items(),
-                                       key=lambda kv: kv[0])))
-        )
+        den = self.denominator()
+        return hash((self.degree, den, frozenset(self.numerators(den).items())))
 
     def denominator(self):
         """lcm of the reduced denominators of all values (1 if zero)."""
-        return lcm(*{v.modulus for v in self.values.values()})
+        return self.modulus // gcd(self.modulus, *self._nums.values())
 
     def __repr__(self):
         return (
             f"Cochain(degree={self.degree}, loops={self.loops}, "
-            f"modulus={self.modulus}, support={len(self.values)})"
+            f"modulus={self.modulus}, support={len(self._nums)})"
         )
-
-
-def _phases(items, m):
-    """{t: x/m} over the (t, x) of ``items`` with x nonzero mod m, each
-    value built reduced (so Cochain.__init__ keeps it as it is)."""
-    out = {}
-    for t, x in items:
-        x %= m
-        if x:
-            d = gcd(x, m)
-            out[t] = PhaseValue(x // d, m // d)
-    return out
 
 
 def all_tuples(group, n):
@@ -315,12 +321,11 @@ def _generator_faces(group, n, loops):
 def coboundary(c):
     """The bar differential (trivial coefficients), degree n -> n+1."""
     g, n, m = c.group, c.degree, c.loops
-    den = c.denominator()
     index = TupleIndex(g, n, m)
-    vec = cochain_vector(c, index, scale_to=den) + [0]
+    vec = cochain_vector(c, index, scale_to=c.modulus) + [0]
     acc = _apply_faces(_face_columns(index), vec)
-    return Cochain(g, n + 1, c.modulus, _phases(zip(index.rows(), acc), den),
-                   m)
+    return Cochain._from_numerators(g, n + 1, c.modulus, zip(index.rows(), acc),
+                                    m)
 
 
 def coboundary_agrees(c, y=None):
@@ -344,12 +349,11 @@ def coboundary_agrees(c, y=None):
         # row of base + (s, rest) is (base, s, rest) in mixed radix
         acc = list(acc)
         tail = index.radix**n
-        for t, w in y.values.items():
+        for t, w in y.numerators(den).items():
             k = lead.get(t[m])
             if k is not None:
                 b, rest = divmod(index.index(t[:m] + t[m + 1:]), tail)
-                acc[(b * len(lead) + k) * tail + rest] -= (
-                    w.numerator * (den // w.modulus))
+                acc[(b * len(lead) + k) * tail + rest] -= w
     return not any(map(den.__rmod__, acc))
 
 
@@ -363,16 +367,12 @@ def is_cocycle(c):
 
 
 def pullback(f: GroupHom, c: Cochain):
-    """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized.
-
-    The stored values are immutable, so they are gathered as they are."""
-    get, image = c.values.get, f.map.__getitem__
-    vals = {}
-    for t in all_tuples(f.source, c.degree):
-        v = get(tuple(map(image, t)))
-        if v is not None:
-            vals[t] = v
-    return Cochain(f.source, c.degree, c.modulus, vals)
+    """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized."""
+    get, image = c._nums.get, f.map.__getitem__
+    return Cochain._from_numerators(
+        f.source, c.degree, c.modulus,
+        ((t, get(tuple(map(image, t)), 0))
+         for t in all_tuples(f.source, c.degree)))
 
 
 def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
@@ -387,7 +387,7 @@ def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
     n, m = omega_hat.degree, omega_hat.modulus
     if n < 1:
         raise DegreeMismatch("interval pairing needs degree >= 1")
-    get, image = omega_hat.numerators().get, iota.map.__getitem__
+    get, image = omega_hat._nums.get, iota.map.__getitem__
     slants = []
     for t in all_tuples(d_grp, n - 1):
         up = tuple(map(image, t))
@@ -398,7 +398,7 @@ def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
             x = get(conj[:i] + (ghat,) + up[i:], 0)
             acc += -x if i % 2 else x
         slants.append((t, acc))
-    return Cochain(d_grp, n - 1, m, _phases(slants, m))
+    return Cochain._from_numerators(d_grp, n - 1, m, slants)
 
 
 # -- catalog cocycles ----------------------------------------------------------
@@ -424,9 +424,7 @@ def catalog_cocycle(name, params=None):
         for t in all_tuples(grp, 2):
             a1, _b1 = product_digits([n_par, n_par], t[0])
             _a2, b2 = product_digits([n_par, n_par], t[1])
-            v = PhaseValue(k * a1 * b2, n_par)
-            if not v.is_zero():
-                vals[t] = v
+            vals[t] = PhaseValue(k * a1 * b2, n_par)
         return Cochain(grp, 2, n_par, vals)
     if name == "dihedral8_2cocycle":
         grp = dihedral_group(8)
@@ -435,9 +433,7 @@ def catalog_cocycle(name, params=None):
             _i, j = dihedral_exponents(8, t[0])
             i2, _j2 = dihedral_exponents(8, t[1])
             if j == 1:
-                v = PhaseValue(i2, 4)
-                if not v.is_zero():
-                    vals[t] = v
+                vals[t] = PhaseValue(i2, 4)
         return Cochain(grp, 2, 4, vals)
     if name == "cyclic_3cocycle":
         n_par, k = int(params["N"]), int(params.get("k", 1))
@@ -445,9 +441,7 @@ def catalog_cocycle(name, params=None):
         vals = {}
         for t in all_tuples(grp, 3):
             a, b, c = t
-            v = PhaseValue(k * a * ((b + c) // n_par), n_par)
-            if not v.is_zero():
-                vals[t] = v
+            vals[t] = PhaseValue(k * a * ((b + c) // n_par), n_par)
         return Cochain(grp, 3, n_par, vals)
     if name == "extension_2cocycle":
         n_par, m_par = int(params["N"]), int(params["M"])
@@ -497,8 +491,8 @@ def cochain_vector(c: Cochain, index: TupleIndex, scale_to=None):
     """Integer vector of c on the index, scaled to denominator ``scale_to``."""
     den = scale_to or c.denominator()
     vec = [0] * index.size
-    for t, v in c.values.items():  # values are stored reduced
-        vec[index.index(t)] = v.numerator * (den // v.modulus)
+    for t, x in c.numerators(den).items():
+        vec[index.index(t)] = x
     return vec
 
 
@@ -511,8 +505,9 @@ def numerators_at(c: Cochain, tuples, den):
 def vector_cochain(group, degree, vec, modulus, index=None):
     """Cochain with values vec[i]/modulus on the indexed tuples."""
     index = index or TupleIndex(group, degree)
-    vals = _phases(zip(index.all(), vec, strict=True), modulus)
-    return Cochain(group, degree, modulus, vals, index.loops)
+    return Cochain._from_numerators(group, degree, modulus,
+                                    zip(index.all(), vec, strict=True),
+                                    index.loops)
 
 
 # -- cohomology -----------------------------------------------------------------
@@ -619,7 +614,8 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     h = _cohomology_groups.get((group, n), lambda: _cohomology(group, n))
     generators = h.generators
     if h.group is not group:
-        generators = [Cochain(group, n, c.modulus, c.values)
+        generators = [Cochain._from_numerators(group, n, c.modulus,
+                                               c._nums.items())
                       for c in generators]
     return CohomologyGroup(group, n, list(h.invariant_factors),
                            list(generators), h._data)

@@ -9,16 +9,16 @@ No floating point: sums of phases are carried as integer vectors indexed by
 residues mod M (elements of the group ring Z[Z_M]) and collapsed by exact
 reduction modulo the M-th cyclotomic polynomial.
 
-The torus sums and circle transgression run on integer numerators at the
-cocycle's modulus M: each value is read once as numerator * (M / its
-modulus), terms are added as ints, and a PhaseValue is built only at the
-boundary, for each distinct residue of a sum and each nonzero transgressed
-value.  Both gather those numerators through integer tables that depend
-only on the group, degree and loops, memoized for the KERNEL_MEMO_SIZE most
-recently used keys; ``dw_partition_torus.cache_info()`` and
-``transgress_circle.cache_info()`` report that one memo.  A single torus
-value, as the symmetry action and the relative partition function need it,
-is ``torus_pairing``: the same signed permutation sum at one tuple.
+The torus sums and circle transgression run on the cocycle's integer
+numerators at its modulus M (``Cochain.numerators``): terms are added as
+ints, a PhaseValue is built only for each distinct residue of a sum, and a
+transgressed cochain is built from its numerators.  Both gather those
+numerators through integer tables that depend only on the group, degree
+and loops, memoized for the KERNEL_MEMO_SIZE most recently used keys;
+``dw_partition_torus.cache_info()`` and ``transgress_circle.cache_info()``
+report that one memo.  A single torus value, as the symmetry action and
+the relative partition function need it, is ``torus_pairing``: the same
+signed permutation sum at one tuple.
 """
 
 from __future__ import annotations
@@ -288,11 +288,12 @@ def omega_regular_class_count(group: FiniteGroup, omega: Cochain) -> int:
     _check_group(group, omega)
     if omega.degree != 2:
         raise DegreeMismatch("regularity is defined for 2-cochains")
+    get = omega.numerators().get
     count = 0
     for cls in group.conjugacy_classes():
         g = cls[0]
         if all(
-            omega.value((g, h)) == omega.value((h, g))
+            get((g, h), 0) == get((h, g), 0)
             for h in group.centralizer([g])
         ):
             count += 1
@@ -354,9 +355,8 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
     nums = list(map(theta.numerators().get, faces, repeat(0)))
     acc = _signed_sum(list(map(nums.__getitem__, cols[0])), nums,
                       zip(cycle((-1, 1)), cols[1:]))
-    vals = {row: PhaseValue(a, m)
-            for row, a in zip(rows, map(m.__rmod__, acc)) if a}
-    return Cochain(g, degree - 1, m, vals, loops + 1)
+    return Cochain._from_numerators(g, degree - 1, m, zip(rows, acc),
+                                    loops + 1)
 
 
 dw_partition_torus.cache_info = transgress_circle.cache_info = _kernel_tables.cache_info
@@ -392,7 +392,8 @@ def dpr_double_cocycle(theta: Cochain) -> Cochain:
     if not is_cocycle(theta):
         raise NotACocycle("the double cocycle needs a 3-cocycle")
     g_grp = theta.group
-    vals = {}
+    get = theta.numerators().get
+    vals = []
     for g in g_grp.elements():
         for x in g_grp.nonidentity():
             gx = g_grp.conjugate(g_grp.inverses[x], g)
@@ -400,13 +401,12 @@ def dpr_double_cocycle(theta: Cochain) -> Cochain:
                 xy = g_grp.mul(x, y)
                 gxy = g_grp.conjugate(g_grp.inverses[xy], g)
                 acc = (
-                    theta.value((g, x, y))
-                    - theta.value((x, gx, y))
-                    + theta.value((x, y, gxy))
+                    get((g, x, y), 0)
+                    - get((x, gx, y), 0)
+                    + get((x, y, gxy), 0)
                 )
-                if not acc.is_zero():
-                    vals[(g, x, y)] = acc
-    return Cochain(g_grp, 2, theta.modulus, vals, loops=1)
+                vals.append(((g, x, y), acc))
+    return Cochain._from_numerators(g_grp, 2, theta.modulus, vals, loops=1)
 
 
 def matches_dpr(theta: Cochain) -> bool:
@@ -422,8 +422,8 @@ def matches_dpr(theta: Cochain) -> bool:
 
 
 def flat_basis(groupoid, phase):
-    """The orbit representatives x whose automorphisms k all carry
-    ``phase(x, k)`` zero, in orbit order.
+    """The orbit representatives x at which the integer numerator
+    ``phase(x, k)`` is 0 for every automorphism k, in orbit order.
 
     On a flat line bundle the phase restricted to Aut(x) is a character, so
     these are the orbits that carry a nonzero parallel section.
@@ -431,7 +431,7 @@ def flat_basis(groupoid, phase):
     return [
         cls[0]
         for cls in groupoid.isomorphism_classes()
-        if all(phase(cls[0], k).is_zero() for k in groupoid.aut(cls[0]))
+        if not any(phase(cls[0], k) for k in groupoid.aut(cls[0]))
     ]
 
 
@@ -454,10 +454,6 @@ class StateSpace:
     def dimension(self):
         return len(self.basis)
 
-    def bundle_phase(self, base, x):
-        """Phase of the transport morphism x: base -> x^{-1} base x."""
-        return self.line_bundle.value(base + (x,))
-
 
 def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
     """State space on the (n-1)-torus for a degree-n cocycle."""
@@ -469,9 +465,8 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
         raise NotACocycle("state_space_torus needs a cocycle")
     k = n - 1
     bundle = transgress_torus(theta, n - 1, check=False)
-    basis = flat_basis(
-        gauge_groupoid(group, k), lambda x, y: bundle.value(x + (y,))
-    )
+    get = bundle.numerators().get
+    basis = flat_basis(gauge_groupoid(group, k), lambda x, y: get(x + (y,), 0))
     dim = _partition_torus(group, theta).value
     if dim != len(basis):
         raise VerificationFailed(
@@ -480,12 +475,13 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
     return StateSpace(group, theta, k, tuple(basis), bundle)
 
 
-def monomial_defect(a, b, ab):
-    """Per-row phases of the composite a.b minus ab, or None when the
-    supports differ.
+def monomial_defect(a, b, ab, reduce=PhaseValue.reduced):
+    """Per-row phases of the composite a.b minus ab, each passed through
+    ``reduce``, or None when the supports differ.
 
-    Monomial matrices are dicts {(row, col): PhaseValue} with one entry per
-    row; a.b chains the entry (i, j) of a with the entry (j, l) of b.
+    Monomial matrices are dicts {(row, col): phase} with one entry per
+    row (PhaseValues, or integer numerators that ``reduce`` takes mod M);
+    a.b chains the entry (i, j) of a with the entry (j, l) of b.
     """
     after = {j: (l, q) for (j, l), q in b.items()}
     composite = {}
@@ -495,7 +491,7 @@ def monomial_defect(a, b, ab):
             composite[(i, l)] = p + q
     if composite.keys() != ab.keys():
         return None
-    return {i: (p - ab[(i, l)]).reduced() for (i, l), p in composite.items()}
+    return {i: reduce(p - ab[(i, l)]) for (i, l), p in composite.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotAGroup, UnknownBuiltin
 from .groups import FiniteGroup, GroupHom, builtin_group, group_from_table, product_index
@@ -160,37 +161,39 @@ def parse_cochain(obj, group: FiniteGroup | None = None) -> Cochain:
     return Cochain(group, degree, modulus, values)
 
 
+def _values_json(c: Cochain, key) -> dict:
+    """{key(t): "p/q"} over the nonzero tuples of c in sorted order, p/q
+    the reduced value."""
+    m, nums = c.modulus, c.numerators()
+    values = {}
+    for t in sorted(nums):
+        g = gcd(nums[t], m)
+        values[key(t)] = f"{nums[t] // g}/{m // g}"
+    return values
+
+
 def cochain_json(c: Cochain, group_field=None) -> dict:
     if group_field is None:
         group_field = group_json(c.group)
-    values = {}
-    for t in sorted(c.values):
-        v = c.values[t].reduced()
-        key = "|".join(str(x) for x in t)
-        values[key] = f"{v.numerator}/{v.modulus}"
     return {
         "group": group_field,
         "degree": c.degree,
         "modulus": c.modulus,
-        "values": values,
+        "values": _values_json(c, lambda t: "|".join(map(str, t))),
     }
 
 
 def loop_cochain_json(lc: Cochain) -> dict:
     """Serialized loop-groupoid cochain, keyed "base;args" (emitted only;
     not re-read)."""
-    values = {}
-    for t in sorted(lc.values):
-        v = lc.values[t].reduced()
-        base, args = t[:lc.loops], t[lc.loops:]
-        key = "|".join(str(x) for x in base) + ";" + "|".join(str(x) for x in args)
-        values[key] = f"{v.numerator}/{v.modulus}"
+    loops = lc.loops
     return {
         "group": group_json(lc.group),
-        "loops": lc.loops,
+        "loops": loops,
         "degree": lc.degree,
         "modulus": lc.modulus,
-        "values": values,
+        "values": _values_json(lc, lambda t: "|".join(map(str, t[:loops]))
+                               + ";" + "|".join(map(str, t[loops:]))),
     }
 
 

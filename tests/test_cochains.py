@@ -21,7 +21,7 @@ from support import (
     torus_fundamental_cycle,
 )
 from test_anomalies import doubling_extension, z2_in_z4_extension
-from test_invariants import klein_in_d8_extension
+from test_invariants import klein_in_d8_extension, reference_transgress_circle
 
 from dwkit import anomalies, cochains
 
@@ -39,6 +39,7 @@ from dwkit.cochains import (
     numerators_at,
     pullback,
     solve_coboundary,
+    vector_cochain,
 )
 from dwkit.errors import (
     BudgetExceeded,
@@ -57,7 +58,7 @@ from dwkit.groups import (
     product_group,
     product_index,
 )
-from dwkit.invariants import dw_partition_torus, transgress_torus
+from dwkit.invariants import dw_partition_torus, transgress_circle, transgress_torus
 from dwkit.io import cochain_json, group_json
 from dwkit.phase import PhaseValue
 
@@ -78,6 +79,12 @@ def test_equal_cochains_hash_equal():
     assert half == same
     assert hash(half) == hash(same)
     assert len({half, same}) == 1
+    # built by the library at the larger modulus: 1/2 + 2/4 = 0 at M = 4,
+    # and 3 * 2/4 = 1/2
+    zero = Cochain.zero(z2, 1)
+    assert (half + same).modulus == 4
+    assert half + same == zero and hash(half + same) == hash(zero)
+    assert same * 3 == half and hash(same * 3) == hash(half)
 
 
 def test_coboundary_squares_to_zero():
@@ -420,10 +427,18 @@ def _mixed_cochain(group, degree, rng, loops=0):
 
 
 def _same(got, want):
-    """Equal values, each stored the same way, in the same order."""
-    assert (got.modulus, got.loops) == (want.modulus, want.loops)
-    assert [(t, v.numerator, v.modulus) for t, v in got.values.items()] == [
-        (t, v.numerator, v.modulus) for t, v in want.values.items()]
+    """Equal values, each stored the same way, in the same order; and got,
+    rebuilt through the checked public constructor, is unchanged (the
+    library builds its results without those checks)."""
+    rebuilt = Cochain(got.group, got.degree, got.modulus, got.values,
+                      got.loops)
+    for c in (got, rebuilt):
+        assert (c.modulus, c.loops) == (want.modulus, want.loops)
+        assert [(t, v.numerator, v.modulus) for t, v in c.values.items()] == [
+            (t, v.numerator, v.modulus) for t, v in want.values.items()]
+    assert list(rebuilt.numerators().items()) == list(
+        got.numerators().items())
+    assert rebuilt == got and hash(rebuilt) == hash(got)
 
 
 def test_numerator_algebra_matches_phase_reference(monkeypatch):
@@ -491,6 +506,23 @@ def test_numerator_algebra_matches_phase_reference(monkeypatch):
     assert anomalies.find_boundary_pair(ext, w1) is not None
     assert callers == {"solve_coboundary", "is_first_obstruction_trivial",
                        "_restriction_rhs"}
+
+
+def test_built_cochains_pass_the_public_constructor():
+    rng = random.Random(21)
+    for group in (cyclic_group(6), dihedral_group(8)):
+        for degree, loops in ((1, 0), (2, 0), (1, 1), (2, 1)):
+            c = _mixed_cochain(group, degree, rng, loops)
+            _same(coboundary(c), reference_loop_coboundary(c))
+            _same(transgress_circle(c, check=False),
+                  reference_transgress_circle(c))
+            # unreduced and negative entries, and multiples of m
+            index, m = TupleIndex(group, degree, loops), rng.choice([4, 6, 12])
+            vec = [rng.randrange(-2 * m, 2 * m) for _ in range(index.size)]
+            want = Cochain(group, degree, m,
+                           {t: PhaseValue(x, m) for t, x in zip(index.all(), vec)},
+                           loops)
+            _same(vector_cochain(group, degree, vec, m, index=index), want)
 
 
 # a cohomology run whose elim_b column-op log lost its last entry; the
