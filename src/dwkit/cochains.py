@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from functools import cached_property
 from math import gcd, lcm
 from operator import add, sub
 
@@ -61,7 +62,7 @@ from .groups import (
     product_digits,
     product_group,
 )
-from .linalg import SparseElimination, _Memo, solve_qz_checked
+from .linalg import SparseElimination, _Memo, _RowRuns, solve_qz_checked
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
@@ -223,7 +224,13 @@ def all_tuples(group, n):
 
 
 class TupleIndex:
-    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain)."""
+    """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain).
+
+    ``index(t)`` computes a tuple's position in mixed radix.  ``positions``
+    is the {tuple: position} table of every indexed tuple, built on first
+    use and kept with the index; readers that look up many tuples on a
+    kept index (``cochain_vector``, ``coboundary_agrees``) read it instead.
+    """
 
     def __init__(self, group, n, loops=0):
         self.group = group
@@ -244,6 +251,10 @@ class TupleIndex:
         for g in t:
             i = i * self.radix + self.pos[g]
         return i
+
+    @cached_property
+    def positions(self):
+        return {t: i for i, t in enumerate(self.all())}
 
     def all(self):
         args = itertools.product(self.nonid, repeat=self.n)
@@ -348,11 +359,11 @@ def coboundary_agrees(c, y=None):
     if y is not None:
         # row of base + (s, rest) is (base, s, rest) in mixed radix
         acc = list(acc)
-        tail = index.radix**n
+        tail, pos = index.radix**n, index.positions
         for t, w in y.numerators(den).items():
             k = lead.get(t[m])
             if k is not None:
-                b, rest = divmod(index.index(t[:m] + t[m + 1:]), tail)
+                b, rest = divmod(pos[t[:m] + t[m + 1:]], tail)
                 acc[(b * len(lead) + k) * tail + rest] -= w
     return not any(map(den.__rmod__, acc))
 
@@ -491,8 +502,9 @@ def cochain_vector(c: Cochain, index: TupleIndex, scale_to=None):
     """Integer vector of c on the index, scaled to denominator ``scale_to``."""
     den = scale_to or c.denominator()
     vec = [0] * index.size
+    pos = index.positions
     for t, x in c.numerators(den).items():
-        vec[index.index(t)] = x
+        vec[pos[t]] = x
     return vec
 
 
@@ -689,7 +701,9 @@ def _cohomology(group, n):
     data = {
         "index_n": index_n,
         "x_rows": x_rows,
-        "row_ops": elim_x.row_ops,
+        # the row log as runs, without elim_x.pack(), which would call an
+        # overriding eliminate() a second time
+        "row_ops": _RowRuns.of(elim_x.row_ops),
         "pivot_rows": [r for r, _c, _d in elim_x.pivots],
         "slots": slots,
     }

@@ -15,6 +15,10 @@ A system's elimination is shared across right-hand sides, also across
 calls: :func:`solve_qz_checked` memoizes it in-process under a key that
 the caller says determines the rows (QZ_MEMO_SIZE most recently used
 keys), keeping only the op logs and pivots, and replays it on each new b.
+A replay costs what the nonzeros it meets cost: the row log is kept as
+runs of ops that read one source row, and a run whose source entry is 0
+is skipped whole; a column op whose source entry is 0 is skipped; and
+only the non-pivot rows, listed once at elimination, are tested.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import OrderedDict, namedtuple
+from itertools import chain, compress, repeat
 from math import lcm
+from operator import eq, itemgetter, ne, sub
 
 from .errors import VerificationFailed
 
@@ -69,7 +75,6 @@ class SparseElimination:
         self.row_ops = []  # (i, j, q): row_i += q * row_j
         self.col_ops = []  # (i, j, q): col_i += q * col_j
         self.pivots = []  # (row, col, value)
-        self.pivot_rows = set()
         self.pivot_cols = set()
         self._done = False
 
@@ -121,6 +126,11 @@ class SparseElimination:
         self.free_cols = [
             c for c in range(self.ncols) if c not in self.pivot_cols
         ]
+        # what solve reads on every right-hand side
+        pivot_rows = {r for r, _c, _d in self.pivots}
+        self.free_rows = array(
+            "q", (r for r in range(self.nrows) if r not in pivot_rows))
+        self.pivot_lcm = lcm(*(d for _r, _c, d in self.pivots))
         self._done = True
         return self
 
@@ -189,19 +199,19 @@ class SparseElimination:
                     break
         # retire the pivot entry
         self.pivots.append((r, c, p))
-        self.pivot_rows.add(r)
         self.pivot_cols.add(c)
         del prow[c]
         colrows[c].discard(r)
 
     def pack(self):
         """Eliminate, then keep only what a replay reads: drop the emptied
-        rows and column sets, and store the op logs as machine-integer
-        arrays, about a fifth of the memory of tuples, where every entry
-        fits in 64 bits."""
+        rows, the column sets and the pivot-column set, and store the op
+        logs as machine-integer arrays, the row log as runs (``_RowRuns``),
+        about a fifth of the memory of tuples, where every entry fits in
+        64 bits."""
         self.eliminate()
-        self.rows = self.colrows = None
-        self.row_ops = _PackedOps.of(self.row_ops)
+        self.rows = self.colrows = self.pivot_cols = None
+        self.row_ops = _RowRuns.of(self.row_ops)
         self.col_ops = _PackedOps.of(self.col_ops)
         return self
 
@@ -209,18 +219,32 @@ class SparseElimination:
 
     @staticmethod
     def apply_row_ops(row_ops, b):
-        """U b for the row transform U logged in ``row_ops`` (a caller may
-        keep the log without the elimination)."""
+        """U b for the row transform U logged in ``row_ops``, packed as runs
+        or a plain log of triples, grouped into runs here (a caller may keep
+        the log without the elimination).  No op of a run writes its source
+        row j, so b_j is read once per run, and a run with b_j = 0, which
+        would add q * 0 throughout, is skipped."""
+        if not isinstance(row_ops, _RowRuns):
+            row_ops = _RowRuns.group(row_ops)
         b = list(b)
-        for i, j, q in row_ops:
-            b[i] += q * b[j]
+        targets, qs = row_ops.targets, row_ops.qs
+        start = 0
+        for j, end in zip(row_ops.sources, row_ops.ends):
+            v = b[j]
+            if v:
+                for i, q in zip(targets[start:end], qs[start:end]):
+                    b[i] += q * v
+            start = end
         return b
 
     def apply_col_ops(self, x):
-        """V x (x given in post-elimination coordinates)."""
+        """V x (x given in post-elimination coordinates); an op whose
+        source entry x_i is 0 is skipped."""
         x = list(x)
         for i, j, q in reversed(self.col_ops):
-            x[j] += q * x[i]
+            v = x[i]
+            if v:
+                x[j] += q * v
         return x
 
     def col_coords_rows(self, rows):
@@ -260,11 +284,14 @@ class SparseElimination:
           and y.b != 0 (mod den).
         """
         self.eliminate()
+        if len(b) != self.nrows:
+            raise ValueError(
+                f"right-hand side has {len(b)} entries for {self.nrows} rows")
         bt = self.apply_row_ops(self.row_ops, b)
-        for r in range(self.nrows):
-            if r not in self.pivot_rows and bt[r] % den:
+        for r in self.free_rows:
+            if bt[r] % den:
                 return None, self._row_of_u(r)
-        big = lcm(*(d for _r, _c, d in self.pivots))
+        big = self.pivot_lcm
         m = den * big
         z = [0] * self.ncols
         for r, c, d in self.pivots:
@@ -294,7 +321,9 @@ class SparseElimination:
 
 class _PackedOps:
     """An op log of (i, j, q) triples as three arrays; it iterates, forward
-    and reversed, as the list of triples it packs."""
+    and reversed, as the list of triples it packs.  ``pack`` keeps the
+    column log so: a memo hit replays it flat, in reverse, and skips each op
+    whose source entry is 0 (the row log is kept as ``_RowRuns``)."""
 
     __slots__ = ("cols",)
 
@@ -318,6 +347,63 @@ class _PackedOps:
 
     def __reversed__(self):
         return zip(*map(reversed, self.cols))
+
+
+class _RowRuns:
+    """A row-op log of (i, j, q) triples as runs: maximal stretches of
+    consecutive ops that read the same source row j.  Per run it keeps j
+    (``sources``) and the offset where the run ends (``ends``), per op the
+    target i (``targets``) and q (``qs``); ``of`` packs them as
+    machine-integer arrays.  Within a pivot step every op reads the pivot
+    row, so a run is a step's row clearing up to a restart.  It iterates,
+    forward and reversed, as the list of triples it packs."""
+
+    __slots__ = ("sources", "ends", "targets", "qs")
+
+    def __init__(self, sources, ends, targets, qs):
+        self.sources, self.ends, self.targets, self.qs = (
+            sources, ends, targets, qs)
+
+    @classmethod
+    def group(cls, ops):
+        """The runs of the log ``ops``, in lists (any integers).  An op
+        must not read the row it writes, as no op the engine logs does."""
+        ops = list(ops)
+        targets = list(map(itemgetter(0), ops))
+        js = list(map(itemgetter(1), ops))
+        if any(map(eq, targets, js)):
+            raise ValueError("a row op must not read the row it writes")
+        # a run starts where j differs from the previous op's
+        starts = list(compress(range(len(js)), map(ne, js, chain((None,), js))))
+        ends = starts[1:] + [len(js)] if starts else []
+        return cls(list(map(js.__getitem__, starts)), ends, targets,
+                   list(map(itemgetter(2), ops)))
+
+    @classmethod
+    def of(cls, ops):
+        """The packed runs of ``ops``, or ``ops`` itself if an entry needs
+        more than 64 bits."""
+        runs = cls.group(ops)
+        try:
+            return cls(*(array("q", a) for a in (
+                runs.sources, runs.ends, runs.targets, runs.qs)))
+        except OverflowError:
+            return ops
+
+    def _per_op_sources(self, order):
+        lengths = list(map(sub, self.ends, chain((0,), self.ends)))
+        return chain.from_iterable(
+            map(repeat, order(self.sources), order(lengths)))
+
+    def __len__(self):
+        return len(self.targets)
+
+    def __iter__(self):
+        return zip(self.targets, self._per_op_sources(iter), self.qs)
+
+    def __reversed__(self):
+        return zip(reversed(self.targets), self._per_op_sources(reversed),
+                   reversed(self.qs))
 
 
 class _Memo:

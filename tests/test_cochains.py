@@ -33,6 +33,7 @@ from dwkit.cochains import (
     catalog_cocycle,
     coboundary,
     coboundary_agrees,
+    cochain_vector,
     cohomology,
     interval_pairing,
     is_cocycle,
@@ -424,6 +425,24 @@ def _mixed_cochain(group, degree, rng, loops=0):
         c = reference_combine(
             c, random_cochain(group, degree, m, rng, 0.4, loops), 1)
     return c
+
+
+@pytest.mark.parametrize("loops", [0, 1, 2])
+def test_cochain_vector_reads_the_kept_position_table(loops):
+    rng = random.Random(loops)
+    group = dihedral_group(6)
+    for degree in (1, 2):
+        index = TupleIndex(group, degree, loops)
+        positions = index.positions
+        assert positions == {t: index.index(t) for t in index.all()}
+        assert index.positions is positions
+        c = _mixed_cochain(group, degree, rng, loops)
+        for den in (c.denominator(), 2 * c.denominator()):
+            want = [0] * index.size
+            for t, x in c.numerators(den).items():
+                want[index.index(t)] = x
+            assert cochain_vector(c, index, scale_to=den) == want
+        assert index.positions is positions
 
 
 def _same(got, want):

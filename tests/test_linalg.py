@@ -3,13 +3,20 @@ import heapq
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwkit import cochains, linalg
 from dwkit.anomalies import is_first_obstruction_trivial, is_invariant_class
 from dwkit.cochains import catalog_cocycle
 from dwkit.groups import dihedral_group, pauli_group, product_group
-from dwkit.linalg import QZ_MEMO_SIZE, SparseElimination, solve_qz_checked
+from dwkit.linalg import (
+    QZ_MEMO_SIZE,
+    SparseElimination,
+    _PackedOps,
+    _RowRuns,
+    solve_qz_checked,
+)
 
 from test_anomalies import doubling_extension
 
@@ -84,6 +91,152 @@ def test_pack_keeps_a_log_that_needs_more_than_64_bits():
     assert elim.row_ops is ops
     assert list(elim.col_ops) == ops[:1]
     assert list(reversed(elim.col_ops)) == ops[:1]
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    solve_qz_checked.cache_clear()
+    for b in ([1, 5], []):
+        with pytest.raises(ValueError, match=f"{len(b)} entries for 1 rows"):
+            SparseElimination([{0: 2}], 1).pack().solve(b, 4)
+        with pytest.raises(ValueError, match=f"{len(b)} entries for 1 rows"):
+            solve_qz_checked("k", lambda: ([{0: 2}], 1), b, 4)
+    solve_qz_checked.cache_clear()
+
+
+# -- replay ----------------------------------------------------------------
+
+
+def replay_rows(ops, b):
+    """U b, one logged triple at a time: the reference row replay."""
+    b = list(b)
+    for i, j, q in ops:
+        b[i] += q * b[j]
+    return b
+
+
+def replay_cols(ops, x):
+    """V x, one logged triple at a time in reverse: the reference column
+    replay."""
+    x = list(x)
+    for i, j, q in reversed(list(ops)):
+        x[j] += q * x[i]
+    return x
+
+
+def _random_rows(rng, nrows, ncols):
+    density = rng.choice([0.2, 0.4, 0.7])
+    return [{c: rng.choice([-4, -3, -2, -1, 1, 1, 2, 3, 6]) for c in range(ncols)
+             if rng.random() < density} for _ in range(nrows)]
+
+
+def _random_vector(rng, n):
+    """0 to 3 nonzeros, or dense."""
+    k = rng.choice([0, 1, 2, 3, None])
+    if k is None:
+        return [rng.randrange(-9, 10) for _ in range(n)]
+    v = [0] * n
+    for i in rng.sample(range(n), min(k, n)):
+        v[i] = rng.choice([-5, -2, -1, 1, 3, 8])
+    return v
+
+
+def _assert_replays_as_logged(packed, ops):
+    assert len(packed) == len(ops)
+    assert list(packed) == list(ops)
+    assert list(reversed(packed)) == list(ops)[::-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0),
+)
+def test_packed_replay_matches_the_unpacked_engine(nrows, ncols, den, seed):
+    rng = random.Random(seed)
+    rows = _random_rows(rng, nrows, ncols)
+    plain = SparseElimination(rows, ncols).eliminate()
+    # packed unless an entry needs more than 64 bits
+    packed = SparseElimination(rows, ncols).pack()
+    _assert_replays_as_logged(packed.row_ops, plain.row_ops)
+    _assert_replays_as_logged(packed.col_ops, plain.col_ops)
+    for _ in range(4):
+        b = _random_vector(rng, nrows)
+        assert packed.solve(b, den) == plain.solve(b, den)
+        want = replay_rows(plain.row_ops, b)
+        assert SparseElimination.apply_row_ops(packed.row_ops, b) == want
+        assert SparseElimination.apply_row_ops(plain.row_ops, b) == want
+        x = _random_vector(rng, ncols)
+        want = replay_cols(plain.col_ops, x)
+        assert packed.apply_col_ops(x) == want
+        assert plain.apply_col_ops(x) == want
+
+
+def test_random_systems_pivot_on_non_units_and_restart():
+    """The systems of the replay property reach the cases a replay must get
+    right: non-unit pivots, and restarts, whose runs read a row (or column)
+    that is not the step's final pivot."""
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(4, 14), rng.randint(4, 14)
+        elim = SparseElimination(_random_rows(rng, nrows, ncols), ncols)
+        elim.eliminate()
+        if any(abs(d) > 1 for _r, _c, d in elim.pivots):
+            seen.add("non-unit")
+        if {j for _i, j, _q in elim.row_ops} - {r for r, _c, _d in elim.pivots}:
+            seen.add("row restart")
+        if {j for _i, j, _q in elim.col_ops} - {c for _r, c, _d in elim.pivots}:
+            seen.add("column restart")
+    assert seen == {"non-unit", "row restart", "column restart"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0))
+def test_row_runs_replay_any_log_of_distinct_rows(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    ops = []
+    for _ in range(rng.randint(0, 30)):
+        i, j = rng.sample(range(n), 2)
+        if ops and rng.random() < 0.6:  # extend the run of the previous op
+            j = ops[-1][1]
+            i = rng.choice([r for r in range(n) if r != j])
+        ops.append((i, j, rng.randint(-3, 3)))
+    runs = _RowRuns.of(ops)
+    _assert_replays_as_logged(runs, ops)
+    for _ in range(3):
+        b = _random_vector(rng, n)
+        assert SparseElimination.apply_row_ops(runs, b) == replay_rows(ops, b)
+        assert SparseElimination.apply_row_ops(ops, b) == replay_rows(ops, b)
+
+
+def test_row_runs_group_consecutive_ops_on_one_source():
+    ops = [(1, 0, 2), (2, 0, -1), (0, 2, 3), (1, 2, 1), (3, 0, 5)]
+    runs = _RowRuns.of(ops)
+    assert (list(runs.sources), list(runs.ends)) == ([0, 2, 0], [2, 4, 5])
+    assert (list(runs.targets), list(runs.qs)) == ([1, 2, 0, 1, 3],
+                                                   [2, -1, 3, 1, 5])
+    # the first run on source 0 is skipped whole while b_0 = 0; the last
+    # reads b_0 = 3, written by the run before it
+    assert SparseElimination.apply_row_ops(runs, [0, 1, 1, 0]) == [3, 2, 1, 15]
+
+
+def test_row_ops_logs_empty_and_beyond_64_bits():
+    for log in (_RowRuns.of([]), _PackedOps.of([]), _RowRuns.group([])):
+        _assert_replays_as_logged(log, [])
+    assert SparseElimination.apply_row_ops([], [4, 5]) == [4, 5]
+    big = [(0, 1, 3), (2, 0, 2**63), (1, 0, -(2**70))]
+    assert _RowRuns.of(big) is big and _PackedOps.of(big) is big
+    _assert_replays_as_logged(_RowRuns.group(big), big)
+    b = [1, 2, -1]
+    assert SparseElimination.apply_row_ops(big, b) == replay_rows(big, b)
+
+
+def test_row_op_that_reads_its_target_is_rejected():
+    with pytest.raises(ValueError, match="must not read the row it writes"):
+        SparseElimination.apply_row_ops([(1, 0, 2), (1, 1, 3)], [1, 1])
 
 
 def test_solve_linear_examples():
