@@ -90,8 +90,11 @@ class FinGroupoid:
 
     def aut(self, x):
         """Automorphisms of the object x in element order, read off its
-        orbit's walk: Stab(k.rep) = k Stab(rep) k^{-1}."""
+        orbit's walk: Stab(k.rep) = k Stab(rep) k^{-1}.  A representative
+        returns its stored stabilizer as it is."""
         rep, k = self.transporter(x)
+        if x == rep:
+            return self._stab[rep]
         return tuple(sorted(self.group.conjugate(k, s) for s in self._stab[rep]))
 
 

@@ -58,8 +58,8 @@ from .phase import PhaseValue
 
 # torus-cycle terms (commuting tuples times n!) one torus table may index
 TORUS_TERM_BUDGET = 10**7
-# an invariants pass asks for 91 torus and transgression keys in 120 calls
-KERNEL_MEMO_SIZE = 256
+# an invariants pass asks for 20 torus and transgression keys in 43 calls
+KERNEL_MEMO_SIZE = 64
 _kernel_tables = _Memo(KERNEL_MEMO_SIZE)
 
 
@@ -206,7 +206,9 @@ def _torus_residues(theta):
     of each t o s among the tuples of ``gauge_groupoid(G, n)``); a call
     reads theta's numerators once per tuple and adds the gathered columns.
     The budget on tuples times n! is checked before the table is looked up
-    or built.
+    or built.  A theta that vanishes on every commuting tuple (theta = 0,
+    the untwisted theory) reads no table: each t o s is a commuting tuple,
+    so every pairing is 0 and the sum is |Hom(Z^n, G)| phases 1.
     """
     group, n, m = theta.group, theta.degree, theta.modulus
     tuples = gauge_groupoid(group, n).objects()
@@ -214,6 +216,9 @@ def _torus_residues(theta):
     if terms > TORUS_TERM_BUDGET:
         raise BudgetExceeded(f"torus cycle terms for T^{n}", terms,
                              TORUS_TERM_BUDGET)
+    nums = list(map(theta.numerators().get, tuples, repeat(0)))
+    if not any(nums):
+        return Counter({0: len(tuples)})
 
     def build():
         position = {t: i for i, t in enumerate(tuples)}.__getitem__
@@ -222,7 +227,6 @@ def _torus_residues(theta):
             for sign, perm in _signed_permutations(n)[1:])
 
     signed = _kernel_tables.get(("torus", group, n), build)
-    nums = list(map(theta.numerators().get, tuples, repeat(0)))
     return Counter(map(m.__rmod__, _signed_sum(nums, nums, signed)))
 
 

@@ -254,6 +254,18 @@ def test_transporters_and_stabilizers():
                 assert grpd.stabilizer_order(y) == len(grpd.aut(y))
 
 
+def test_aut_is_the_stabilizer_from_the_table():
+    cases = [(dihedral_group(8), 1), (dihedral_group(8), 2),
+             (dihedral_group(6), 1), (dihedral_group(6), 2), (pauli_group(), 2)]
+    for group, n in cases:
+        table = group.table
+        grpd = gauge_groupoid(group, n)
+        for x in grpd.objects():
+            want = sorted(k for k in group.elements()
+                          if all(table[k][a] == table[a][k] for a in x))
+            assert list(grpd.aut(x)) == want
+
+
 def test_action_must_stay_inside_the_objects():
     x = FinGroupoid(cyclic_group(4), [0, 1], lambda k, a: (a + k) % 4)
     with pytest.raises(ValueError):

@@ -254,6 +254,55 @@ def test_torus_term_budget_bounds_every_torus_sum(monkeypatch):
     assert dw_partition_torus.cache_info() == info
     with pytest.raises(BudgetExceeded):
         state_space_torus(d8, w)
+    monkeypatch.undo()
+    # a zero theta is checked too: K4 has 4^7 commuting 7-tuples, 82.6 M terms
+    k4 = product_group([2, 2])
+    info = dw_partition_torus.cache_info()
+    with pytest.raises(BudgetExceeded):
+        dw_partition_torus(k4, Cochain.zero(k4, 7), 7)
+    assert dw_partition_torus.cache_info() == info
+
+
+def builtin_groups_up_to(order):
+    """Every builtin group of order <= ``order``: cyclic, dihedral, products
+    of cyclic factors, and Pauli."""
+    groups = [cyclic_group(n) for n in range(1, order + 1)]
+    groups += [dihedral_group(n) for n in range(4, order + 1, 2)]
+
+    def factorings(limit, least=2):
+        for f in range(least, limit + 1):
+            yield [f]
+            for rest in factorings(limit // f, f):
+                yield [f] + rest
+
+    groups += [product_group(f) for f in factorings(order) if len(f) >= 2]
+    if order >= 16:
+        groups.append(pauli_group())
+    return groups
+
+
+def commuting_tuple_count(group, n):
+    """|Hom(Z^n, G)|: the n-tuples of pairwise commuting elements, read off
+    the multiplication table."""
+    table = group.table
+    return sum(
+        all(table[a][b] == table[b][a] for a in t for b in t)
+        for t in iter_product(range(group.order), repeat=n)
+    )
+
+
+def test_untwisted_partition_is_the_commuting_tuple_count():
+    for group in builtin_groups_up_to(16):
+        for n in (1, 2, 3):
+            want = Fraction(commuting_tuple_count(group, n), group.order)
+            for modulus in (1, 4):
+                theta = Cochain.zero(group, n, modulus)
+                info = dw_partition_torus.cache_info()
+                got = dw_partition_torus(group, theta, n)
+                # a zero theta neither reads nor builds a torus table
+                assert dw_partition_torus.cache_info() == info
+                assert got.value == want
+                assert got.phase_sum == torus_reference_sum(group, theta, n)
 
 
 def _kernel_traffic():
@@ -277,9 +326,11 @@ def test_kernel_tables_are_shared_per_group_and_degree():
         assert list(got.values.items()) == list(
             reference_transgress_circle(theta).values.items())
         assert _kernel_traffic() == traffic
-    # Z4 and K4 have the same order but tables of their own
+    # Z4 and K4 have the same order but tables of their own; a zero theta
+    # reads no table, so Z4 takes a closed theta that is nonzero on pairs
+    quarter = coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
     for group in (z4, k4):
-        theta = gens(group, 2)[0] if group is k4 else Cochain.zero(z4, 2)
+        theta = gens(group, 2)[0] if group is k4 else quarter
         before = _kernel_traffic()
         got = dw_partition_torus(group, theta, 2)
         assert got.phase_sum == torus_reference_sum(group, theta, 2)
