@@ -38,6 +38,7 @@ from operator import neg
 from .cochains import (
     Cochain,
     TupleIndex,
+    all_tuples,
     coboundary_agrees,
     cohomology,
     delta_matrix_rows,
@@ -330,10 +331,11 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     lead = list(idx_b.rows(gens))
 
     def build():
-        _, crows = delta_matrix_rows(d_grp, n - 1, gens, idx_c)
+        crows = delta_matrix_rows(idx_c, gens)
         rows = [{block[g] + c: v for c, v in row.items()}
                 for g in block for row in crows]
-        _, brows = delta_matrix_rows(d_grp, n - 2, gens, idx_b)
+        brows = delta_matrix_rows(idx_b, gens)
+        pos_c = idx_c.positions
         for p, (g1, g2) in enumerate(pairs):
             terms = ((inv[g1], 1, False), (inv[g2], 1, True),
                      (inv[g_grp.mul(g1, g2)], -1, False))
@@ -342,7 +344,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
                 for g, sign, acted in terms:
                     if g in block:
                         at = tuple(map(actions[g1], t)) if acted else t
-                        c = block[g] + idx_c.index(at)
+                        c = block[g] + pos_c[at]
                         row[c] = row.get(c, 0) + sign
                 rows.append(row)
         return rows, off_b + len(pairs) * idx_b.size
@@ -359,15 +361,13 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     x, m = sol
     corrected = dict(phis)
     for g, off in block.items():
-        c = vector_cochain(d_grp, n - 1, x[off:off + idx_c.size], m,
-                           index=idx_c)
+        c = vector_cochain(idx_c, x[off:off + idx_c.size], m)
         if not is_cocycle(c):
             raise VerificationFailed("solver output must be closed")
         corrected[g] = phis[g] + c
     for p in range(len(pairs)):
         off = off_b + p * idx_b.size
-        b = vector_cochain(d_grp, n - 2, x[off:off + idx_b.size], m,
-                           index=idx_b)
+        b = vector_cochain(idx_b, x[off:off + idx_b.size], m)
         u = obstruction(corrected, p)
         if not (is_cocycle(u) and coboundary_agrees(b, u)):
             raise VerificationFailed("corrected obstruction must be delta b")
@@ -376,15 +376,15 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
 
 def _restriction_rows(ext, n, index):
     """The rows of iota^* x on ``index``, x of degree n."""
-    return [{index.index(tuple(ext.iota(x) for x in t)): 1}
-            for t in itertools.product(ext.kernel.nonidentity(), repeat=n)]
+    pos = index.positions
+    return [{pos[tuple(map(ext.iota, t))]: 1}
+            for t in all_tuples(ext.kernel, n)]
 
 
 def _restriction_rhs(ext, omega):
     """omega on the rows of _restriction_rows, over its denominator."""
-    return numerators_at(
-        omega, itertools.product(ext.kernel.nonidentity(), repeat=omega.degree),
-        omega.denominator())
+    return numerators_at(omega, all_tuples(ext.kernel, omega.degree),
+                         omega.denominator())
 
 
 def find_closed_lift(ext: Extension, omega: Cochain):
@@ -403,7 +403,7 @@ def find_closed_lift(ext: Extension, omega: Cochain):
     index = TupleIndex(ghat, n)
 
     def build():
-        _, rows = delta_matrix_rows(ghat, n, gens, index)
+        rows = delta_matrix_rows(index, gens)
         return rows + _restriction_rows(ext, n, index), index.size
 
     rhs = [0] * index.row_count(gens) + _restriction_rhs(ext, omega)
@@ -411,7 +411,7 @@ def find_closed_lift(ext: Extension, omega: Cochain):
     sol = solve_qz_checked(key, build, rhs, omega.denominator())
     if sol is None:
         return None
-    omegahat = vector_cochain(ghat, n, *sol, index=index)
+    omegahat = vector_cochain(index, *sol)
     if not is_cocycle(omegahat):
         raise VerificationFailed("solver output must be closed")
     if pullback(ext.iota, omegahat) != omega:
@@ -450,14 +450,15 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
     def build():
         rows = _restriction_rows(ext, n, idx_x)
         # delta omega' - lambda^* theta = 0 on generator-led tuples of Ghat
-        row_tuples, drows = delta_matrix_rows(ghat, n, gens_hat, idx_x)
-        for t, row in zip(row_tuples, drows):
+        drows = delta_matrix_rows(idx_x, gens_hat)
+        pos_y = idx_y.positions
+        for t, row in zip(idx_x.rows(gens_hat), drows):
             lt = tuple(ext.lam(x) for x in t)
             if all(x != g_grp.identity for x in lt):
-                row[off + idx_y.index(lt)] = -1
+                row[off + pos_y[lt]] = -1
             rows.append(row)
         # delta theta = 0 on generator-led tuples of G
-        _, trows = delta_matrix_rows(g_grp, n + 1, gens, idx_y)
+        trows = delta_matrix_rows(idx_y, gens)
         rows += [{off + c: v for c, v in row.items()} for row in trows]
         return rows, off + idx_y.size
 
@@ -469,8 +470,8 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
     if sol is None:
         return None
     x, m = sol
-    omega_p = vector_cochain(ghat, n, x[:off], m, index=idx_x)
-    theta = vector_cochain(g_grp, n + 1, x[off:], m, index=idx_y)
+    omega_p = vector_cochain(idx_x, x[:off], m)
+    theta = vector_cochain(idx_y, x[off:], m)
     if pullback(ext.iota, omega_p) != omega:
         raise VerificationFailed("solver output must restrict to omega")
     if not _is_boundary_pair(ext, omega_p, theta):

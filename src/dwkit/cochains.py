@@ -27,7 +27,10 @@ same holds for delta c = y with y closed, since delta c - y is then a cocycle
 (``coboundary_agrees``); only ``coboundary`` builds every tuple.  The faces of
 the generator-led tuples depend only on (group, degree, loops), so their
 column indices are kept per key as integer arrays and each check is a signed
-sum of gathers from c~.
+sum of gathers from c~.  The rows of every elimination system
+(``delta_matrix_rows``) are read off the same arrays, built for that system
+and not kept.  Every column index is a position in ``TupleIndex.positions``,
+the one map from tuples to positions.
 
 A cochain stores integer numerators: one x in [1, M) per nonzero tuple at
 its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
@@ -226,10 +229,9 @@ def all_tuples(group, n):
 class TupleIndex:
     """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain).
 
-    ``index(t)`` computes a tuple's position in mixed radix.  ``positions``
-    is the {tuple: position} table of every indexed tuple, built on first
-    use and kept with the index; readers that look up many tuples on a
-    kept index (``cochain_vector``, ``coboundary_agrees``) read it instead.
+    ``positions`` is the {tuple: position} table of every indexed tuple,
+    in the order of ``all()``, built on first use and kept with the index;
+    it is the one map from tuples to positions.
     """
 
     def __init__(self, group, n, loops=0):
@@ -237,20 +239,9 @@ class TupleIndex:
         self.n = n
         self.loops = loops
         self.nonid = group.nonidentity()
-        self.pos = {g: i for i, g in enumerate(self.nonid)}
         self.radix = len(self.nonid)
         self.bases = gauge_groupoid(group, loops).objects() if loops else [()]
-        self.base_pos = {b: i for i, b in enumerate(self.bases)}
         self.size = len(self.bases) * self.radix**n
-
-    def index(self, t):
-        i = 0
-        if self.loops:
-            i = self.base_pos[t[:self.loops]]
-            t = t[self.loops:]
-        for g in t:
-            i = i * self.radix + self.pos[g]
-        return i
 
     @cached_property
     def positions(self):
@@ -304,11 +295,11 @@ def _face_columns(index, first_args=None):
     """delta on ``index`` as n+2 arrays, one per face position: entry r of
     array j is the index of face j of the r-th tuple of
     ``index.rows(first_args)``, or index.size (a zero slot) if it is None."""
-    group, loops, look, zero = index.group, index.loops, index.index, index.size
+    group, loops, pos, zero = index.group, index.loops, index.positions, index.size
     cols = [array("l") for _ in range(index.n + 2)]
     for t in index.rows(first_args):
         for col, f in zip(cols, _delta_faces(group, t, loops)):
-            col.append(zero if f is None else look(f))
+            col.append(zero if f is None else pos[f])
     return cols
 
 
@@ -466,31 +457,30 @@ def catalog_cocycle(name, params=None):
 # -- delta as a sparse matrix ----------------------------------------------------
 
 
-def delta_matrix_rows(group, n, first_args=None, index=None):
-    """Sparse rows of delta: C^n -> C^{n+1}, one row per (n+1)-tuple.
+def delta_matrix_rows(index, first_args=None):
+    """Sparse rows of delta on the n-cochains of ``index``, one dict per
+    tuple of ``index.rows(first_args)``, read off ``_face_columns``.
 
     ``first_args`` restricts rows to tuples whose first argument is in the
     given set (sufficient for kernel and coboundary systems, see module
-    docstring).  Returns (row_tuples, row_dicts) with columns indexed by
-    ``index`` (a TupleIndex for degree n, whose loops name the domain).
+    docstring).  Columns are positions on ``index``; faces that share a
+    column add their signs there, and a column whose sum is 0 is dropped.
     """
-    index = index or TupleIndex(group, n)
-    row_tuples = []
+    zero = index.size
     rows = []
-    for t in index.rows(first_args):
+    for faces in zip(*_face_columns(index, first_args)):
         row = {}
-        for j, f in enumerate(_delta_faces(group, t, index.loops)):
-            if f is None:
-                continue
-            c = index.index(f)
-            v = row.get(c, 0) + (-1 if j % 2 else 1)
-            if v:
-                row[c] = v
-            else:
-                row.pop(c, None)
-        row_tuples.append(t)
+        sign = 1
+        for c in faces:
+            if c != zero:
+                v = row.get(c, 0) + sign
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+            sign = -sign
         rows.append(row)
-    return row_tuples, rows
+    return rows
 
 
 def full_bar_nnz(group, n):
@@ -514,10 +504,9 @@ def numerators_at(c: Cochain, tuples, den):
     return list(map(c.numerators(den).get, tuples, itertools.repeat(0)))
 
 
-def vector_cochain(group, degree, vec, modulus, index=None):
-    """Cochain with values vec[i]/modulus on the indexed tuples."""
-    index = index or TupleIndex(group, degree)
-    return Cochain._from_numerators(group, degree, modulus,
+def vector_cochain(index, vec, modulus):
+    """Cochain on ``index`` with values vec[i]/modulus on the indexed tuples."""
+    return Cochain._from_numerators(index.group, index.n, modulus,
                                     zip(index.all(), vec, strict=True),
                                     index.loops)
 
@@ -640,13 +629,13 @@ def _cohomology(group, n):
     index_k = TupleIndex(group, k)
 
     # cocycles: kernel of delta_k on the generator-restricted row set
-    _bt, rows_b = delta_matrix_rows(group, k, first_args=gens, index=index_k)
+    rows_b = delta_matrix_rows(index_k, gens)
     elim_b = SparseElimination(rows_b, index_k.size).eliminate()
     free = elim_b.free_cols
 
     # coboundaries: the columns of delta_n in kernel coordinates, as one
     # replay of elim_b's column ops over the rows of delta_n
-    _tuples, rows_n = delta_matrix_rows(group, n, index=index_n)
+    rows_n = delta_matrix_rows(index_n)
     coords = elim_b.col_coords_rows(rows_n)
     for _r, cc, _d in elim_b.pivots:
         if coords[cc]:
@@ -695,8 +684,8 @@ def _cohomology(group, n):
             _r, c, d = elim_x.pivots[pos]
             e[c] += d_slot // pe if d > 0 else -(d_slot // pe)
         a = elim_x.apply_col_ops(e)
-        generators.append(vector_cochain(group, n, [v % d_slot for v in a],
-                                         d_slot, index=index_n))
+        generators.append(vector_cochain(index_n, [v % d_slot for v in a],
+                                         d_slot))
 
     data = {
         "index_n": index_n,
@@ -748,14 +737,13 @@ def solve_coboundary(y: Cochain):
     gens = g.generators()
 
     def build():
-        _tuples, rows = delta_matrix_rows(g, n - 1, gens, index)
-        return rows, index.size
+        return delta_matrix_rows(index, gens), index.size
 
     rhs = numerators_at(y, index.rows(gens), den)
     sol = solve_qz_checked(("coboundary", g, n - 1, loops), build, rhs, den)
     if sol is None:
         return None
-    x = vector_cochain(g, n - 1, *sol, index=index)
+    x = vector_cochain(index, *sol)
     if not coboundary_agrees(x, y):
         raise VerificationFailed("solver output must have coboundary y")
     return x

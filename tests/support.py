@@ -272,3 +272,38 @@ def reference_interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
 def reference_rhs(c: Cochain, tuples, den):
     """c at ``tuples`` over den, through Fraction arithmetic."""
     return [int(c.value(t).as_fraction() * den) for t in tuples]
+
+
+def mixed_radix_position(index, t):
+    """The position of t on a TupleIndex, computed in mixed radix (base
+    first, then one digit per argument): a reference for
+    ``TupleIndex.positions``."""
+    i = 0
+    if index.loops:
+        i = index.bases.index(t[:index.loops])
+        t = t[index.loops:]
+    for g in t:
+        i = i * index.radix + index.nonid.index(g)
+    return i
+
+
+def reference_delta_rows(index, first_args=None):
+    """The rows of delta on ``index``, built tuple by tuple from the faces
+    of each tuple of ``index.rows(first_args)``: a reference for
+    ``delta_matrix_rows``.  Faces that share a column add their signs, and
+    a column whose sum is 0 is dropped (and re-inserted if a later face
+    reads it again)."""
+    rows = []
+    for t in index.rows(first_args):
+        row = {}
+        for j, f in enumerate(_delta_faces(index.group, t, index.loops)):
+            if f is None:
+                continue
+            c = mixed_radix_position(index, f)
+            v = row.get(c, 0) + (-1 if j % 2 else 1)
+            if v:
+                row[c] = v
+            else:
+                row.pop(c, None)
+        rows.append(row)
+    return rows

@@ -12,7 +12,9 @@ from support import (
     direct_product_extension,
     extension_round_trip_iso,
     find_isomorphism,
+    mixed_radix_position,
     random_cochain,
+    reference_delta_rows,
 )
 
 from dwkit import anomalies, cochains
@@ -37,7 +39,6 @@ from dwkit.cochains import (
     coboundary,
     cochain_vector,
     cohomology,
-    delta_matrix_rows,
     interval_pairing,
     is_cocycle,
     pullback,
@@ -666,9 +667,9 @@ def solvable_on_all_rows(y):
     g, n, loops = y.group, y.degree, y.loops
     den = y.denominator()
     index, index_n = TupleIndex(g, n - 1, loops), TupleIndex(g, n, loops)
-    tuples, rows = delta_matrix_rows(g, n - 1, index=index)
+    rows = reference_delta_rows(index)
     yvec = cochain_vector(y, index_n, scale_to=den)
-    rhs = [yvec[index_n.index(t)] for t in tuples]
+    rhs = [yvec[mixed_radix_position(index_n, t)] for t in index.rows()]
     sol, cert = SparseElimination(rows, index.size).solve(rhs, den)
     if sol is not None:
         x, m = sol

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from support import (
     FormalChain,
     evaluate,
+    mixed_radix_position,
     random_cochain,
     reference_combine,
+    reference_delta_rows,
     reference_interval_pairing,
     reference_multiple,
     reference_pullback,
@@ -35,6 +37,7 @@ from dwkit.cochains import (
     coboundary_agrees,
     cochain_vector,
     cohomology,
+    delta_matrix_rows,
     interval_pairing,
     is_cocycle,
     numerators_at,
@@ -56,6 +59,7 @@ from dwkit.groups import (
     cyclic_group,
     dihedral_group,
     dihedral_index,
+    pauli_group,
     product_group,
     product_index,
 )
@@ -434,15 +438,31 @@ def test_cochain_vector_reads_the_kept_position_table(loops):
     for degree in (1, 2):
         index = TupleIndex(group, degree, loops)
         positions = index.positions
-        assert positions == {t: index.index(t) for t in index.all()}
+        assert positions == {t: mixed_radix_position(index, t)
+                             for t in index.all()}
         assert index.positions is positions
         c = _mixed_cochain(group, degree, rng, loops)
         for den in (c.denominator(), 2 * c.denominator()):
             want = [0] * index.size
             for t, x in c.numerators(den).items():
-                want[index.index(t)] = x
+                want[mixed_radix_position(index, t)] = x
             assert cochain_vector(c, index, scale_to=den) == want
         assert index.positions is positions
+
+
+@pytest.mark.parametrize("group, degree, loops", [
+    (cyclic_group(4), 3, 0), (dihedral_group(8), 3, 0),
+    (dihedral_group(6), 2, 1), (product_group([2, 2]), 2, 2),
+    (pauli_group(), 2, 0), (pauli_group(), 3, 0),
+], ids=["z4-3", "d8-3", "d6-2-loops1", "k4-2-loops2", "pauli-2", "pauli-3"])
+def test_delta_rows_match_the_tuple_by_tuple_reference(group, degree, loops):
+    index = TupleIndex(group, degree, loops)
+    for first_args in (group.generators(), None):
+        got = delta_matrix_rows(index, first_args)
+        want = reference_delta_rows(index, first_args)
+        # equal values, with the keys of each row in the same order
+        assert [list(r.items()) for r in got] == [
+            list(r.items()) for r in want]
 
 
 def _same(got, want):
@@ -541,7 +561,7 @@ def test_built_cochains_pass_the_public_constructor():
             want = Cochain(group, degree, m,
                            {t: PhaseValue(x, m) for t, x in zip(index.all(), vec)},
                            loops)
-            _same(vector_cochain(group, degree, vec, m, index=index), want)
+            _same(vector_cochain(index, vec, m), want)
 
 
 # a cohomology run whose elim_b column-op log lost its last entry; the
