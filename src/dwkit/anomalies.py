@@ -299,8 +299,11 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     U + c_{g1^-1} + alpha(g1)^* c_{g2^-1} - c_{(g1 g2)^-1} = delta b_{g1,g2}:
     one Q/Z system on generator-led tuples of D (see the module docstring).
     Phi_g + c_g is returned only after each c_g is re-verified closed and
-    each corrected U to be delta b.
+    each corrected U to be delta b.  Raises DegreeMismatch if deg omega < 2.
     """
+    if omega.degree < 2:
+        raise DegreeMismatch(
+            f"the first obstruction needs deg omega >= 2, got {omega.degree}")
     g_grp, d_grp = ext.quotient, ext.kernel
     n, inv = omega.degree, g_grp.inverses
     sigma = _ext_sigma(ext)

@@ -65,7 +65,7 @@ from .groups import (
     product_digits,
     product_group,
 )
-from .linalg import SparseElimination, _Memo, _RowRuns, solve_qz_checked
+from .linalg import SparseElimination, _Memo, solve_qz_checked
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
@@ -629,8 +629,8 @@ def _cohomology(group, n):
     index_k = TupleIndex(group, k)
 
     # cocycles: kernel of delta_k on the generator-restricted row set
-    rows_b = delta_matrix_rows(index_k, gens)
-    elim_b = SparseElimination(rows_b, index_k.size).eliminate()
+    elim_b = SparseElimination(delta_matrix_rows(index_k, gens),
+                               index_k.size).eliminate()
     free = elim_b.free_cols
 
     # coboundaries: the columns of delta_n in kernel coordinates, as one
@@ -690,9 +690,7 @@ def _cohomology(group, n):
     data = {
         "index_n": index_n,
         "x_rows": x_rows,
-        # the row log as runs, without elim_x.pack(), which would call an
-        # overriding eliminate() a second time
-        "row_ops": _RowRuns.of(elim_x.row_ops),
+        "row_ops": elim_x.row_ops,
         "pivot_rows": [r for r, _c, _d in elim_x.pivots],
         "slots": slots,
     }

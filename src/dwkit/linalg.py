@@ -3,7 +3,8 @@
 :class:`SparseElimination` is sparse fraction-free diagonalization over Z
 with operation logs, the engine behind every cohomology group and every
 Q/Z search.  Row and column operations are recorded and replayed on
-vectors, so no dense transform matrices are ever materialized.
+vectors, so no dense transform matrices are ever materialized; the row
+log is built as packed runs, and emptied rows and columns are released.
 
 "No solution" is a verdict (``None``), not an exception: the diagonal form
 fully decouples the system, and Q/Z is injective, so the verdict is
@@ -59,6 +60,10 @@ class SparseElimination:
     |p| = 1), restarting on any smaller remainder.  The op logs depend on
     every set and dict operation's order, which the step keeps: set order
     breaks pivot-row ties, dict order sets the clearing order.
+
+    Memory: the row log is built as a ``_RowRuns``, and an emptied row or
+    column is replaced by a fresh empty container.  An empty column never
+    refills and an empty row is never an op target, so no order can change.
     """
 
     # always integral; bench/tracer.py reads it to name an elimination
@@ -72,7 +77,8 @@ class SparseElimination:
         for r, row in enumerate(self.rows):
             for c in row:
                 self.colrows[c].add(r)
-        self.row_ops = []  # (i, j, q): row_i += q * row_j
+        # (i, j, q): row_i += q * row_j, logged as runs while eliminating
+        self.row_ops = _RowRuns(array("q"), array("q"), array("q"), [])
         self.col_ops = []  # (i, j, q): col_i += q * col_j
         self.pivots = []  # (row, col, value)
         self.pivot_cols = set()
@@ -136,7 +142,8 @@ class SparseElimination:
 
     def _pivot_on_column(self, c):
         rows, colrows = self.rows, self.colrows
-        row_ops, col_ops = self.row_ops, self.col_ops
+        runs, col_ops = self.row_ops, self.col_ops
+        targets, qs = runs.targets, runs.qs
         touched = self.rows_touched = set()
         # a row has at most ncols entries, so key k ranks every unit first
         nonunit = self.ncols + 1
@@ -150,6 +157,7 @@ class SparseElimination:
             prow = rows[r]
             p = prow[c]
             unit, ap = p in (1, -1), abs(p)
+            start, restart = len(targets), None
             for r2 in list(colrows[c]):
                 if r2 == r:
                     continue
@@ -162,7 +170,8 @@ class SparseElimination:
                         q += 1
                 if q:  # row_r2 -= q * row_r
                     q = -q
-                    row_ops.append((r2, r, q))
+                    targets.append(r2)
+                    qs.append(q)
                     for cc, w in prow.items():
                         old = ri.get(cc)
                         if old is None:
@@ -173,45 +182,54 @@ class SparseElimination:
                         else:
                             del ri[cc]
                             colrows[cc].discard(r2)
+                    if not ri:  # release the emptied row
+                        rows[r2] = {}
                     touched.update(ri)
                 if c in ri:  # a smaller remainder: restart on row r2
-                    r = r2
+                    restart = r2
                     break
-            else:
-                # column c is row r's alone now, so col_c2 -= q * col_c
-                # changes only entry (r, c2)
-                for c2 in list(prow):
-                    if c2 == c:
-                        continue
-                    q, rem = divmod(prow[c2], p)
-                    if 2 * abs(rem) > ap:
-                        q += 1
-                        rem -= p
-                    if q:
-                        col_ops.append((c2, c, -q))
-                    if rem:  # a smaller remainder: restart on column c2
-                        prow[c2] = rem
-                        c = c2
-                        break
-                    del prow[c2]
-                    colrows[c2].discard(r)
+            if len(targets) > start:  # this pass's ops, all reading row r
+                if runs.sources and runs.sources[-1] == r:
+                    runs.ends[-1] = len(targets)
                 else:
+                    runs.sources.append(r)
+                    runs.ends.append(len(targets))
+            if restart is not None:
+                r = restart
+                continue
+            # column c is row r's alone now, so col_c2 -= q * col_c
+            # changes only entry (r, c2)
+            for c2 in list(prow):
+                if c2 == c:
+                    continue
+                q, rem = divmod(prow[c2], p)
+                if 2 * abs(rem) > ap:
+                    q += 1
+                    rem -= p
+                if q:
+                    col_ops.append((c2, c, -q))
+                if rem:  # a smaller remainder: restart on column c2
+                    prow[c2] = rem
+                    c = c2
                     break
-        # retire the pivot entry
+                del prow[c2]
+                colrows[c2].discard(r)
+                if not colrows[c2]:  # release the emptied column
+                    colrows[c2] = set()
+            else:
+                break
+        # retire the pivot entry: row r and column c are empty now
         self.pivots.append((r, c, p))
         self.pivot_cols.add(c)
-        del prow[c]
-        colrows[c].discard(r)
+        rows[r], colrows[c] = {}, set()
 
     def pack(self):
         """Eliminate, then keep only what a replay reads: drop the emptied
-        rows, the column sets and the pivot-column set, and store the op
-        logs as machine-integer arrays, the row log as runs (``_RowRuns``),
-        about a fifth of the memory of tuples, where every entry fits in
-        64 bits."""
+        rows, the column sets and the pivot-column set, and store the
+        column log as machine-integer arrays where every entry fits in 64
+        bits.  The row log is kept as built, already packed as runs."""
         self.eliminate()
         self.rows = self.colrows = self.pivot_cols = None
-        self.row_ops = _RowRuns.of(self.row_ops)
         self.col_ops = _PackedOps.of(self.col_ops)
         return self
 
@@ -353,10 +371,11 @@ class _RowRuns:
     """A row-op log of (i, j, q) triples as runs: maximal stretches of
     consecutive ops that read the same source row j.  Per run it keeps j
     (``sources``) and the offset where the run ends (``ends``), per op the
-    target i (``targets``) and q (``qs``); ``of`` packs them as
-    machine-integer arrays.  Within a pivot step every op reads the pivot
-    row, so a run is a step's row clearing up to a restart.  It iterates,
-    forward and reversed, as the list of triples it packs."""
+    target i (``targets``) and q (``qs``).  The engine builds its log so,
+    indices and offsets in machine-integer arrays and q in a list; ``of``
+    packs a plain log as arrays.  Within a pivot step every op reads the
+    pivot row, so a run is a step's row clearing up to a restart.  It
+    iterates, forward and reversed, as the list of triples it packs."""
 
     __slots__ = ("sources", "ends", "targets", "qs")
 

@@ -383,6 +383,19 @@ def test_anomaly_report_rejects_degree_one():
         anomaly_report(center_of_d8_extension(), center_sign_character())
 
 
+def test_first_obstruction_rejects_degree_one_before_building(monkeypatch):
+    ext, omega = z2_in_z4_extension(), center_sign_character()
+    ok, phis = is_invariant_class(ext, omega)
+    assert ok
+
+    def forbidden(*_args):
+        raise AssertionError("no index may be built for a degree-1 omega")
+
+    monkeypatch.setattr(anomalies, "TupleIndex", forbidden)
+    with pytest.raises(DegreeMismatch, match="deg omega >= 2, got 1"):
+        is_first_obstruction_trivial(ext, omega, phis)
+
+
 # --------------------------------------------------------------------------
 # closed lifts and boundary pairs
 

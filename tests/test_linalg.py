@@ -1,6 +1,8 @@
 import hashlib
 import heapq
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -259,6 +261,39 @@ def test_sparse_elimination_kernel():
     assert SparseElimination([{0: 2}], 1).kernel() == []
 
 
+# -- released containers -------------------------------------------------------
+
+
+def _assert_released(elim):
+    """Every row and column ends empty, and each was released: no emptied
+    container keeps the table it grew to.  The row log was built as runs,
+    the maximal ones that grouping the logged triples gives."""
+    assert all(not row and sys.getsizeof(row) <= sys.getsizeof({})
+               for row in elim.rows)
+    assert all(not rc and sys.getsizeof(rc) <= sys.getsizeof(set())
+               for rc in elim.colrows)
+    runs = elim.row_ops
+    assert isinstance(runs, _RowRuns)
+    assert isinstance(runs.targets, array) and runs.targets.typecode == "q"
+    grouped = _RowRuns.group(runs)
+    assert (list(runs.sources), list(runs.ends)) == (grouped.sources,
+                                                     grouped.ends)
+
+
+def test_elimination_releases_emptied_rows_and_columns():
+    d8 = dihedral_group(8)
+    index = cochains.TupleIndex(d8, 4)
+    elim = SparseElimination(
+        cochains.delta_matrix_rows(index, d8.generators()), index.size)
+    assert (elim.nrows, elim.ncols) == (4802, 2401)
+    _assert_released(elim.eliminate())
+    for seed in range(40):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(4, 14), rng.randint(4, 14)
+        _assert_released(SparseElimination(
+            _random_rows(rng, nrows, ncols), ncols).eliminate())
+
+
 # -- pivot order ---------------------------------------------------------------
 
 
@@ -298,7 +333,7 @@ def _lazy_heap_eliminate(elim, dedupe=False):
 
 
 def _outcome(elim):
-    return elim.pivots, elim.row_ops, elim.col_ops, elim.free_cols
+    return elim.pivots, list(elim.row_ops), elim.col_ops, elim.free_cols
 
 
 def test_pivot_order_matches_lazy_heap_on_d8_degree_three(monkeypatch):
