@@ -32,6 +32,12 @@ sum of gathers from c~.  The rows of every elimination system
 and not kept.  Every column index is a position in ``TupleIndex.positions``,
 the one map from tuples to positions.
 
+A cochain is immutable, so its closedness is a fact about the object:
+``is_cocycle``, the library's one closedness check, decides it on the first
+call and keeps the verdict on the cochain, never setting it from how the
+cochain was built.  Equal but distinct cochains each decide once (hashing a
+cochain costs about as much as the check).
+
 A cochain stores integer numerators: one x in [1, M) per nonzero tuple at
 its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
 and solve right-hand sides read them at the result modulus
@@ -65,7 +71,7 @@ from .groups import (
     product_digits,
     product_group,
 )
-from .linalg import SparseElimination, _Memo, solve_qz_checked
+from .linalg import SparseElimination, _CacheInfo, _Memo, solve_qz_checked
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
@@ -75,6 +81,7 @@ _cohomology_groups = _Memo(COHOMOLOGY_GROUP_MEMO_SIZE)
 # an anomaly pass asks for 27 (group, degree, loops) keys in about 645 calls
 FACE_MEMO_SIZE = 64
 _face_tables = _Memo(FACE_MEMO_SIZE)
+_verdict_counts = [0, 0]  # is_cocycle's hits and misses
 
 
 # -- cochains ----------------------------------------------------------------
@@ -91,7 +98,7 @@ class Cochain:
     PhaseValues on access, for readers outside hot loops.
     """
 
-    __slots__ = ("group", "degree", "modulus", "_nums", "loops")
+    __slots__ = ("group", "degree", "modulus", "_nums", "loops", "_closed")
 
     def __init__(self, group, degree, modulus, values=None, loops=0):
         if degree < 0:
@@ -120,8 +127,8 @@ class Cochain:
         self._set(group, degree, modulus, nums, loops)
 
     def _set(self, *fields):
-        """Set the fields, given in ``__slots__`` order."""
-        for name, field in zip(self.__slots__, fields):
+        """Set the fields in ``__slots__`` order, and ``_closed`` to None."""
+        for name, field in zip(self.__slots__, fields + (None,)):
             object.__setattr__(self, name, field)
 
     @classmethod
@@ -364,8 +371,18 @@ coboundary_agrees.cache_clear = _face_tables.cache_clear
 
 
 def is_cocycle(c):
-    """Whether delta c = 0 over Q/Z, read on the generator-led tuples only."""
-    return c.is_zero() or coboundary_agrees(c)
+    """Whether delta c = 0 over Q/Z, read on the generator-led tuples only,
+    once per cochain (module docstring); ``is_cocycle.cache_info()`` counts
+    calls that read the kept verdict as hits, decisions as misses."""
+    closed = c._closed
+    _verdict_counts[closed is None] += 1
+    if closed is None:
+        closed = c.is_zero() or coboundary_agrees(c)
+        object.__setattr__(c, "_closed", closed)
+    return closed
+
+
+is_cocycle.cache_info = lambda: _CacheInfo(*_verdict_counts, None, None)
 
 
 def pullback(f: GroupHom, c: Cochain):
@@ -729,7 +746,7 @@ def solve_coboundary(y: Cochain):
     if y.is_zero():
         return Cochain.zero(g, n - 1, y.modulus, loops)
     index = TupleIndex(g, n - 1, loops)
-    if not coboundary_agrees(y):
+    if not is_cocycle(y):
         return None
     den = y.denominator()
     gens = g.generators()

@@ -206,9 +206,10 @@ def _torus_residues(theta):
     of each t o s among the tuples of ``gauge_groupoid(G, n)``); a call
     reads theta's numerators once per tuple and adds the gathered columns.
     The budget on tuples times n! is checked before the table is looked up
-    or built.  A theta that vanishes on every commuting tuple (theta = 0,
-    the untwisted theory) reads no table: each t o s is a commuting tuple,
-    so every pairing is 0 and the sum is |Hom(Z^n, G)| phases 1.
+    or built.  A theta that vanishes on every commuting tuple reads no
+    table, and theta = 0 (untwisted) not its numerators either: each t o s
+    is a commuting tuple, so every pairing is 0 and the sum is
+    |Hom(Z^n, G)| phases 1.
     """
     group, n, m = theta.group, theta.degree, theta.modulus
     tuples = gauge_groupoid(group, n).objects()
@@ -216,6 +217,8 @@ def _torus_residues(theta):
     if terms > TORUS_TERM_BUDGET:
         raise BudgetExceeded(f"torus cycle terms for T^{n}", terms,
                              TORUS_TERM_BUDGET)
+    if theta.is_zero():
+        return Counter({0: len(tuples)})
     nums = list(map(theta.numerators().get, tuples, repeat(0)))
     if not any(nums):
         return Counter({0: len(tuples)})

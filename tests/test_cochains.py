@@ -738,7 +738,7 @@ def test_face_and_gauge_memos_count_a_hit_on_a_repeated_call():
     c = random_cochain(s3, 2, 6, random.Random(1), loops=1)
     assert is_cocycle(c) == coboundary(c).is_zero()
     faces, gauge = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
-    is_cocycle(c)
+    coboundary_agrees(c)
     gauge_groupoid(s3, 1)
     after = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
     assert [(i.hits, i.misses) for i in after] == [
@@ -753,3 +753,72 @@ def test_face_and_gauge_memos_count_a_hit_on_a_repeated_call():
             gauge_groupoid(group, n)
     after = gauge_groupoid.cache_info()
     assert (after.hits, after.misses) == (gauge.hits + len(keys), gauge.misses)
+
+
+def _verdict_traffic():
+    info = is_cocycle.cache_info()
+    assert (info.maxsize, info.currsize) == (None, None)
+    return info.hits, info.misses
+
+
+def test_is_cocycle_keeps_its_verdict_on_the_cochain():
+    s3 = dihedral_group(6)
+    omega = cohomology(s3, 3).generators[0]
+    fresh = Cochain._from_numerators(s3, 3, omega.modulus,
+                                     omega.numerators().items())
+    hits, misses = _verdict_traffic()
+    assert is_cocycle(fresh)
+    assert _verdict_traffic() == (hits, misses + 1)
+    # a repeated call reads the kept verdict and no face table
+    faces = coboundary_agrees.cache_info()
+    assert is_cocycle(fresh)
+    assert coboundary_agrees.cache_info() == faces
+    assert _verdict_traffic() == (hits + 1, misses + 1)
+    # a non-closed cochain is rejected on every call
+    bad = _bump(fresh, next(iter(TupleIndex(s3, 3).all())), PhaseValue(1, 2))
+    assert not coboundary(bad).is_zero()
+    for _call in range(2):
+        assert not is_cocycle(bad)
+        with pytest.raises(NotACocycle):
+            dw_partition_torus(s3, bad, 3)
+    assert _verdict_traffic() == (hits + 4, misses + 2)
+    # a changed copy of an accepted cocycle decides again, and nothing but
+    # is_cocycle sets the verdict
+    for t in itertools.islice(TupleIndex(s3, 3).all(), 0, None, 7):
+        changed = _bump(fresh, t, PhaseValue(1, 6))
+        assert not coboundary(changed).is_zero() and not is_cocycle(changed)
+    with pytest.raises(AttributeError):
+        fresh._closed = True
+    with pytest.raises(AttributeError):
+        bad._closed = True
+    assert not is_cocycle(bad)
+
+
+def test_solve_coboundary_decides_closedness_through_is_cocycle():
+    z4 = cyclic_group(4)
+    y = coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
+    hits, misses = _verdict_traffic()
+    x = solve_coboundary(y)
+    assert x is not None and coboundary(x) == y
+    assert _verdict_traffic() == (hits, misses + 1)
+    assert is_cocycle(y)
+    assert _verdict_traffic() == (hits + 1, misses + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(_SMALL_GROUPS),
+    degree=st.integers(1, 2),
+    loops=st.integers(0, 1),
+    modulus=st.sampled_from([2, 3, 4, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    closed=st.booleans(),
+)
+def test_a_kept_verdict_is_the_full_coboundary_test(group, degree, loops,
+                                                    modulus, seed, closed):
+    rng = random.Random(seed)
+    c = random_cochain(group, degree, modulus, rng, loops=loops)
+    if closed:
+        c = coboundary(c)
+    want = coboundary(c).is_zero()
+    assert [is_cocycle(c), is_cocycle(c)] == [want, want]

@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -670,3 +670,24 @@ def test_symmetry_action_rejects_wrong_phi():
     ident = GroupHom(z4, z4, [0, 1, 2, 3])
     with pytest.raises(IncompatiblePhases):
         symmetry_action(z2, lambda g: ident, wrong, space)
+
+
+def test_zero_theta_reads_no_numerators(monkeypatch):
+    def unread(self, modulus=None):
+        raise AssertionError("a zero theta has no numerators to read")
+
+    cases = [(group, n, Cochain.zero(group, n, 4))
+             for group in builtin_groups_up_to(16) for n in (2, 3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(Cochain, "numerators", unread)
+        for group, n, theta in cases:
+            assert invariants._torus_residues(theta) == Counter(
+                {0: commuting_tuple_count(group, n)})
+    # the budget on tuples times n! is still checked first
+    monkeypatch.setattr(invariants, "TORUS_TERM_BUDGET", 10)
+    over = [(n, theta) for group, n, theta in cases
+            if commuting_tuple_count(group, n) * factorial(n) > 10]
+    assert len(over) == len(cases) - 3  # all but Z1 (n = 2, 3) and Z2 (n = 2)
+    for n, theta in over:
+        with pytest.raises(BudgetExceeded):
+            dw_partition_torus(theta.group, theta, n)
