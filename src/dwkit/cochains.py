@@ -81,7 +81,7 @@ _cohomology_groups = _Memo(COHOMOLOGY_GROUP_MEMO_SIZE)
 # an anomaly pass asks for 27 (group, degree, loops) keys in about 645 calls
 FACE_MEMO_SIZE = 64
 _face_tables = _Memo(FACE_MEMO_SIZE)
-_verdict_counts = [0, 0]  # is_cocycle's hits and misses
+_verdict_counts = [0, 0]  # is_cocycle's [hits, misses]
 
 
 # -- cochains ----------------------------------------------------------------
