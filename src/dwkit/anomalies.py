@@ -10,7 +10,9 @@ y^T A = 0, y.b != 0 (mod den) against its rows as built:
 
 * first obstruction: closed c_g on D and b_{g1,g2} with
   U(g1, g2) + c_{g1^-1} + alpha(g1)^* c_{g2^-1} - c_{(g1 g2)^-1}
-  = delta b_{g1,g2}, i.e. d2 of omega vanishes in H^2(G; H^{n-1}(D));
+  = delta b_{g1,g2}, i.e. d2 of omega vanishes in the LHS term
+  E_2^{2,n-1} = H^2(G; H^{n-1}(D)), computed on normalized G-cochains
+  (Brown, GTM 87, IV.3 and VII.6): over g1, g2 != 1, for Phi_1 = 0;
 * closed lift: omegahat on Ghat with delta omegahat = 0, iota^* omegahat = omega;
 * boundary pair: (omega' on Ghat, theta on G) with iota^* omega' = omega,
   delta omega' = lambda^* theta, delta theta = 0.
@@ -168,12 +170,14 @@ class Extension:
         for g in g_grp.elements():
             if self.lam(self.section[g]) != g:
                 raise SectionNotValid(f"lambda(s({g})) != {g}")
+        object.__setattr__(self, "_preimage",
+                           {x: d for d, x in enumerate(self.iota.map)})
 
     def iota_inverse(self, x):
-        for d in self.kernel.elements():
-            if self.iota(d) == x:
-                return d
-        raise SectionNotValid(f"{x} is not in the image of iota")
+        d = self._preimage.get(x)
+        if d is None:
+            raise SectionNotValid(f"{x} is not in the image of iota")
+        return d
 
     def action(self, g) -> GroupHom:
         """The automorphism alpha(g) of D: conjugation by s(g) in Ghat."""
@@ -262,12 +266,6 @@ def is_invariant_class(ext: Extension, omega: Cochain):
     return True, phis
 
 
-def _sigma_slant(omega, d_grp, s):
-    """The slant of omega by the kernel element s: a primitive for
-    omega - (conjugation by s)^* omega."""
-    return interval_pairing(omega, s, GroupHom.identity(d_grp))
-
-
 def _ext_sigma(ext):
     """sigma(a, b) = iota^{-1}(s(a) s(b) s(ab)^{-1}), memoized."""
     g_grp, ghat = ext.quotient, ext.total
@@ -297,21 +295,29 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     With U(g1, g2) the closed obstruction cochains of the family, [U]
     vanishes iff closed c_g (g != 1) and b_{g1,g2} exist with
     U + c_{g1^-1} + alpha(g1)^* c_{g2^-1} - c_{(g1 g2)^-1} = delta b_{g1,g2}:
-    one Q/Z system on generator-led tuples of D (see the module docstring).
-    Phi_g + c_g is returned only after each c_g is re-verified closed and
-    each corrected U to be delta b.  Raises DegreeMismatch if deg omega < 2.
+    one Q/Z system on generator-led tuples of D (see the module docstring),
+    over g1, g2 != 1 only.  On normalized cochains (Brown, GTM 87, IV.3 and
+    VII.6) s(1) = 1 gives alpha(1) = id and sigma(1, g) = sigma(g, 1) = e,
+    whose slant is 0; so for a family with Phi_1 = 0, U(1, g) = U(g, 1) = 0
+    and their rows (the c-terms cancel) read only their own b-blocks.  One
+    slant is built per distinct sigma value.  Phi_g + c_g is returned only
+    after each c_g is re-verified closed and each corrected U to be delta b.
+    Raises DegreeMismatch if deg omega < 2, IncompatiblePhases if Phi_1 != 0.
     """
     if omega.degree < 2:
         raise DegreeMismatch(
             f"the first obstruction needs deg omega >= 2, got {omega.degree}")
     g_grp, d_grp = ext.quotient, ext.kernel
+    if not phis[g_grp.identity].is_zero():
+        raise IncompatiblePhases("the Phi family must be normalized: Phi_1 = 0")
     n, inv = omega.degree, g_grp.inverses
     sigma = _ext_sigma(ext)
     actions = {g: ext.action(g) for g in g_grp.elements()}
 
-    pairs = list(itertools.product(g_grp.elements(), repeat=2))
-    slants = [_sigma_slant(omega, d_grp, sigma(inv[g1], inv[g2]))
-              for g1, g2 in pairs]
+    pairs = list(itertools.product(g_grp.nonidentity(), repeat=2))
+    sigmas = [sigma(inv[g1], inv[g2]) for g1, g2 in pairs]
+    ident = GroupHom.identity(d_grp)
+    slants = {s: interval_pairing(omega, s, ident) for s in set(sigmas)}
 
     def obstruction(family, p):
         g1, g2 = pairs[p]
@@ -319,7 +325,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
             family[inv[g1]]
             + pullback(actions[g1], family[inv[g2]])
             - family[inv[g_grp.mul(g1, g2)]]
-            + slants[p]
+            + slants[sigmas[p]]
         )
 
     us = [obstruction(phis, p) for p in range(len(pairs))]

@@ -386,7 +386,10 @@ is_cocycle.cache_info = lambda: _CacheInfo(*_verdict_counts, None, None)
 
 
 def pullback(f: GroupHom, c: Cochain):
-    """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized."""
+    """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized; c itself
+    (cochains are immutable) when f is the identity of c's group."""
+    if f.source == f.target == c.group and f.map == tuple(range(len(f.map))):
+        return c
     get, image = c._nums.get, f.map.__getitem__
     return Cochain._from_numerators(
         f.source, c.degree, c.modulus,

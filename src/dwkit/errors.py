@@ -71,7 +71,8 @@ class NotABoundaryPair(ValueError):
 
 
 class IncompatiblePhases(ValueError):
-    """Symmetry phase data fails its defining coboundary equation."""
+    """Symmetry phase data fails its defining coboundary equation or
+    normalization."""
 
 
 class VerificationFailed(RuntimeError):

@@ -4,17 +4,38 @@ import itertools
 import random
 from math import lcm
 
+from operator import neg
+
 from dwkit.anomalies import (
     Extension,
     NonAbelianCocycle,
+    _ext_sigma,
     cocycle_from_extension,
     extension_from_cocycle,
 )
-from dwkit.cochains import Cochain, TupleIndex, _delta_faces, all_tuples
-from dwkit.errors import DegreeMismatch, NonCommuting, VerificationFailed
+from dwkit.cochains import (
+    Cochain,
+    TupleIndex,
+    _delta_faces,
+    all_tuples,
+    coboundary_agrees,
+    delta_matrix_rows,
+    interval_pairing,
+    is_cocycle,
+    numerators_at,
+    pullback,
+    vector_cochain,
+)
+from dwkit.errors import (
+    DegreeMismatch,
+    NonCommuting,
+    NotACocycle,
+    VerificationFailed,
+)
 from dwkit.groupoids import FinGroupoid, gauge_groupoid
 from dwkit.groups import FiniteGroup, GroupHom
 from dwkit.invariants import _signed_permutations
+from dwkit.linalg import solve_qz_checked
 from dwkit.phase import PhaseValue
 
 
@@ -100,6 +121,94 @@ def extension_round_trip_iso(ext: Extension) -> GroupHom:
     if any(rebuilt.lam(phi(x)) != ext.lam(x) for x in ghat.elements()):
         raise VerificationFailed("round-trip map must commute with lambda")
     return phi
+
+
+def scanned_iota_inverse(ext: Extension, x):
+    """iota^{-1}(x) by a scan of the kernel, or None off the image."""
+    for d in ext.kernel.elements():
+        if ext.iota(d) == x:
+            return d
+    return None
+
+
+def reference_first_obstruction(ext: Extension, omega: Cochain, phis):
+    """is_first_obstruction_trivial on the full system: every pair of
+    G x G, identity pairs included, and one slant per pair (a reference
+    for the normalized system).  Same contract: (True, corrected family)
+    after re-verifying every c_g closed and every corrected U to be
+    delta b, or (False, None) backed by a checked certificate."""
+    g_grp, d_grp = ext.quotient, ext.kernel
+    n, inv = omega.degree, g_grp.inverses
+    sigma = _ext_sigma(ext)
+    actions = {g: ext.action(g) for g in g_grp.elements()}
+    ident = GroupHom.identity(d_grp)
+
+    pairs = list(itertools.product(g_grp.elements(), repeat=2))
+    slants = [interval_pairing(omega, sigma(inv[g1], inv[g2]), ident)
+              for g1, g2 in pairs]
+
+    def obstruction(family, p):
+        g1, g2 = pairs[p]
+        return (
+            family[inv[g1]]
+            + pullback(actions[g1], family[inv[g2]])
+            - family[inv[g_grp.mul(g1, g2)]]
+            + slants[p]
+        )
+
+    us = [obstruction(phis, p) for p in range(len(pairs))]
+    if not all(map(is_cocycle, us)):
+        raise NotACocycle("obstruction cochain must be closed")
+
+    # columns: c_g for g != 1 in blocks of idx_c, then b_{g1,g2} per pair
+    gens = d_grp.generators()
+    idx_c, idx_b = TupleIndex(d_grp, n - 1), TupleIndex(d_grp, n - 2)
+    block = {g: k * idx_c.size for k, g in enumerate(g_grp.nonidentity())}
+    off_b = len(block) * idx_c.size
+    lead = list(idx_b.rows(gens))
+
+    def build():
+        crows = delta_matrix_rows(idx_c, gens)
+        rows = [{block[g] + c: v for c, v in row.items()}
+                for g in block for row in crows]
+        brows = delta_matrix_rows(idx_b, gens)
+        pos_c = idx_c.positions
+        for p, (g1, g2) in enumerate(pairs):
+            terms = ((inv[g1], 1, False), (inv[g2], 1, True),
+                     (inv[g_grp.mul(g1, g2)], -1, False))
+            for t, brow in zip(lead, brows):
+                row = {off_b + p * idx_b.size + c: -v for c, v in brow.items()}
+                for g, sign, acted in terms:
+                    if g in block:
+                        at = tuple(map(actions[g1], t)) if acted else t
+                        c = block[g] + pos_c[at]
+                        row[c] = row.get(c, 0) + sign
+                rows.append(row)
+        return rows, off_b + len(pairs) * idx_b.size
+
+    den = lcm(*(u.denominator() for u in us))
+    rhs = [0] * (len(block) * idx_c.row_count(gens))
+    for u in us:
+        rhs += map(neg, numerators_at(u, lead, den))
+    key = ("first_obstruction_all_pairs", g_grp, d_grp,
+           tuple(actions[g].map for g in g_grp.elements()), n)
+    sol = solve_qz_checked(key, build, rhs, den)
+    if sol is None:
+        return False, None
+    x, m = sol
+    corrected = dict(phis)
+    for g, off in block.items():
+        c = vector_cochain(idx_c, x[off:off + idx_c.size], m)
+        if not is_cocycle(c):
+            raise VerificationFailed("solver output must be closed")
+        corrected[g] = phis[g] + c
+    for p in range(len(pairs)):
+        off = off_b + p * idx_b.size
+        b = vector_cochain(idx_b, x[off:off + idx_b.size], m)
+        u = obstruction(corrected, p)
+        if not (is_cocycle(u) and coboundary_agrees(b, u)):
+            raise VerificationFailed("corrected obstruction must be delta b")
+    return True, corrected
 
 
 def direct_product_extension(d_grp: FiniteGroup, g_grp: FiniteGroup) -> Extension:

@@ -15,6 +15,10 @@ from support import (
     mixed_radix_position,
     random_cochain,
     reference_delta_rows,
+    reference_first_obstruction,
+    reference_interval_pairing,
+    reference_pullback,
+    scanned_iota_inverse,
 )
 
 from dwkit import anomalies, cochains
@@ -46,6 +50,7 @@ from dwkit.cochains import (
 )
 from dwkit.errors import (
     DegreeMismatch,
+    IncompatiblePhases,
     InvalidCocycle,
     NotABoundaryPair,
     SectionNotValid,
@@ -212,6 +217,26 @@ def cohomology_classes(group, n):
         yield omega
 
 
+def extension_fixtures():
+    """Every extension fixture of these tests, by name."""
+    k4 = product_group([2, 2])
+    return {
+        "Z2<Z4": z2_in_z4_extension(),
+        "doubling": doubling_extension(2),
+        "Z2<Z4 carry": z4_in_z16_extension(2, 2),
+        "Z3<Z6": z4_in_z16_extension(3, 2),
+        "Z3<Z9": z4_in_z16_extension(3, 3),
+        "Z4<Z16": z4_in_z16_extension(4, 4),
+        "D8<Pauli": d8_in_pauli_extension(),
+        "K4<D8": klein_in_d8_extension(),
+        "Z2<D8": center_of_d8_extension(),
+        "order 16": order_sixteen_extension(),
+        "Z4<Q8": z2_extension(cyclic_group(4), [0, 3, 2, 1], 2),
+        "K4<D8 split": z2_extension(k4, [0, 1, 3, 2], 0),
+        "D6xZ2": direct_product_extension(dihedral_group(6), cyclic_group(2)),
+    }
+
+
 # --------------------------------------------------------------------------
 # cocycle data and round trips
 
@@ -376,6 +401,125 @@ def test_first_obstruction_matches_brute_force_oracle(monkeypatch):
             assert first_obstruction_oracle(ext, omega, phis) == got
         verdicts.append(got)
     assert verdicts == [False, False] + [True] * 18
+
+
+def _obstruction_cochain(ext, omega, family, g1, g2):
+    """U(g1, g2) of a Phi family, from the section, a kernel scan and the
+    PhaseValue references for the pullback and the slant."""
+    g_grp, ghat, s = ext.quotient, ext.total, ext.section
+    inv, mul = g_grp.inverses, g_grp.mul
+    i1, i2 = inv[g1], inv[g2]
+    sigma = scanned_iota_inverse(
+        ext, ghat.word([s[i1], s[i2], ghat.inverses[s[mul(i1, i2)]]]))
+    return (family[i1] + reference_pullback(ext.action(g1), family[i2])
+            - family[inv[mul(g1, g2)]]
+            + reference_interval_pairing(
+                omega, sigma, GroupHom.identity(ext.kernel)))
+
+
+def _is_corrected_family(ext, omega, phis, family):
+    """Phi_1 = 0, every correction Phi'_g - Phi_g closed, and every U of
+    the family, identity pairs included, a coboundary."""
+    g_grp = ext.quotient
+    return (family[g_grp.identity].is_zero()
+            and all(is_cocycle(family[g] - phis[g]) for g in g_grp.elements())
+            and all(solve_coboundary(_obstruction_cochain(
+                ext, omega, family, g1, g2)) is not None
+                for g1, g2 in itertools.product(g_grp.elements(), repeat=2)))
+
+
+def test_normalized_first_obstruction_matches_the_all_pairs_system():
+    """Dropping the pairs that hold the identity decides as the full
+    |G|^2 system does, and both corrected families re-verify on every
+    pair."""
+    rng = random.Random(27)
+    verdicts = {}
+    for name, ext in extension_fixtures().items():
+        for n in (2, 3):
+            for omega in itertools.islice(cohomology_classes(ext.kernel, n), 4):
+                m = max(2, omega.modulus)
+                omega = omega + coboundary(
+                    random_cochain(ext.kernel, n - 1, m, rng))
+                ok, phis = is_invariant_class(ext, omega)
+                if not ok:
+                    continue
+                got, family = is_first_obstruction_trivial(ext, omega, phis)
+                want, ref = reference_first_obstruction(ext, omega, phis)
+                assert got == want, (name, n)
+                verdicts[got] = verdicts.get(got, 0) + 1
+                if got:
+                    assert _is_corrected_family(ext, omega, phis, family)
+                    assert _is_corrected_family(ext, omega, phis, ref)
+    assert verdicts == {True: 55, False: 3}
+
+
+def test_first_obstruction_rejects_an_unnormalized_family_before_building(
+        monkeypatch):
+    ext = doubling_extension(2)
+    omega = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    ok, phis = is_invariant_class(ext, omega)
+    assert ok and phis[ext.quotient.identity].is_zero()
+    # a closed Phi_1 != 0 still solves delta Phi_1 = omega - omega
+    shifted = dict(phis)
+    shifted[ext.quotient.identity] = Cochain(
+        ext.kernel, 1, 2, {(1,): PhaseValue(1, 2), (3,): PhaseValue(1, 2)})
+    assert is_cocycle(shifted[ext.quotient.identity])
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("nothing may be built for an unnormalized family")
+
+    for name in ("TupleIndex", "delta_matrix_rows", "interval_pairing",
+                 "solve_qz_checked", "_ext_sigma"):
+        monkeypatch.setattr(anomalies, name, forbidden)
+    monkeypatch.setattr(Extension, "action", forbidden)
+    with pytest.raises(IncompatiblePhases, match="Phi_1 = 0") as info:
+        is_first_obstruction_trivial(ext, omega, shifted)
+    assert isinstance(info.value, ValueError)
+
+
+def test_first_obstruction_slants_once_per_sigma_value(monkeypatch):
+    calls = []
+
+    def counting(omega, s, iota):
+        calls.append(s)
+        return interval_pairing(omega, s, iota)
+
+    monkeypatch.setattr(anomalies, "interval_pairing", counting)
+    fewer = False
+    for name, ext in extension_fixtures().items():
+        g_grp, ghat, s = ext.quotient, ext.total, ext.section
+        omega = next(itertools.islice(cohomology_classes(ext.kernel, 2), 1,
+                                      None), Cochain.zero(ext.kernel, 2))
+        ok, phis = is_invariant_class(ext, omega)
+        if not ok:
+            continue
+        nonid = g_grp.nonidentity()
+        values = {scanned_iota_inverse(ext, ghat.word(
+            [s[a], s[b], ghat.inverses[s[g_grp.mul(a, b)]]]))
+            for a in nonid for b in nonid}
+        calls.clear()
+        is_first_obstruction_trivial(ext, omega, phis)
+        assert sorted(calls) == sorted(values), name
+        fewer |= len(calls) < len(nonid) ** 2
+    assert fewer
+
+
+def test_iota_inverse_matches_the_kernel_scan():
+    for name, ext in extension_fixtures().items():
+        image = set(ext.iota.map)
+        for x in ext.total.elements():
+            want = scanned_iota_inverse(ext, x)
+            assert (want is None) == (x not in image), name
+            if want is None:
+                with pytest.raises(SectionNotValid, match="image of iota"):
+                    ext.iota_inverse(x)
+            else:
+                assert ext.iota_inverse(x) == want, name
+        for g in ext.quotient.elements():
+            assert ext.action(g).map == tuple(
+                scanned_iota_inverse(ext, ext.total.conjugate(
+                    ext.section[g], ext.iota(d)))
+                for d in ext.kernel.elements()), name
 
 
 def test_anomaly_report_rejects_degree_one():
@@ -931,9 +1075,11 @@ def test_forged_engine_fails_verification_on_memo_hits_under_optimize():
     ]
 
 
-# a Q/Z solver whose solution is off by 1/(2m) in every coordinate; the
-# first-obstruction search must re-verify its corrected family when
-# python -O strips every assert (Phi is found with the honest engine)
+# a Q/Z solver whose solution is off by 1/(4m) in its last coordinate,
+# which lies in the b-block of the last pair (the c_g stay closed, and on
+# Z2 the shift moves delta b by 1/(2m)); the first-obstruction search must
+# re-verify its corrected family when python -O strips every assert (Phi
+# is found with the honest engine)
 _WRONG_CORRECTION_RUN = """
 import sys
 import dwkit.anomalies as A
@@ -948,7 +1094,7 @@ class WrongSolution(L.SparseElimination):
         if sol is None:
             return sol, y
         x, m = sol
-        return ([2 * v + 1 for v in x], 2 * m), None
+        return ([4 * v for v in x[:-1]] + [4 * x[-1] + 1], 4 * m), None
 
 print(sys.flags.optimize)
 z2, z4 = cyclic_group(2), cyclic_group(4)

@@ -302,6 +302,28 @@ def test_pullback_is_a_chain_map():
     assert pullback(const, c).values == {}
 
 
+def test_pullback_along_the_identity_is_the_cochain_itself():
+    rng = random.Random(27)
+    for group in (cyclic_group(6), dihedral_group(8), product_group([2, 2])):
+        for degree in (1, 2, 3):
+            c = random_cochain(group, degree, 6, rng)
+            assert pullback(GroupHom.identity(group), c) is c
+            # an identity map given as a list, on an equal group object
+            same = GroupHom(group, group, list(group.elements()))
+            assert pullback(same, c) is c
+    # a non-identity automorphism still pulls back: alpha(1) of D8 = K4 x| Z2
+    ext = klein_in_d8_extension()
+    swap = ext.action(1)
+    assert swap.map != tuple(ext.kernel.elements())
+    moved = []
+    for degree in (1, 2, 3):
+        c = random_cochain(ext.kernel, degree, 4, rng)
+        got = pullback(swap, c)
+        assert got is not c and got == reference_pullback(swap, c)
+        moved.append(got != c)
+    assert any(moved)
+
+
 def _shuffles(p, q):
     """(p,q)-shuffles as (sign, positions-of-first-block)."""
     for pos in itertools.combinations(range(p + q), p):
@@ -510,7 +532,11 @@ def test_numerator_algebra_matches_phase_reference(monkeypatch):
     for f in homs:
         for degree in (1, 2, 3):
             c = _mixed_cochain(f.target, degree, rng)
-            _same(pullback(f, c), reference_pullback(f, c))
+            if f.map == tuple(f.target.elements()):
+                # along the identity (alpha(1)) the pullback is c itself
+                assert pullback(f, c) is c and c == reference_pullback(f, c)
+            else:
+                _same(pullback(f, c), reference_pullback(f, c))
 
     # slants along iota and along the identity of the total group
     ghat = ext.total

@@ -402,7 +402,7 @@ RECORDED_DIGESTS = {
         "dfda2d57c3926e0f4a85d0df87841dde615212400df139e7850455003c03e2e6",
     ],
     "first_obstruction": [
-        "6c8f19cdf4258ab4a95ca76226e6a86ac7041b72406c7cc8a7b46f1294e46cb8",
+        "387dbf9efe2f2296b1cc5b795c2e6b12547e785a4c6da8878e10506c24894c76",
     ],
     "random": [
         "6b76d21b5f361a147a254f36beb5c49f1c7ef2161e0440e10c9007d28146ad31",
