@@ -235,19 +235,12 @@ def _torus_residues(theta):
 
 def _phase_average(group, residues, modulus, what):
     """(1/|G|) * the sum of the phases r/modulus counted by ``residues``,
-    checked to be a nonnegative integer.  A single residue, c z^r, is
-    rational iff z^r = +-1, i.e. 2r = 0 mod modulus: no cyclotomic
-    division."""
+    checked to be a nonnegative integer."""
     total = ExactPhaseSum.from_weights({
         PhaseValue(r, modulus): Fraction(c, group.order)
         for r, c in residues.items()
     })
-    if len(residues) == 1:
-        [(r, c)] = residues.items()
-        value = (Fraction(-c if r % modulus else c, group.order)
-                 if 2 * r % modulus == 0 else None)
-    else:
-        value = total.as_rational()
+    value = total.as_rational()
     if value is None or value < 0 or value.denominator != 1:
         raise VerificationFailed(f"{what} must be a nonnegative integer")
     return TorusPartition(value, total)

@@ -529,14 +529,14 @@ def test_numerator_algebra_matches_phase_reference(monkeypatch):
         za, zb = cyclic_group(a), cyclic_group(b)
         k = rng.randrange(1, b) * (b // gcd(a, b))
         homs.append(GroupHom(za, zb, [x * k % b for x in za.elements()]))
+    # identity maps are left out: along one, pullback returns c itself
+    # (test_pullback_along_the_identity_is_the_cochain_itself)
+    homs = [f for f in homs if not (
+        f.source == f.target and f.map == tuple(range(len(f.map))))]
     for f in homs:
         for degree in (1, 2, 3):
             c = _mixed_cochain(f.target, degree, rng)
-            if f.map == tuple(f.target.elements()):
-                # along the identity (alpha(1)) the pullback is c itself
-                assert pullback(f, c) is c and c == reference_pullback(f, c)
-            else:
-                _same(pullback(f, c), reference_pullback(f, c))
+            _same(pullback(f, c), reference_pullback(f, c))
 
     # slants along iota and along the identity of the total group
     ghat = ext.total

@@ -23,7 +23,6 @@ from dwkit.errors import (
     DegreeMismatch,
     IncompatiblePhases,
     NotACocycle,
-    VerificationFailed,
 )
 from dwkit.groupoids import gauge_groupoid
 from dwkit.groups import (
@@ -114,36 +113,6 @@ def test_exact_phase_sum_cyclotomic_oracle():
                 assert value is None
             else:
                 assert value == (1 if r == 0 else -1)
-
-
-def test_single_residue_phase_average_needs_no_cyclotomic_division(
-        monkeypatch):
-    """c z^r / |G| is decided from r and M alone, and equals the
-    cyclotomic reading: rational iff 2r = 0 mod M."""
-    z6 = cyclic_group(6)
-    want = {}
-    for m in range(1, 13):
-        for r in range(m):
-            for c in (1, 6, 12):
-                total = ExactPhaseSum.from_weights(
-                    {PhaseValue(r, m): Fraction(c, 6)})
-                want[m, r, c] = total, total.as_rational()
-
-    def forbidden(*_args):
-        raise AssertionError("a single residue needs no cyclotomic division")
-
-    monkeypatch.setattr(invariants, "_divide_monic", forbidden)
-    monkeypatch.setattr(invariants, "_cyclotomic", forbidden)
-    for (m, r, c), (total, value) in want.items():
-        if value is not None and value >= 0 and value.denominator == 1:
-            got = invariants._phase_average(z6, Counter({r: c}), m, "sum")
-            assert (got.value, got.phase_sum) == (value, total)
-            assert type(got.value) is Fraction
-        else:
-            with pytest.raises(VerificationFailed, match="sum must be"):
-                invariants._phase_average(z6, Counter({r: c}), m, "sum")
-    assert {(m, r, c) for (m, r, c), (_t, v) in want.items() if v == 2} == {
-        (m, 0, 12) for m in range(1, 13)}
 
 
 def test_exact_phase_sum_from_weights():
