@@ -41,6 +41,7 @@ from .cochains import (
     Cochain,
     TupleIndex,
     all_tuples,
+    check_cohomology_budget,
     coboundary_agrees,
     cohomology,
     delta_matrix_rows,
@@ -490,7 +491,11 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Outcome of the gauging-obstruction workflow for (extension, omega)."""
+    """Outcome of the gauging-obstruction workflow for (extension, omega).
+
+    ``theta_class`` classifies a bulk theta in H^{n+1}(G; U(1)); it is ()
+    for anomaly_free (that group is not computed) and None before a lift.
+    """
 
     invariant_class: bool
     first_obstruction_trivial: bool
@@ -506,7 +511,8 @@ def anomaly_report(ext: Extension, omega: Cochain) -> ObstructionReport:
 
     Verdicts: anomaly_free (closed lift exists),
     thooft_anomalous_with_bulk (boundary pair with nontrivial bulk theta),
-    invariance_fails, first_obstruction_fails.
+    invariance_fails, first_obstruction_fails.  Past d2, H^{n+1}(G)'s
+    budget is checked first, but that group is computed only for a bulk theta.
     """
     if omega.degree < 2:
         raise DegreeMismatch(
@@ -522,20 +528,19 @@ def anomaly_report(ext: Extension, omega: Cochain) -> ObstructionReport:
     if not ok:
         return ObstructionReport(True, False, phis, None, None, None,
                                  "first_obstruction_fails")
-    h_bulk = cohomology(ext.quotient, omega.degree + 1)
+    check_cohomology_budget(ext.quotient, omega.degree + 1)
     lift = find_closed_lift(ext, omega)
     if lift is not None:
         zero_theta = Cochain.zero(ext.quotient, omega.degree + 1, 1)
         return ObstructionReport(True, True, corrected, lift,
-                                 (lift, zero_theta),
-                                 (0,) * len(h_bulk.invariant_factors),
-                                 "anomaly_free")
+                                 (lift, zero_theta), (), "anomaly_free")
     pair = find_boundary_pair(ext, omega)
     if pair is None:
         raise VerificationFailed(
             "first obstruction vanished but no boundary pair exists (a "
             "checked certificate proves it); the d3 stage is undecided"
         )
+    h_bulk = cohomology(ext.quotient, omega.degree + 1)
     return ObstructionReport(True, True, corrected, None, pair,
                              h_bulk.classify(pair[1]),
                              "thooft_anomalous_with_bulk")

@@ -503,11 +503,6 @@ def delta_matrix_rows(index, first_args=None):
     return rows
 
 
-def full_bar_nnz(group, n):
-    """Pessimistic nonzero count of the unrestricted delta matrix C^n -> C^{n+1}."""
-    return (group.order - 1) ** (n + 1) * (n + 2)
-
-
 def cochain_vector(c: Cochain, index: TupleIndex, scale_to=None):
     """Integer vector of c on the index, scaled to denominator ``scale_to``."""
     den = scale_to or c.denominator()
@@ -608,6 +603,15 @@ class CohomologyGroup:
         )
 
 
+def check_cohomology_budget(group, n, budget=BAR_MATRIX_NNZ_BUDGET):
+    """Raise BudgetExceeded if H^n(G)'s bar matrix, counted pessimistically
+    as the unrestricted delta C^(n+1) -> C^(n+2), has over budget nonzeros."""
+    nnz = (group.order - 1) ** (n + 2) * (n + 3)
+    if nnz > budget:
+        raise BudgetExceeded(
+            f"bar matrix for H^{n}({group.label or 'G'})", nnz, budget)
+
+
 def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     """H^n(G; U(1)), computed as integral cohomology in degree n+1.
 
@@ -627,11 +631,8 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    nnz = full_bar_nnz(group, n + 1)
-    if nnz > budget and not allow_large:
-        raise BudgetExceeded(
-            f"bar matrix for H^{n}({group.label or 'G'})", nnz, budget
-        )
+    if not allow_large:
+        check_cohomology_budget(group, n, budget)
     h = _cohomology_groups.get((group, n), lambda: _cohomology(group, n))
     generators = h.generators
     if h.group is not group:

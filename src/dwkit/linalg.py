@@ -10,7 +10,7 @@ log is built as packed runs, and emptied rows and columns are released.
 fully decouples the system, and Q/Z is injective, so the verdict is
 definitive.  It comes with an integer certificate y, y^T A = 0 and
 y.b not in den*Z, that :func:`solve_qz_checked` checks against the rows
-before elimination.
+as built, built again whenever a certificate is checked.
 
 A system's elimination is shared across right-hand sides, also across
 calls: :func:`solve_qz_checked` memoizes it in-process under a key that
@@ -469,25 +469,19 @@ def solve_qz_checked(key, build, b, den):
     in-process per (engine class, key) for the QZ_MEMO_SIZE most recently
     used keys, keeping only its op logs and pivots, so a hit replays them
     on b.  A None is returned only after the certificate y has
-    been checked against the rows as built (built again on a hit):
-    y^T A = 0 and y.b != 0 (mod den).  A failed check raises
-    VerificationFailed.
+    been checked against the rows as built (built again whenever a
+    certificate is checked): y^T A = 0 and y.b != 0 (mod den).  A failed
+    check raises VerificationFailed.  The engine copies the rows, so a miss
+    holds no built row while it eliminates.
     """
     # looked up per call: a replaced engine class gets entries of its own,
     # and a hit calls the solve its class has now
     engine = SparseElimination
-    rows = None
-
-    def eliminate():
-        nonlocal rows
-        rows, ncols = build()
-        return engine(rows, ncols).pack()
-
-    sol, y = _eliminations.get((engine, key), eliminate).solve(b, den)
+    sol, y = _eliminations.get(
+        (engine, key), lambda: engine(*build()).pack()).solve(b, den)
     if sol is not None:
         return sol
-    if rows is None:
-        rows, _ncols = build()
+    rows, _ncols = build()
     acc = {}
     for r, v in y.items():
         for c, a in rows[r].items():

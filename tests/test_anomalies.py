@@ -49,6 +49,7 @@ from dwkit.cochains import (
     solve_coboundary,
 )
 from dwkit.errors import (
+    BudgetExceeded,
     DegreeMismatch,
     IncompatiblePhases,
     InvalidCocycle,
@@ -63,6 +64,7 @@ from dwkit.groups import (
     dihedral_group,
     dihedral_index,
     pauli_group,
+    product_digits,
     product_group,
     product_index,
 )
@@ -86,32 +88,20 @@ def z4_in_z16_extension(n=4, m=4):
 
 
 def doubling_extension(n):
-    """Z_N^2 inside Z_2N^2 by doubling, quotient Z_N^2 ... for n=2."""
-    small, big = product_group([n, n]), product_group([2 * n, 2 * n])
-    dec_small = {
-        product_index([n, n], t): t for t in itertools.product(range(n), repeat=2)
-    }
-    dec_big = {
-        product_index([2 * n, 2 * n], t): t
-        for t in itertools.product(range(2 * n), repeat=2)
-    }
-    iota = GroupHom(
-        small,
-        big,
-        [
-            product_index([2 * n, 2 * n], (2 * a, 2 * b))
-            for x, (a, b) in sorted(dec_small.items())
-        ],
-    )
-    lam = GroupHom(
-        big,
-        small,
-        [
-            product_index([n, n], (a % n, b % n))
-            for x, (a, b) in sorted(dec_big.items())
-        ],
-    )
-    return Extension(small, big, small, iota, lam, find_section(lam))
+    """Z_N^2 inside Z_2N^2 by doubling, quotient Z_2^2."""
+    return scaling_extension(n, 2)
+
+
+def scaling_extension(n, m):
+    """Z_n^2 inside Z_nm^2 by multiplication with m, quotient Z_m^2."""
+    small, big, top = (product_group([k, k]) for k in (n, n * m, m))
+    iota = GroupHom(small, big, [
+        product_index([n * m] * 2, [m * a for a in product_digits([n, n], x)])
+        for x in small.elements()])
+    lam = GroupHom(big, top, [
+        product_index([m, m], [a % m for a in product_digits([n * m] * 2, x)])
+        for x in big.elements()])
+    return Extension(small, big, top, iota, lam, find_section(lam))
 
 
 def d8_in_pauli_extension():
@@ -589,6 +579,77 @@ def test_boundary_pair_from_lift_has_trivial_class():
     assert coboundary(omega_p) == pullback(ext.lam, theta)
     coh = cohomology(ext.quotient, 3)
     assert coh.classify(theta) == (0,) * len(coh.invariant_factors)
+
+
+def test_lift_path_builds_no_bulk_group(monkeypatch):
+    """An anomaly-free report names no bulk class, so it computes no bulk
+    group: theta_class is (), the zero class with no coordinates, where
+    H^3(G) is Z2 (K4 inside D8) and Z3^3 (Z2^2 inside Z6^2)."""
+    def no_bulk_group(group, n, *args, **kwargs):
+        raise AssertionError(f"H^{n} of the quotient built for a closed lift")
+
+    monkeypatch.setattr(anomalies, "cohomology", no_bulk_group)
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    for ext in (klein_in_d8_extension(), scaling_extension(2, 3)):
+        report = anomaly_report(ext, w1)
+        assert report.verdict == "anomaly_free"
+        assert report.theta_class == ()
+        lift = report.closed_lift
+        assert coboundary(lift).is_zero() and is_cocycle(lift)
+        assert pullback(ext.iota, lift) == w1
+        assert report.boundary_pair[0] is lift
+        assert report.boundary_pair[1] == Cochain.zero(ext.quotient, 3)
+
+
+def test_report_classifies_the_bulk_theta_of_a_boundary_pair(monkeypatch):
+    """No tier-1 input reaches the boundary-pair branch, so K4 inside D8 is
+    sent there by hiding its closed lift: theta_class is the class of the
+    returned theta in H^3(G), with one coordinate per invariant factor."""
+    monkeypatch.setattr(anomalies, "find_closed_lift", lambda ext, omega: None)
+    ext = klein_in_d8_extension()
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    report = anomaly_report(ext, w1)
+    assert report.verdict == "thooft_anomalous_with_bulk"
+    assert report.closed_lift is None
+    omega_p, theta = report.boundary_pair
+    assert pullback(ext.iota, omega_p) == w1
+    assert coboundary(omega_p) == pullback(ext.lam, theta)
+    assert report.theta_class == cohomology(ext.quotient, 3).classify(theta)
+    assert report.theta_class == (0,)
+
+
+def test_report_refuses_an_oversized_bulk_before_seeking_a_lift(monkeypatch):
+    """Z2 inside Z2^5 with the H^3(Z2) generator passes d2, and is refused
+    there by the budget of H^4(Z2^4), with the message cohomology gives,
+    before the closed-lift system (148,955 x 29,791) is built."""
+    z2, ghat, g_grp = cyclic_group(2), product_group([2] * 5), product_group([2] * 4)
+    iota = GroupHom(z2, ghat, [product_index([2] * 5, (a, 0, 0, 0, 0))
+                               for a in z2.elements()])
+    lam = GroupHom(ghat, g_grp, [
+        product_index([2] * 4, product_digits([2] * 5, x)[1:])
+        for x in ghat.elements()])
+    ext = Extension(z2, ghat, g_grp, iota, lam, find_section(lam))
+    omega = catalog_cocycle("cyclic_3cocycle", {"N": 2, "k": 1})
+    stages = []
+
+    def first_obstruction(*args):
+        stages.append("d2")
+        return is_first_obstruction_trivial(*args)
+
+    def no_lift(*args):
+        raise AssertionError("closed lift sought past the bulk budget")
+
+    monkeypatch.setattr(anomalies, "is_first_obstruction_trivial",
+                        first_obstruction)
+    monkeypatch.setattr(anomalies, "find_closed_lift", no_lift)
+    with pytest.raises(BudgetExceeded) as refused:
+        anomaly_report(ext, omega)
+    assert stages == ["d2"]
+    with pytest.raises(BudgetExceeded) as bulk:
+        cohomology(g_grp, 4)
+    assert str(refused.value) == str(bulk.value) == (
+        "bar matrix for H^4(Z2xZ2xZ2xZ2): size 79734375 exceeds "
+        "budget 4194304")
 
 
 def _exact(x):

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import random
 import sys
+import weakref
 from array import array
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dwkit import cochains, linalg
 from dwkit.anomalies import is_first_obstruction_trivial, is_invariant_class
 from dwkit.cochains import catalog_cocycle
+from dwkit.errors import VerificationFailed
 from dwkit.groups import dihedral_group, pauli_group, product_group
 from dwkit.linalg import (
     QZ_MEMO_SIZE,
@@ -82,6 +84,44 @@ def test_solve_qz_checked_memo_replays_and_evicts():
     assert solve_qz_checked.cache_info().misses == QZ_MEMO_SIZE + 2
     solve_qz_checked.cache_clear()
     assert solve_qz_checked.cache_info() == (0, 0, QZ_MEMO_SIZE, 0)
+
+
+def test_solve_qz_checked_releases_built_rows_and_rebuilds_for_a_certificate(
+        monkeypatch):
+    """A miss hands its built rows to the engine, which copies them, and
+    holds no reference to them while it eliminates; a None checks its
+    certificate on rows built again, so a cold None builds twice."""
+    class Rows(list):  # a list subclass can be weakly referenced
+        pass
+
+    built, released = [], []
+
+    def system(rows):
+        def build():
+            out = Rows(map(dict, rows))
+            built.append(weakref.ref(out))
+            return out, 1
+
+        return build
+
+    class Probe(SparseElimination):
+        def pack(self):
+            released.append(built[-1]() is None)
+            return super().pack()
+
+    monkeypatch.setattr(linalg, "SparseElimination", Probe)
+    solve_qz_checked.cache_clear()
+    # 4x = 2 * 2x = 1 = 0, not 1/2
+    assert solve_qz_checked("a", system([{0: 2}, {0: 4}]), [1, 1], 2) is None
+    assert (len(built), released) == (2, [True])
+    x, m = solve_qz_checked("b", system([{0: 2}]), [1], 2)
+    assert (len(built), released) == (3, [True, True])
+    assert (Fraction(2 * x[0], m) - Fraction(1, 2)).denominator == 1
+    # the certificate is checked against the rebuilt rows, not the first
+    rebuilt = iter([[{0: 2}, {0: 4}], [{0: 2}, {0: 3}]])
+    with pytest.raises(VerificationFailed, match="annihilate"):
+        solve_qz_checked("c", lambda: system(next(rebuilt))(), [1, 1], 2)
+    solve_qz_checked.cache_clear()
 
 
 def test_pack_keeps_a_log_that_needs_more_than_64_bits():
