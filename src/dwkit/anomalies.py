@@ -23,7 +23,9 @@ across every omega on one extension: solve_qz_checked's in-process memo,
 keyed by (G, D, alpha, n) for the first obstruction, (Ghat, D, iota, n)
 for lifts and (Ghat, G, D, iota, lambda, n) for pairs, makes it once and
 replays it, while every returned family, lift and pair is still
-re-verified and every None still has its certificate checked.
+re-verified and every None still has its certificate checked.  A lift and
+the c_g are checked closed on the solution vector before they are wrapped,
+and the first obstruction reads its U(g1, g2) as numerator vectors.
 
 Coboundary-type constraints are imposed only on tuples whose first entry is
 a group generator; this is equivalent to the full system because the
@@ -34,15 +36,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from operator import neg
 
 from .cochains import (
     Cochain,
     TupleIndex,
+    _lead_delta,
     all_tuples,
     check_cohomology_budget,
+    closed_vector_cochain,
     coboundary_agrees,
+    cochain_vector,
     cohomology,
     delta_matrix_rows,
     interval_pairing,
@@ -51,6 +56,7 @@ from .cochains import (
     pullback,
     solve_coboundary,
     vector_cochain,
+    vector_numerators_at,
 )
 from .errors import (
     DegreeMismatch,
@@ -173,6 +179,7 @@ class Extension:
                 raise SectionNotValid(f"lambda(s({g})) != {g}")
         object.__setattr__(self, "_preimage",
                            {x: d for d, x in enumerate(self.iota.map)})
+        object.__setattr__(self, "_actions", {})
 
     def iota_inverse(self, x):
         d = self._preimage.get(x)
@@ -181,17 +188,14 @@ class Extension:
         return d
 
     def action(self, g) -> GroupHom:
-        """The automorphism alpha(g) of D: conjugation by s(g) in Ghat."""
-        ghat, s = self.total, self.section[g]
-        return GroupHom(
-            self.kernel,
-            self.kernel,
-            [
+        """The automorphism alpha(g) of D: conjugation by s(g) in Ghat,
+        built on first use and kept."""
+        if g not in self._actions:
+            ghat, s = self.total, self.section[g]
+            self._actions[g] = GroupHom(self.kernel, self.kernel, [
                 self.iota_inverse(ghat.conjugate(s, self.iota(d)))
-                for d in self.kernel.elements()
-            ],
-            check=False,
-        )
+                for d in self.kernel.elements()], check=False)
+        return self._actions[g]
 
 
 def find_section(lam: GroupHom):
@@ -301,9 +305,12 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     VII.6) s(1) = 1 gives alpha(1) = id and sigma(1, g) = sigma(g, 1) = e,
     whose slant is 0; so for a family with Phi_1 = 0, U(1, g) = U(g, 1) = 0
     and their rows (the c-terms cancel) read only their own b-blocks.  One
-    slant is built per distinct sigma value.  Phi_g + c_g is returned only
-    after each c_g is re-verified closed and each corrected U to be delta b.
-    Raises DegreeMismatch if deg omega < 2, IncompatiblePhases if Phi_1 != 0.
+    slant is built per distinct sigma value.  Each U is a numerator vector
+    (alpha(g)^* a table of positions), checked closed; each c_g is checked
+    closed on its solution vector; each U of the returned Phi_g + c_g, read
+    off those cochains, must be closed and equal delta b, for b the
+    solution's vector.  Raises DegreeMismatch if deg omega < 2,
+    IncompatiblePhases if Phi_1 != 0.
     """
     if omega.degree < 2:
         raise DegreeMismatch(
@@ -311,27 +318,12 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     g_grp, d_grp = ext.quotient, ext.kernel
     if not phis[g_grp.identity].is_zero():
         raise IncompatiblePhases("the Phi family must be normalized: Phi_1 = 0")
-    n, inv = omega.degree, g_grp.inverses
+    n, inv, mul = omega.degree, g_grp.inverses, g_grp.mul
     sigma = _ext_sigma(ext)
-    actions = {g: ext.action(g) for g in g_grp.elements()}
-
     pairs = list(itertools.product(g_grp.nonidentity(), repeat=2))
     sigmas = [sigma(inv[g1], inv[g2]) for g1, g2 in pairs]
     ident = GroupHom.identity(d_grp)
     slants = {s: interval_pairing(omega, s, ident) for s in set(sigmas)}
-
-    def obstruction(family, p):
-        g1, g2 = pairs[p]
-        return (
-            family[inv[g1]]
-            + pullback(actions[g1], family[inv[g2]])
-            - family[inv[g_grp.mul(g1, g2)]]
-            + slants[sigmas[p]]
-        )
-
-    us = [obstruction(phis, p) for p in range(len(pairs))]
-    if not all(map(is_cocycle, us)):
-        raise NotACocycle("obstruction cochain must be closed")
 
     # columns: c_g for g != 1 in blocks of idx_c, then b_{g1,g2} per pair
     gens = d_grp.generators()
@@ -339,47 +331,65 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     block = {g: k * idx_c.size for k, g in enumerate(g_grp.nonidentity())}
     off_b = len(block) * idx_c.size
     lead = list(idx_b.rows(gens))
+    pos_c = idx_c.positions
+    acted = {g: [pos_c[tuple(map(ext.action(g), t))] for t in idx_c.all()]
+             for g in block}
+
+    def obstructions(family, base):
+        """Each U of the family as a vector on idx_c, and their modulus."""
+        m = lcm(base, omega.modulus, *(c.modulus for c in family.values()))
+        vec, sl = ({k: cochain_vector(c, idx_c, scale_to=m)
+                    for k, c in cs.items()} for cs in (family, slants))
+        return [[(a + b - c + d) % m for a, b, c, d in zip(
+            vec[inv[g1]], map(vec[inv[g2]].__getitem__, acted[g1]),
+            vec[inv[mul(g1, g2)]], sl[s])]
+            for (g1, g2), s in zip(pairs, sigmas)], m
+
+    delta_c, delta_b = _lead_delta(d_grp, n - 1), _lead_delta(d_grp, n - 2)
+
+    def closed(u, m):
+        return not any(map(m.__rmod__, delta_c(u)))
+
+    us, m_u = obstructions(phis, 1)
+    if not all(closed(u, m_u) for u in us):
+        raise NotACocycle("obstruction cochain must be closed")
 
     def build():
         crows = delta_matrix_rows(idx_c, gens)
         rows = [{block[g] + c: v for c, v in row.items()}
                 for g in block for row in crows]
         brows = delta_matrix_rows(idx_b, gens)
-        pos_c = idx_c.positions
         for p, (g1, g2) in enumerate(pairs):
-            terms = ((inv[g1], 1, False), (inv[g2], 1, True),
-                     (inv[g_grp.mul(g1, g2)], -1, False))
             for t, brow in zip(lead, brows):
                 row = {off_b + p * idx_b.size + c: -v for c, v in brow.items()}
-                for g, sign, acted in terms:
+                i = pos_c[t]
+                for g, sign, at in ((inv[g1], 1, i), (inv[g2], 1, acted[g1][i]),
+                                    (inv[mul(g1, g2)], -1, i)):
                     if g in block:
-                        at = tuple(map(actions[g1], t)) if acted else t
-                        c = block[g] + pos_c[at]
-                        row[c] = row.get(c, 0) + sign
+                        row[block[g] + at] = row.get(block[g] + at, 0) + sign
                 rows.append(row)
         return rows, off_b + len(pairs) * idx_b.size
 
-    den = lcm(*(u.denominator() for u in us))
+    den = m_u // gcd(m_u, *itertools.chain.from_iterable(us))
     rhs = [0] * (len(block) * idx_c.row_count(gens))
     for u in us:
-        rhs += map(neg, numerators_at(u, lead, den))
+        rhs += map(neg, vector_numerators_at(idx_c, u, m_u, lead, den))
     key = ("first_obstruction", g_grp, d_grp,
-           tuple(actions[g].map for g in g_grp.elements()), n)
+           tuple(ext.action(g).map for g in g_grp.elements()), n)
     sol = solve_qz_checked(key, build, rhs, den)
     if sol is None:
         return False, None
     x, m = sol
     corrected = dict(phis)
     for g, off in block.items():
-        c = vector_cochain(idx_c, x[off:off + idx_c.size], m)
-        if not is_cocycle(c):
-            raise VerificationFailed("solver output must be closed")
-        corrected[g] = phis[g] + c
-    for p in range(len(pairs)):
+        corrected[g] = phis[g] + closed_vector_cochain(
+            idx_c, x[off:off + idx_c.size], m)
+    us, m_u = obstructions(corrected, m)
+    for p, u in enumerate(us):
         off = off_b + p * idx_b.size
-        b = vector_cochain(idx_b, x[off:off + idx_b.size], m)
-        u = obstruction(corrected, p)
-        if not (is_cocycle(u) and coboundary_agrees(b, u)):
+        db = delta_b(x[off:off + idx_b.size])
+        if not closed(u, m_u) or any((m_u // m * v - u[pos_c[t]]) % m_u
+                                     for v, t in zip(db, lead)):
             raise VerificationFailed("corrected obstruction must be delta b")
     return True, corrected
 
@@ -421,9 +431,7 @@ def find_closed_lift(ext: Extension, omega: Cochain):
     sol = solve_qz_checked(key, build, rhs, omega.denominator())
     if sol is None:
         return None
-    omegahat = vector_cochain(index, *sol)
-    if not is_cocycle(omegahat):
-        raise VerificationFailed("solver output must be closed")
+    omegahat = closed_vector_cochain(index, *sol)
     if pullback(ext.iota, omegahat) != omega:
         raise VerificationFailed("solver output must restrict")
     return omegahat

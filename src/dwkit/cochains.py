@@ -36,7 +36,8 @@ A cochain is immutable, so its closedness is a fact about the object:
 ``is_cocycle``, the library's one closedness check, decides it on the first
 call and keeps the verdict on the cochain, never setting it from how the
 cochain was built.  Equal but distinct cochains each decide once (hashing a
-cochain costs about as much as the check).
+cochain costs about as much as the check).  ``closed_vector_cochain``
+decides a solver's vector so before wrapping it, and keeps the verdict.
 
 A cochain stores integer numerators: one x in [1, M) per nonzero tuple at
 its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
@@ -366,6 +367,13 @@ def coboundary_agrees(c, y=None):
     return not any(map(den.__rmod__, acc))
 
 
+def _lead_delta(group, n, loops=0):
+    """vec -> delta vec on TupleIndex(group, n, loops), generator-led rows."""
+    cols = _face_tables.get((group, n, loops),
+                            lambda: _generator_faces(group, n, loops))[2]
+    return lambda vec: _apply_faces(cols, [*vec, 0])
+
+
 coboundary_agrees.cache_info = _face_tables.cache_info
 coboundary_agrees.cache_clear = _face_tables.cache_clear
 
@@ -524,6 +532,23 @@ def vector_cochain(index, vec, modulus):
     return Cochain._from_numerators(index.group, index.n, modulus,
                                     zip(index.all(), vec, strict=True),
                                     index.loops)
+
+
+def closed_vector_cochain(index, vec, modulus):
+    """vector_cochain(index, vec, modulus), closed: is_cocycle's test,
+    delta vec = 0 (mod modulus) on generator-led rows, or VerificationFailed."""
+    delta = _lead_delta(index.group, index.n, index.loops)(vec)
+    if any(map(modulus.__rmod__, delta)):
+        raise VerificationFailed("solver output must be closed")
+    c = vector_cochain(index, vec, modulus)
+    object.__setattr__(c, "_closed", True)
+    return c
+
+
+def vector_numerators_at(index, vec, modulus, tuples, den):
+    """numerators_at of vector_cochain(index, vec, modulus), den | modulus."""
+    pos, k = index.positions, modulus // den
+    return [vec[pos[t]] % modulus // k for t in tuples]
 
 
 # -- cohomology -----------------------------------------------------------------

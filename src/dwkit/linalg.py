@@ -16,10 +16,10 @@ A system's elimination is shared across right-hand sides, also across
 calls: :func:`solve_qz_checked` memoizes it in-process under a key that
 the caller says determines the rows (QZ_MEMO_SIZE most recently used
 keys), keeping only the op logs and pivots, and replays it on each new b.
-A replay costs what the nonzeros it meets cost: the row log is kept as
-runs of ops that read one source row, and a run whose source entry is 0
-is skipped whole; a column op whose source entry is 0 is skipped; and
-only the non-pivot rows, listed once at elimination, are tested.
+A replay costs what the nonzeros it meets cost: the row log is runs of ops
+that read one source row, a run whose source entry is 0 skipped whole; the
+column log keeps only ops reachable from the pivot columns, and skips one
+whose source entry is 0; only non-pivot rows, listed once, are tested.
 """
 
 from __future__ import annotations
@@ -224,13 +224,18 @@ class SparseElimination:
         rows[r], colrows[c] = {}, set()
 
     def pack(self):
-        """Eliminate, then keep only what a replay reads: drop the emptied
-        rows, the column sets and the pivot-column set, and store the
-        column log as machine-integer arrays where every entry fits in 64
-        bits.  The row log is kept as built, already packed as runs."""
+        """Eliminate, then keep only what ``solve`` reads: drop the emptied
+        rows and the column and pivot-column sets, and keep, in order, the
+        column ops a replay from the pivot columns reaches (one reading a
+        pivot or a later reached op's target), as 64-bit arrays if they fit."""
         self.eliminate()
+        reached, kept = {c for _r, c, _d in self.pivots}, []
+        for op in reversed(self.col_ops):
+            if op[0] in reached:
+                reached.add(op[1])
+                kept.append(op)
         self.rows = self.colrows = self.pivot_cols = None
-        self.col_ops = _PackedOps.of(self.col_ops)
+        self.col_ops = _PackedOps.of(kept[::-1])
         return self
 
     # -- replay helpers ------------------------------------------------------
@@ -256,8 +261,8 @@ class SparseElimination:
         return b
 
     def apply_col_ops(self, x):
-        """V x (x given in post-elimination coordinates); an op whose
-        source entry x_i is 0 is skipped."""
+        """V x (x in post-elimination coordinates, on the pivot columns once
+        packed, as in ``solve``); an op whose source x_i is 0 is skipped."""
         x = list(x)
         for i, j, q in reversed(self.col_ops):
             v = x[i]
@@ -327,8 +332,10 @@ class SparseElimination:
 
     def kernel(self):
         """A Z-basis of the integer solutions of A x = 0: V e_f for every
-        free column f."""
+        free column f.  A packed elimination has no column log to give it."""
         self.eliminate()
+        if self.colrows is None:
+            raise ValueError("a packed elimination keeps no kernel")
         basis = []
         for f in self.free_cols:
             e = [0] * self.ncols
@@ -340,8 +347,8 @@ class SparseElimination:
 class _PackedOps:
     """An op log of (i, j, q) triples as three arrays; it iterates, forward
     and reversed, as the list of triples it packs.  ``pack`` keeps the
-    column log so: a memo hit replays it flat, in reverse, and skips each op
-    whose source entry is 0 (the row log is kept as ``_RowRuns``)."""
+    reached column ops so: a memo hit replays them flat, in reverse, and
+    skips each op whose source entry is 0 (row log: ``_RowRuns``)."""
 
     __slots__ = ("cols",)
 

@@ -131,19 +131,24 @@ def scanned_iota_inverse(ext: Extension, x):
     return None
 
 
-def reference_first_obstruction(ext: Extension, omega: Cochain, phis):
-    """is_first_obstruction_trivial on the full system: every pair of
-    G x G, identity pairs included, and one slant per pair (a reference
-    for the normalized system).  Same contract: (True, corrected family)
-    after re-verifying every c_g closed and every corrected U to be
-    delta b, or (False, None) backed by a checked certificate."""
+def reference_first_obstruction(ext: Extension, omega: Cochain, phis,
+                                normalized=False):
+    """is_first_obstruction_trivial formed from Cochains, on the full
+    system: every pair of G x G, identity pairs included, and one slant
+    per pair (a reference for the normalized system); with ``normalized``
+    on the library's pairs of non-identity elements, the same system it
+    forms from vectors, eliminated under a key of its own.  Same contract:
+    (True, corrected family) after re-verifying every c_g closed and every
+    corrected U to be delta b, or (False, None) backed by a checked
+    certificate."""
     g_grp, d_grp = ext.quotient, ext.kernel
     n, inv = omega.degree, g_grp.inverses
     sigma = _ext_sigma(ext)
     actions = {g: ext.action(g) for g in g_grp.elements()}
     ident = GroupHom.identity(d_grp)
 
-    pairs = list(itertools.product(g_grp.elements(), repeat=2))
+    elements = g_grp.nonidentity() if normalized else g_grp.elements()
+    pairs = list(itertools.product(elements, repeat=2))
     slants = [interval_pairing(omega, sigma(inv[g1], inv[g2]), ident)
               for g1, g2 in pairs]
 
@@ -190,7 +195,7 @@ def reference_first_obstruction(ext: Extension, omega: Cochain, phis):
     rhs = [0] * (len(block) * idx_c.row_count(gens))
     for u in us:
         rhs += map(neg, numerators_at(u, lead, den))
-    key = ("first_obstruction_all_pairs", g_grp, d_grp,
+    key = ("first_obstruction_reference", normalized, g_grp, d_grp,
            tuple(actions[g].map for g in g_grp.elements()), n)
     sol = solve_qz_checked(key, build, rhs, den)
     if sol is None:

@@ -54,6 +54,7 @@ from dwkit.errors import (
     IncompatiblePhases,
     InvalidCocycle,
     NotABoundaryPair,
+    NotACocycle,
     SectionNotValid,
 )
 from dwkit.groupoids import homotopy_fiber
@@ -441,6 +442,61 @@ def test_normalized_first_obstruction_matches_the_all_pairs_system():
                     assert _is_corrected_family(ext, omega, phis, family)
                     assert _is_corrected_family(ext, omega, phis, ref)
     assert verdicts == {True: 55, False: 3}
+
+
+def test_first_obstruction_forms_its_obstructions_as_vectors(monkeypatch):
+    """One call makes at most |G| - 1 Cochain sums, the corrections
+    Phi_g + c_g, and returns the verdict and the exact family of the same
+    normalized system formed from Cochains."""
+    rng = random.Random(29)
+    combine, sums, verdicts = Cochain._combine, [], set()
+
+    def counting(self, other, sign):
+        sums.append(sign)
+        return combine(self, other, sign)
+
+    for name, ext in extension_fixtures().items():
+        for n in (2, 3):
+            for omega in itertools.islice(cohomology_classes(ext.kernel, n), 2):
+                m = max(2, omega.modulus)
+                omega = omega + coboundary(
+                    random_cochain(ext.kernel, n - 1, m, rng))
+                ok, phis = is_invariant_class(ext, omega)
+                if not ok:
+                    continue
+                sums.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(Cochain, "_combine", counting)
+                    got = is_first_obstruction_trivial(ext, omega, phis)
+                assert len(sums) <= ext.quotient.order - 1, (name, n)
+                want = reference_first_obstruction(ext, omega, phis,
+                                                   normalized=True)
+                assert _exact(got) == _exact(want), (name, n)
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_first_obstruction_rejects_a_family_whose_obstruction_is_not_closed():
+    ext = doubling_extension(2)
+    omega = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    _ok, phis = is_invariant_class(ext, omega)
+    g = ext.quotient.nonidentity()[0]
+    bent = Cochain(ext.kernel, 1, 4, {(1,): PhaseValue(1, 4)})
+    assert not is_cocycle(bent)
+    with pytest.raises(NotACocycle, match="obstruction cochain must be closed"):
+        is_first_obstruction_trivial(ext, omega, {**phis, g: phis[g] + bent})
+
+
+def test_extension_keeps_each_action_map():
+    for name, ext in extension_fixtures().items():
+        for g in ext.quotient.elements():
+            hom = ext.action(g)
+            assert ext.action(g) is hom, name
+            assert (hom.source, hom.target) == (ext.kernel, ext.kernel)
+            assert hom.map == tuple(
+                scanned_iota_inverse(ext, ext.total.conjugate(
+                    ext.section[g], ext.iota(d)))
+                for d in ext.kernel.elements()), name
 
 
 def test_first_obstruction_rejects_an_unnormalized_family_before_building(

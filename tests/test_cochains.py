@@ -44,6 +44,7 @@ from dwkit.cochains import (
     pullback,
     solve_coboundary,
     vector_cochain,
+    vector_numerators_at,
 )
 from dwkit.errors import (
     BudgetExceeded,
@@ -547,7 +548,8 @@ def test_numerator_algebra_matches_phase_reference(monkeypatch):
                 _same(interval_pairing(w, g, iota),
                       reference_interval_pairing(w, g, iota))
 
-    # every right-hand side the solves build, checked on real inputs
+    # every right-hand side the solves build, checked on real inputs; the
+    # first obstruction reads its U(g1, g2) as vectors
     callers = set()
 
     def checked(c, tuples, den):
@@ -557,8 +559,17 @@ def test_numerator_algebra_matches_phase_reference(monkeypatch):
         callers.add(sys._getframe(1).f_code.co_name)
         return got
 
+    def checked_vector(index, vec, modulus, tuples, den):
+        tuples = list(tuples)
+        got = vector_numerators_at(index, vec, modulus, tuples, den)
+        assert got == reference_rhs(vector_cochain(index, vec, modulus),
+                                    tuples, den)
+        callers.add(sys._getframe(1).f_code.co_name + " (vector)")
+        return got
+
     monkeypatch.setattr(cochains, "numerators_at", checked)
     monkeypatch.setattr(anomalies, "numerators_at", checked)
+    monkeypatch.setattr(anomalies, "vector_numerators_at", checked_vector)
     for group, degree, loops in ((d8, 1, 0), (z6, 2, 1)):
         y = coboundary(_mixed_cochain(group, degree, rng, loops))
         assert coboundary(solve_coboundary(y)) == y
@@ -569,7 +580,8 @@ def test_numerator_algebra_matches_phase_reference(monkeypatch):
                          (z2_in_z4_extension(), theta))] == [
         "first_obstruction_fails", "anomaly_free", "anomaly_free"]
     assert anomalies.find_boundary_pair(ext, w1) is not None
-    assert callers == {"solve_coboundary", "is_first_obstruction_trivial",
+    assert callers == {"solve_coboundary",
+                       "is_first_obstruction_trivial (vector)",
                        "_restriction_rhs"}
 
 

@@ -5,6 +5,7 @@ import sys
 import weakref
 from array import array
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,8 +202,10 @@ def test_packed_replay_matches_the_unpacked_engine(nrows, ncols, den, seed):
     plain = SparseElimination(rows, ncols).eliminate()
     # packed unless an entry needs more than 64 bits
     packed = SparseElimination(rows, ncols).pack()
+    pivot_cols = {c for _r, c, _d in plain.pivots}
     _assert_replays_as_logged(packed.row_ops, plain.row_ops)
-    _assert_replays_as_logged(packed.col_ops, plain.col_ops)
+    _assert_replays_as_logged(packed.col_ops,
+                              _reachable_ops(plain.col_ops, pivot_cols))
     for _ in range(4):
         b = _random_vector(rng, nrows)
         assert packed.solve(b, den) == plain.solve(b, den)
@@ -210,9 +213,64 @@ def test_packed_replay_matches_the_unpacked_engine(nrows, ncols, den, seed):
         assert SparseElimination.apply_row_ops(packed.row_ops, b) == want
         assert SparseElimination.apply_row_ops(plain.row_ops, b) == want
         x = _random_vector(rng, ncols)
-        want = replay_cols(plain.col_ops, x)
-        assert packed.apply_col_ops(x) == want
-        assert plain.apply_col_ops(x) == want
+        assert plain.apply_col_ops(x) == replay_cols(plain.col_ops, x)
+        z = [v if c in pivot_cols else 0 for c, v in enumerate(x)]
+        assert packed.apply_col_ops(z) == replay_cols(plain.col_ops, z)
+
+
+def _reachable_ops(ops, pivot_cols):
+    """The ops of a column log that a reverse replay from the pivot
+    columns reaches, in log order: op k reads column i, and is reached if
+    i is a pivot column or a reached op later in the log writes i."""
+    ops = list(ops)
+    reached = [False] * len(ops)
+    for k in reversed(range(len(ops))):
+        i = ops[k][0]
+        reached[k] = i in pivot_cols or any(
+            reached[h] and ops[h][1] == i for h in range(k + 1, len(ops)))
+    return list(compress(ops, reached))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0),
+)
+def test_packed_column_log_keeps_exactly_the_reachable_ops(
+        nrows, ncols, den, seed):
+    rng = random.Random(seed)
+    rows = _random_rows(rng, nrows, ncols)
+    plain = SparseElimination(rows, ncols).eliminate()
+    packed = SparseElimination(rows, ncols).pack()
+    pivot_cols = sorted(c for _r, c, _d in plain.pivots)
+    assert list(packed.col_ops) == _reachable_ops(plain.col_ops, pivot_cols)
+    # replay is linear, so the unit vectors on the pivot columns cover
+    # every z supported there; one random combination is checked too
+    zs = [[int(c == p) for c in range(ncols)] for p in pivot_cols]
+    zs.append([rng.randrange(-9, 10) if c in pivot_cols else 0
+               for c in range(ncols)])
+    for z in zs:
+        assert packed.apply_col_ops(z) == replay_cols(plain.col_ops, z)
+    for _ in range(4):
+        b = _random_vector(rng, nrows)
+        assert packed.solve(b, den) == plain.solve(b, den)
+
+
+def test_packing_drops_unreachable_column_ops_and_the_kernel():
+    dropped = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(4, 14), rng.randint(4, 14)
+        rows = _random_rows(rng, nrows, ncols)
+        plain = SparseElimination(rows, ncols).eliminate()
+        packed = SparseElimination(rows, ncols).pack()
+        dropped += len(plain.col_ops) - len(packed.col_ops)
+        plain.kernel()
+        with pytest.raises(ValueError, match="packed elimination"):
+            packed.kernel()
+    assert dropped > 0
 
 
 def test_random_systems_pivot_on_non_units_and_restart():
