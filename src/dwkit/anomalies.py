@@ -22,10 +22,14 @@ enters through the right-hand side alone.  So the elimination is shared
 across every omega on one extension: solve_qz_checked's in-process memo,
 keyed by (G, D, alpha, n) for the first obstruction, (Ghat, D, iota, n)
 for lifts and (Ghat, G, D, iota, lambda, n) for pairs, makes it once and
-replays it, while every returned family, lift and pair is still
+replays it.  Each search hands its re-verification of a returned family,
+lift or pair to solve_qz_checked as ``finish``: a hit first replays only
+the row ops that reach the pivot rows, and the full replay runs only when
+``finish`` rejects that candidate, so every returned answer is still
 re-verified and every None still has its certificate checked.  A lift and
 the c_g are checked closed on the solution vector before they are wrapped,
-and the first obstruction reads its U(g1, g2) as numerator vectors.
+and the first obstruction reads its U(g1, g2) as numerator vectors, with
+alpha(g)^* a table of positions kept on the extension.
 
 Coboundary-type constraints are imposed only on tuples whose first entry is
 a group generator; this is equivalent to the full system because the
@@ -180,6 +184,7 @@ class Extension:
         object.__setattr__(self, "_preimage",
                            {x: d for d, x in enumerate(self.iota.map)})
         object.__setattr__(self, "_actions", {})
+        object.__setattr__(self, "_acted", {})
 
     def iota_inverse(self, x):
         d = self._preimage.get(x)
@@ -196,6 +201,16 @@ class Extension:
                 self.iota_inverse(ghat.conjugate(s, self.iota(d)))
                 for d in self.kernel.elements()], check=False)
         return self._actions[g]
+
+    def acted_positions(self, g, n):
+        """alpha(g) on the n-tuples of D, as the position in
+        TupleIndex(D, n) of each tuple's image, in the order of ``all()``;
+        built on first use and kept beside alpha(g)."""
+        if (g, n) not in self._acted:
+            index, a = TupleIndex(self.kernel, n), self.action(g)
+            pos = index.positions
+            self._acted[g, n] = [pos[tuple(map(a, t))] for t in index.all()]
+        return self._acted[g, n]
 
 
 def find_section(lam: GroupHom):
@@ -332,8 +347,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     off_b = len(block) * idx_c.size
     lead = list(idx_b.rows(gens))
     pos_c = idx_c.positions
-    acted = {g: [pos_c[tuple(map(ext.action(g), t))] for t in idx_c.all()]
-             for g in block}
+    acted = {g: ext.acted_positions(g, n - 1) for g in block}
 
     def obstructions(family, base):
         """Each U of the family as a vector on idx_c, and their modulus."""
@@ -374,24 +388,26 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
     rhs = [0] * (len(block) * idx_c.row_count(gens))
     for u in us:
         rhs += map(neg, vector_numerators_at(idx_c, u, m_u, lead, den))
+
+    def finish(sol):
+        x, m = sol
+        corrected = dict(phis)
+        for g, off in block.items():
+            corrected[g] = phis[g] + closed_vector_cochain(
+                idx_c, x[off:off + idx_c.size], m)
+        us, m_u = obstructions(corrected, m)
+        for p, u in enumerate(us):
+            off = off_b + p * idx_b.size
+            db = delta_b(x[off:off + idx_b.size])
+            if not closed(u, m_u) or any((m_u // m * v - u[pos_c[t]]) % m_u
+                                         for v, t in zip(db, lead)):
+                raise VerificationFailed("corrected obstruction must be delta b")
+        return corrected
+
     key = ("first_obstruction", g_grp, d_grp,
            tuple(ext.action(g).map for g in g_grp.elements()), n)
-    sol = solve_qz_checked(key, build, rhs, den)
-    if sol is None:
-        return False, None
-    x, m = sol
-    corrected = dict(phis)
-    for g, off in block.items():
-        corrected[g] = phis[g] + closed_vector_cochain(
-            idx_c, x[off:off + idx_c.size], m)
-    us, m_u = obstructions(corrected, m)
-    for p, u in enumerate(us):
-        off = off_b + p * idx_b.size
-        db = delta_b(x[off:off + idx_b.size])
-        if not closed(u, m_u) or any((m_u // m * v - u[pos_c[t]]) % m_u
-                                     for v, t in zip(db, lead)):
-            raise VerificationFailed("corrected obstruction must be delta b")
-    return True, corrected
+    corrected = solve_qz_checked(key, build, rhs, den, finish)
+    return corrected is not None, corrected
 
 
 def _restriction_rows(ext, n, index):
@@ -426,15 +442,15 @@ def find_closed_lift(ext: Extension, omega: Cochain):
         rows = delta_matrix_rows(index, gens)
         return rows + _restriction_rows(ext, n, index), index.size
 
+    def finish(sol):
+        omegahat = closed_vector_cochain(index, *sol)
+        if pullback(ext.iota, omegahat) != omega:
+            raise VerificationFailed("solver output must restrict")
+        return omegahat
+
     rhs = [0] * index.row_count(gens) + _restriction_rhs(ext, omega)
     key = ("closed_lift", ghat, ext.kernel, ext.iota.map, n)
-    sol = solve_qz_checked(key, build, rhs, omega.denominator())
-    if sol is None:
-        return None
-    omegahat = closed_vector_cochain(index, *sol)
-    if pullback(ext.iota, omegahat) != omega:
-        raise VerificationFailed("solver output must restrict")
-    return omegahat
+    return solve_qz_checked(key, build, rhs, omega.denominator(), finish)
 
 
 def _is_boundary_pair(ext, omega_p, theta):
@@ -480,21 +496,21 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
         rows += [{off + c: v for c, v in row.items()} for row in trows]
         return rows, off + idx_y.size
 
+    def finish(sol):
+        x, m = sol
+        omega_p = vector_cochain(idx_x, x[:off], m)
+        theta = vector_cochain(idx_y, x[off:], m)
+        if pullback(ext.iota, omega_p) != omega:
+            raise VerificationFailed("solver output must restrict to omega")
+        if not _is_boundary_pair(ext, omega_p, theta):
+            raise VerificationFailed("delta omega' must equal lambda^* theta")
+        return omega_p, theta
+
     rhs = _restriction_rhs(ext, omega) + [0] * (
         idx_x.row_count(gens_hat) + idx_y.row_count(gens))
     key = ("boundary_pair", ghat, g_grp, ext.kernel, ext.iota.map,
            ext.lam.map, n)
-    sol = solve_qz_checked(key, build, rhs, omega.denominator())
-    if sol is None:
-        return None
-    x, m = sol
-    omega_p = vector_cochain(idx_x, x[:off], m)
-    theta = vector_cochain(idx_y, x[off:], m)
-    if pullback(ext.iota, omega_p) != omega:
-        raise VerificationFailed("solver output must restrict to omega")
-    if not _is_boundary_pair(ext, omega_p, theta):
-        raise VerificationFailed("delta omega' must equal lambda^* theta")
-    return omega_p, theta
+    return solve_qz_checked(key, build, rhs, omega.denominator(), finish)
 
 
 @dataclass(frozen=True)

@@ -783,11 +783,12 @@ def solve_coboundary(y: Cochain):
     def build():
         return delta_matrix_rows(index, gens), index.size
 
+    def finish(sol):
+        x = vector_cochain(index, *sol)
+        if not coboundary_agrees(x, y):
+            raise VerificationFailed("solver output must have coboundary y")
+        return x
+
     rhs = numerators_at(y, index.rows(gens), den)
-    sol = solve_qz_checked(("coboundary", g, n - 1, loops), build, rhs, den)
-    if sol is None:
-        return None
-    x = vector_cochain(index, *sol)
-    if not coboundary_agrees(x, y):
-        raise VerificationFailed("solver output must have coboundary y")
-    return x
+    return solve_qz_checked(("coboundary", g, n - 1, loops), build, rhs, den,
+                            finish)

@@ -20,6 +20,15 @@ A replay costs what the nonzeros it meets cost: the row log is runs of ops
 that read one source row, a run whose source entry is 0 skipped whole; the
 column log keeps only ops reachable from the pivot columns, and skips one
 whose source entry is 0; only non-pivot rows, listed once, are tested.
+
+Most row ops exist only for that test: in one ``anomaly`` benchmark pass
+the 20 memoized systems log 99,351 row ops, of which 4,848 can change a
+pivot row.  So a packed elimination also keeps that slice, the pivot-row
+log, and :func:`solve_qz_checked` first replays it alone
+(``solve_pivots``): the solution it reads off is ``solve``'s whenever b is
+solvable, and the caller's own check of that solution decides.  Only a
+candidate that fails the check costs the full replay, which returns
+``solve``'s solution or its checked certificate.
 """
 
 from __future__ import annotations
@@ -137,6 +146,8 @@ class SparseElimination:
         self.free_rows = array(
             "q", (r for r in range(self.nrows) if r not in pivot_rows))
         self.pivot_lcm = lcm(*(d for _r, _c, d in self.pivots))
+        # every op may reach a pivot row until pack() slices the log
+        self.pivot_row_ops = self.row_ops
         self._done = True
         return self
 
@@ -224,18 +235,19 @@ class SparseElimination:
         rows[r], colrows[c] = {}, set()
 
     def pack(self):
-        """Eliminate, then keep only what ``solve`` reads: drop the emptied
-        rows and the column and pivot-column sets, and keep, in order, the
-        column ops a replay from the pivot columns reaches (one reading a
-        pivot or a later reached op's target), as 64-bit arrays if they fit."""
+        """Eliminate, then keep only what ``solve`` and ``solve_pivots``
+        read: drop the emptied rows and the column and pivot-column sets;
+        keep, in order, the column ops a replay from the pivot columns
+        reaches (one reading a pivot or a later reached op's target), as
+        64-bit arrays if they fit; and beside the full row log, the pivot-row
+        log: in order, the row ops whose target a replay into the pivot rows
+        still reads (a pivot row, or the source of a later kept op)."""
         self.eliminate()
-        reached, kept = {c for _r, c, _d in self.pivots}, []
-        for op in reversed(self.col_ops):
-            if op[0] in reached:
-                reached.add(op[1])
-                kept.append(op)
+        self.pivot_row_ops = _RowRuns.of(_chain_from_end(
+            self.row_ops, {r for r, _c, _d in self.pivots}))
         self.rows = self.colrows = self.pivot_cols = None
-        self.col_ops = _PackedOps.of(kept[::-1])
+        self.col_ops = _PackedOps.of(_chain_from_end(
+            self.col_ops, {c for _r, c, _d in self.pivots}))
         return self
 
     # -- replay helpers ------------------------------------------------------
@@ -306,20 +318,40 @@ class SparseElimination:
           the first non-pivot row r with (U b)_r != 0 (mod den): y^T A = 0
           and y.b != 0 (mod den).
         """
-        self.eliminate()
-        if len(b) != self.nrows:
-            raise ValueError(
-                f"right-hand side has {len(b)} entries for {self.nrows} rows")
+        b = self._right_hand_side(b)
         bt = self.apply_row_ops(self.row_ops, b)
         for r in self.free_rows:
             if bt[r] % den:
                 return None, self._row_of_u(r)
+        return self._pivot_solution(bt, den), None
+
+    def solve_pivots(self, b, den):
+        """``solve``'s solution read off the pivot rows alone, without the
+        non-pivot row test: (x, m) as ``solve`` returns it when b is
+        solvable; otherwise an (x, m) that is no solution, which the caller
+        must check.  Once packed, only the pivot-row log is replayed.
+        """
+        b = self._right_hand_side(b)
+        return self._pivot_solution(
+            self.apply_row_ops(self.pivot_row_ops, b), den)
+
+    def _right_hand_side(self, b):
+        """b, once the system is eliminated and b has a value per row."""
+        self.eliminate()
+        if len(b) != self.nrows:
+            raise ValueError(
+                f"right-hand side has {len(b)} entries for {self.nrows} rows")
+        return b
+
+    def _pivot_solution(self, bt, den):
+        """x = V z over m = den * lcm|d|, z_c = (U b)_r / (d den) for each
+        pivot (r, c, d), read off bt = U b on the pivot rows."""
         big = self.pivot_lcm
         m = den * big
         z = [0] * self.ncols
         for r, c, d in self.pivots:
             z[c] = bt[r] * (big // d)
-        return ([v % m for v in self.apply_col_ops(z)], m), None
+        return [v % m for v in self.apply_col_ops(z)], m
 
     def _row_of_u(self, r):
         """Row r of U = E_k ... E_1, by one reverse replay of the row-op log
@@ -342,6 +374,20 @@ class SparseElimination:
             e[f] = 1
             basis.append(self.apply_col_ops(e))
         return basis
+
+
+def _chain_from_end(ops, marked):
+    """The ops (i, j, q) of ``ops``, in order, that a walk from the end
+    keeps: one whose i is marked, which marks its j from then on.  On the
+    row log (replayed forward, row_i += q row_j) these are the ops that the
+    marked rows of a replay depend on; on the column log (replayed backward,
+    x_j += q x_i), the ops that a replay from the marked columns reaches."""
+    kept = []
+    for op in reversed(ops):
+        if op[0] in marked:
+            marked.add(op[1])
+            kept.append(op)
+    return kept[::-1]
 
 
 class _PackedOps:
@@ -468,26 +514,35 @@ _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 _eliminations = _Memo(QZ_MEMO_SIZE)
 
 
-def solve_qz_checked(key, build, b, den):
-    """x with A x = b/den in (Q/Z)^rows, as (x, m) meaning x/m, or None.
+def solve_qz_checked(key, build, b, den, finish):
+    """finish((x, m)) for x with A x = b/den in (Q/Z)^rows, x/m; or None.
 
     ``build()`` returns (rows, ncols), the sparse integer rows of A, and
     ``key`` must determine them.  The elimination of A is memoized
     in-process per (engine class, key) for the QZ_MEMO_SIZE most recently
     used keys, keeping only its op logs and pivots, so a hit replays them
-    on b.  A None is returned only after the certificate y has
-    been checked against the rows as built (built again whenever a
-    certificate is checked): y^T A = 0 and y.b != 0 (mod den).  A failed
-    check raises VerificationFailed.  The engine copies the rows, so a miss
-    holds no built row while it eliminates.
+    on b.  ``finish`` is the caller's check of a solution: it returns the
+    verified answer, or raises VerificationFailed.  It is first given the
+    candidate read off the pivot rows (``solve_pivots``), which replays
+    only the row ops that reach them; if that fails, the full ``solve``
+    decides, and a solution goes through ``finish`` again.  A None is
+    returned only after the certificate y of the full ``solve`` has been
+    checked against the rows as built (built again whenever a certificate
+    is checked): y^T A = 0 and y.b != 0 (mod den).  A failed check raises
+    VerificationFailed.  The engine copies the rows, so a miss holds no
+    built row while it eliminates.
     """
     # looked up per call: a replaced engine class gets entries of its own,
-    # and a hit calls the solve its class has now
+    # and a hit calls the solve_pivots and solve its class has now
     engine = SparseElimination
-    sol, y = _eliminations.get(
-        (engine, key), lambda: engine(*build()).pack()).solve(b, den)
+    elim = _eliminations.get((engine, key), lambda: engine(*build()).pack())
+    try:
+        return finish(elim.solve_pivots(b, den))
+    except VerificationFailed:
+        pass
+    sol, y = elim.solve(b, den)
     if sol is not None:
-        return sol
+        return finish(sol)
     rows, _ncols = build()
     acc = {}
     for r, v in y.items():

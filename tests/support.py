@@ -197,7 +197,8 @@ def reference_first_obstruction(ext: Extension, omega: Cochain, phis,
         rhs += map(neg, numerators_at(u, lead, den))
     key = ("first_obstruction_reference", normalized, g_grp, d_grp,
            tuple(actions[g].map for g in g_grp.elements()), n)
-    sol = solve_qz_checked(key, build, rhs, den)
+    sol = solve_qz_checked(key, build, rhs, den,
+                           solves_rows(build()[0], rhs, den))
     if sol is None:
         return False, None
     x, m = sol
@@ -214,6 +215,40 @@ def reference_first_obstruction(ext: Extension, omega: Cochain, phis,
         if not (is_cocycle(u) and coboundary_agrees(b, u)):
             raise VerificationFailed("corrected obstruction must be delta b")
     return True, corrected
+
+
+def solves_rows(rows, b, den):
+    """A ``finish`` for solve_qz_checked that checks a solution on the
+    sparse integer ``rows``: (x, m) back if sum_c a_c x_c / m = b_r / den
+    (mod 1) on every row r, else VerificationFailed."""
+    def finish(sol):
+        x, m = sol
+        for row, v in zip(rows, b, strict=True):
+            if (den * sum(a * x[c] for c, a in row.items()) - m * v) % (m * den):
+                raise VerificationFailed("solution must solve the rows")
+        return sol
+
+    return finish
+
+
+def row_log_slice(ops, rows):
+    """The ops (i, j, q), row_i += q * row_j, of the log ``ops`` whose
+    values the final values of ``rows`` are made from, in log order, by
+    data flow: op k makes a new value of row i from the values of rows i
+    and j that it reads, and each value is followed back to the ops that
+    made what it read."""
+    ops = list(ops)
+    last, reads = {}, []  # row -> op that made its value; per op, its inputs
+    for k, (i, j, _q) in enumerate(ops):
+        reads.append([last[r] for r in (i, j) if r in last])
+        last[i] = k
+    stack, made = [last[r] for r in rows if r in last], set()
+    while stack:
+        k = stack.pop()
+        if k not in made:
+            made.add(k)
+            stack += reads[k]
+    return [ops[k] for k in sorted(made)]
 
 
 def direct_product_extension(d_grp: FiniteGroup, g_grp: FiniteGroup) -> Extension:

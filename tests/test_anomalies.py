@@ -21,7 +21,7 @@ from support import (
     scanned_iota_inverse,
 )
 
-from dwkit import anomalies, cochains
+from dwkit import anomalies, cochains, linalg
 from dwkit.anomalies import (
     Extension,
     NonAbelianCocycle,
@@ -499,6 +499,29 @@ def test_extension_keeps_each_action_map():
                 for d in ext.kernel.elements()), name
 
 
+def test_extension_keeps_each_acted_position_table():
+    """alpha(g)^* as positions on TupleIndex(D, n) is built once per
+    (g, n), read by every first-obstruction call on the extension."""
+    for name, ext in extension_fixtures().items():
+        for n in (1, 2):
+            index = TupleIndex(ext.kernel, n)
+            for g in ext.quotient.elements():
+                table = ext.acted_positions(g, n)
+                assert ext.acted_positions(g, n) is table, name
+                assert table == [
+                    mixed_radix_position(index, tuple(map(ext.action(g), t)))
+                    for t in index.all()], name
+    ext = doubling_extension(2)
+    omega = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    _ok, phis = is_invariant_class(ext, omega)
+    is_first_obstruction_trivial(ext, omega, phis)
+    kept = dict(ext._acted)
+    assert set(kept) == {(g, 1) for g in ext.quotient.nonidentity()}
+    is_first_obstruction_trivial(ext, omega, phis)
+    assert ext._acted.keys() == kept.keys()
+    assert all(ext._acted[k] is table for k, table in kept.items())
+
+
 def test_first_obstruction_rejects_an_unnormalized_family_before_building(
         monkeypatch):
     ext = doubling_extension(2)
@@ -728,9 +751,9 @@ def test_warm_searches_equal_cold_ones(monkeypatch):
     each distinct system is eliminated once."""
     keys = []
 
-    def recording(key, build, b, den):
+    def recording(key, build, b, den, finish):
         keys.append(key)
-        return solve_qz_checked(key, build, b, den)
+        return solve_qz_checked(key, build, b, den, finish)
 
     monkeypatch.setattr(anomalies, "solve_qz_checked", recording)
     monkeypatch.setattr(cochains, "solve_qz_checked", recording)
@@ -757,6 +780,39 @@ def test_warm_searches_equal_cold_ones(monkeypatch):
         "anomaly_free", "first_obstruction_fails"] + ["anomaly_free"] * 4
     assert [r[2] is None for r in first] == [False, True] + [False] * 4
     assert [r[3][0] for r in first] == [True, False] + [True] * 4
+
+
+def test_pivot_solutions_equal_full_solves_on_every_memo_entry(monkeypatch):
+    """On the extensions and classes of the warm/cold test, two rounds of
+    reports and boundary pairs: for every right-hand side a memo entry saw,
+    solve_pivots gives solve's (x, m) whenever b is solvable."""
+    seen = []
+
+    def recording(key, build, b, den, finish):
+        seen.append((key, b, den))
+        return solve_qz_checked(key, build, b, den, finish)
+
+    monkeypatch.setattr(anomalies, "solve_qz_checked", recording)
+    monkeypatch.setattr(cochains, "solve_qz_checked", recording)
+    solve_qz_checked.cache_clear()
+    for _round in range(2):
+        for ext, n in ((doubling_extension(2), 2),
+                       (z4_in_z16_extension(4, 2), 3)):
+            for omega in cohomology_classes(ext.kernel, n):
+                anomaly_report(ext, omega)
+                find_boundary_pair(ext, omega)
+    entries = linalg._eliminations.entries
+    assert {key for key, _b, _den in seen} == {
+        key for _engine, key in entries}
+    solvable = 0
+    for key, b, den in seen:
+        elim = entries[SparseElimination, key]
+        sol, _y = elim.solve(b, den)
+        if sol is not None:
+            solvable += 1
+            assert elim.solve_pivots(b, den) == sol
+    assert 0 < solvable < len(seen)
+    solve_qz_checked.cache_clear()
 
 
 # --------------------------------------------------------------------------
@@ -996,8 +1052,11 @@ class WrongSolution(L.SparseElimination):
         sol, y = super().solve(b, den)
         if sol is None:
             return sol, y
-        x, m = sol
-        return ([2 * v + 1 for v in x], 2 * m), None
+        return self.solve_pivots(b, den), None
+
+    def solve_pivots(self, b, den):
+        x, m = super().solve_pivots(b, den)
+        return [2 * v + 1 for v in x], 2 * m
 
 L.SparseElimination = WrongSolution
 print(sys.flags.optimize)
@@ -1057,6 +1116,10 @@ for forged in ({0: 1}, {}):
         def solve(self, b, den):
             return None, dict(forged)
 
+        def solve_pivots(self, b, den):
+            x, m = super().solve_pivots(b, den)
+            return [2 * v + 1 for v in x], 2 * m
+
     L.SparseElimination = Forged
     for f in searches:
         try:
@@ -1091,8 +1154,11 @@ class WrongSolution(L.SparseElimination):
         sol, y = super().solve(b, den)
         if sol is None:
             return sol, y
-        x, m = sol
-        return ([2 * v + 1 for v in x], 2 * m), None
+        return self.solve_pivots(b, den), None
+
+    def solve_pivots(self, b, den):
+        x, m = super().solve_pivots(b, den)
+        return [2 * v + 1 for v in x], 2 * m
 
 L.SparseElimination = WrongSolution
 print(sys.flags.optimize)
@@ -1111,8 +1177,9 @@ def test_wrong_primitive_fails_verification_under_optimize():
 
 
 # the four searches warm the memo of eliminated systems, then the engine's
-# solve is replaced on the class itself, so every later call is a memo
-# hit that must still go through the forged engine and fail its checks; the
+# solve_pivots and solve are replaced on the class itself, so every later
+# call is a memo hit that must still go through the forged engine and fail
+# its checks (a wrong candidate from the pivot rows sends it on to solve); the
 # first obstruction of the Z2^2 in Z4^2 doubling has no solution, so a
 # wrong solution cannot reach it, but a forged certificate must fail
 _WARM_MEMO_FORGERY_RUN = """
@@ -1151,20 +1218,24 @@ searches = (
 print(sys.flags.optimize)
 print([f() is not None for f in searches])
 print(tuple(L.solve_qz_checked.cache_info()[:2]))
-honest = L.SparseElimination.solve
+honest, honest_pivots = L.SparseElimination.solve, L.SparseElimination.solve_pivots
+
+def wrong_pivots(self, b, den):
+    x, m = honest_pivots(self, b, den)
+    return [2 * v + 1 for v in x], 2 * m
 
 def wrong(self, b, den):
     sol, y = honest(self, b, den)
     if sol is None:
         return sol, y
-    x, m = sol
-    return ([2 * v + 1 for v in x], 2 * m), None
+    return wrong_pivots(self, b, den), None
 
 forgeries = (
     lambda self, b, den: (None, {0: 1}),
     lambda self, b, den: (None, {}),
     wrong,
 )
+L.SparseElimination.solve_pivots = wrong_pivots
 for forged in forgeries:
     L.SparseElimination.solve = forged
     for f in searches:
@@ -1210,8 +1281,11 @@ class WrongSolution(L.SparseElimination):
         sol, y = super().solve(b, den)
         if sol is None:
             return sol, y
-        x, m = sol
-        return ([4 * v for v in x[:-1]] + [4 * x[-1] + 1], 4 * m), None
+        return self.solve_pivots(b, den), None
+
+    def solve_pivots(self, b, den):
+        x, m = super().solve_pivots(b, den)
+        return [4 * v for v in x[:-1]] + [4 * x[-1] + 1], 4 * m
 
 print(sys.flags.optimize)
 z2, z4 = cyclic_group(2), cyclic_group(4)

@@ -10,11 +10,11 @@ from itertools import compress
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwkit import cochains, linalg
+from dwkit import anomalies, cochains, linalg
 from dwkit.anomalies import is_first_obstruction_trivial, is_invariant_class
 from dwkit.cochains import catalog_cocycle
 from dwkit.errors import VerificationFailed
-from dwkit.groups import dihedral_group, pauli_group, product_group
+from dwkit.groups import cyclic_group, dihedral_group, pauli_group, product_group
 from dwkit.linalg import (
     QZ_MEMO_SIZE,
     SparseElimination,
@@ -22,8 +22,10 @@ from dwkit.linalg import (
     _RowRuns,
     solve_qz_checked,
 )
+from dwkit.phase import PhaseValue
 
-from test_anomalies import doubling_extension
+from support import row_log_slice, solves_rows
+from test_anomalies import doubling_extension, z2_in_z4_extension
 
 
 @settings(max_examples=80, deadline=None)
@@ -60,28 +62,34 @@ def test_solve_qz_checked_memo_replays_and_evicts():
     solve_qz_checked.cache_clear()
     builds = []
 
+    rows = [{0: 2}, {0: 4}]  # 2x = b0/den, 4x = b1/den
+
     def system(key):
         def build():
             builds.append(key)
-            return [{0: 2}, {0: 4}], 1  # 2x = b0/den, 4x = b1/den
+            return list(map(dict, rows)), 1
 
         return build
 
-    x, m = solve_qz_checked("a", system("a"), [1, 2], 2)
+    def solve(key, b, den):
+        return solve_qz_checked(key, system(key), b, den,
+                                solves_rows(rows, b, den))
+
+    x, m = solve("a", [1, 2], 2)
     assert (Fraction(2 * x[0], m) - Fraction(1, 2)).denominator == 1
-    x, m = solve_qz_checked("a", system("a"), [1, 2], 4)
+    x, m = solve("a", [1, 2], 4)
     assert (Fraction(2 * x[0], m) - Fraction(1, 4)).denominator == 1
     assert (Fraction(4 * x[0], m) - Fraction(2, 4)).denominator == 1
     assert builds == ["a"]
     # 4x = 2 * 2x = 1 = 0, not 1/2: a certificate, checked on rebuilt rows
-    assert solve_qz_checked("a", system("a"), [1, 1], 2) is None
+    assert solve("a", [1, 1], 2) is None
     assert builds == ["a", "a"]
     assert solve_qz_checked.cache_info() == (2, 1, QZ_MEMO_SIZE, 1)
     for k in range(QZ_MEMO_SIZE):
-        solve_qz_checked(k, system(k), [0, 0], 1)
+        solve(k, [0, 0], 1)
     info = solve_qz_checked.cache_info()
     assert (info.misses, info.currsize) == (QZ_MEMO_SIZE + 1, QZ_MEMO_SIZE)
-    solve_qz_checked("a", system("a"), [0, 0], 1)
+    solve("a", [0, 0], 1)
     assert solve_qz_checked.cache_info().misses == QZ_MEMO_SIZE + 2
     solve_qz_checked.cache_clear()
     assert solve_qz_checked.cache_info() == (0, 0, QZ_MEMO_SIZE, 0)
@@ -113,15 +121,18 @@ def test_solve_qz_checked_releases_built_rows_and_rebuilds_for_a_certificate(
     monkeypatch.setattr(linalg, "SparseElimination", Probe)
     solve_qz_checked.cache_clear()
     # 4x = 2 * 2x = 1 = 0, not 1/2
-    assert solve_qz_checked("a", system([{0: 2}, {0: 4}]), [1, 1], 2) is None
+    assert solve_qz_checked("a", system([{0: 2}, {0: 4}]), [1, 1], 2,
+                            solves_rows([{0: 2}, {0: 4}], [1, 1], 2)) is None
     assert (len(built), released) == (2, [True])
-    x, m = solve_qz_checked("b", system([{0: 2}]), [1], 2)
+    x, m = solve_qz_checked("b", system([{0: 2}]), [1], 2,
+                            solves_rows([{0: 2}], [1], 2))
     assert (len(built), released) == (3, [True, True])
     assert (Fraction(2 * x[0], m) - Fraction(1, 2)).denominator == 1
     # the certificate is checked against the rebuilt rows, not the first
     rebuilt = iter([[{0: 2}, {0: 4}], [{0: 2}, {0: 3}]])
     with pytest.raises(VerificationFailed, match="annihilate"):
-        solve_qz_checked("c", lambda: system(next(rebuilt))(), [1, 1], 2)
+        solve_qz_checked("c", lambda: system(next(rebuilt))(), [1, 1], 2,
+                         solves_rows([{0: 2}, {0: 4}], [1, 1], 2))
     solve_qz_checked.cache_clear()
 
 
@@ -142,7 +153,8 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
         with pytest.raises(ValueError, match=f"{len(b)} entries for 1 rows"):
             SparseElimination([{0: 2}], 1).pack().solve(b, 4)
         with pytest.raises(ValueError, match=f"{len(b)} entries for 1 rows"):
-            solve_qz_checked("k", lambda: ([{0: 2}], 1), b, 4)
+            solve_qz_checked("k", lambda: ([{0: 2}], 1), b, 4,
+                             solves_rows([{0: 2}], b, 4))
     solve_qz_checked.cache_clear()
 
 
@@ -271,6 +283,173 @@ def test_packing_drops_unreachable_column_ops_and_the_kernel():
         with pytest.raises(ValueError, match="packed elimination"):
             packed.kernel()
     assert dropped > 0
+
+
+def _image(rows, x):
+    """A x for the sparse rows of A: a right-hand side that is solvable."""
+    return [sum(v * x[c] for c, v in row.items()) for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0),
+)
+def test_pivot_row_log_keeps_exactly_the_ops_that_reach_pivot_rows(
+        nrows, ncols, den, seed):
+    rng = random.Random(seed)
+    rows = _random_rows(rng, nrows, ncols)
+    plain = SparseElimination(rows, ncols).eliminate()
+    packed = SparseElimination(rows, ncols).pack()
+    pivot_rows = [r for r, _c, _d in plain.pivots]
+    assert list(plain.pivot_row_ops) == list(plain.row_ops)
+    assert list(packed.pivot_row_ops) == row_log_slice(plain.row_ops,
+                                                       pivot_rows)
+    bs = [_random_vector(rng, nrows) for _ in range(3)]
+    bs.append(_image(rows, _random_vector(rng, ncols)))
+    for b in bs:
+        want = replay_rows(plain.row_ops, b)
+        got = SparseElimination.apply_row_ops(packed.pivot_row_ops, b)
+        assert [got[r] for r in pivot_rows] == [want[r] for r in pivot_rows]
+        sol, _y = plain.solve(b, den)
+        if sol is not None:
+            assert packed.solve_pivots(b, den) == sol
+            assert plain.solve_pivots(b, den) == sol
+    assert plain.solve(bs[-1], den)[0] is not None
+
+
+def test_pivot_row_logs_match_the_reference_slice_on_recorded_systems(
+        monkeypatch):
+    """The systems of the recorded digests, each eliminated again from a
+    copy of its rows and packed: the pivot-row log is the reference slice
+    of the recorded full log, op for op, and reads what ``solve`` reads."""
+    made = []
+
+    class Recording(SparseElimination):
+        def __init__(self, rows, ncols):
+            self.built = [dict(r) for r in rows], ncols
+            super().__init__(rows, ncols)
+            made.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cochains, "SparseElimination", Recording)
+        for group, n in [(dihedral_group(8), 3), (product_group([3, 3]), 2),
+                         (pauli_group(), 1)]:
+            cochains.cohomology.cache_clear()
+            cochains.cohomology(group, n)
+    cochains.cohomology.cache_clear()
+    ext = doubling_extension(2)
+    w1 = catalog_cocycle("product_2cocycle", {"N": 2, "k": 1})
+    _ok, phis = is_invariant_class(ext, w1)
+    solve_qz_checked.cache_clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "SparseElimination", Recording)
+        is_first_obstruction_trivial(ext, w1, phis)
+    solve_qz_checked.cache_clear()
+    for seed in range(20):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(4, 16), rng.randint(4, 16)
+        density = rng.choice([0.2, 0.4, 0.7])
+        Recording([{c: rng.randint(-3, 5) for c in range(ncols)
+                    if rng.random() < density} for _ in range(nrows)],
+                  ncols).eliminate()
+    assert len(made) == 2 * 3 + 1 + 20
+    rng = random.Random(30)
+    kept = total = 0
+    for elim in made:
+        rows, ncols = elim.built
+        packed = SparseElimination(rows, ncols).pack()
+        assert packed.pivots == elim.pivots
+        pivot_rows = [r for r, _c, _d in elim.pivots]
+        assert list(packed.pivot_row_ops) == row_log_slice(elim.row_ops,
+                                                           pivot_rows)
+        kept, total = kept + len(packed.pivot_row_ops), total + len(elim.row_ops)
+        b = _image(rows, [rng.randrange(-3, 4) for _ in range(ncols)])
+        sol, _y = packed.solve(b, 5)
+        assert sol is not None and packed.solve_pivots(b, 5) == sol
+    assert kept < total
+
+
+def test_an_unsolvable_right_hand_side_returns_none_through_the_certificate(
+        monkeypatch):
+    """``finish`` rejects the candidate read off the pivot rows; the full
+    solve's certificate is then checked on rows built again, and None is
+    returned with no second call to ``finish``, on a miss and on a hit."""
+    rows, b = [{0: 2}, {0: 4}], [1, 1]  # 4x = 2 * 2x = 1 = 0, not 1/2
+    builds, candidates, certificates = [], [], []
+    check = solves_rows(rows, b, 2)
+
+    def build():
+        builds.append(1)
+        return list(map(dict, rows)), 1
+
+    def finish(sol):
+        candidates.append(sol)
+        return check(sol)
+
+    class Probe(SparseElimination):
+        def solve(self, b, den):
+            sol, y = super().solve(b, den)
+            certificates.append(y)
+            return sol, y
+
+    monkeypatch.setattr(linalg, "SparseElimination", Probe)
+    solve_qz_checked.cache_clear()
+    for _ in range(2):
+        assert solve_qz_checked("u", build, b, 2, finish) is None
+    elim = linalg._eliminations.entries[Probe, "u"]
+    assert candidates == [elim.solve_pivots(b, 2)] * 2
+    assert certificates == [SparseElimination.solve(elim, b, 2)[1]] * 2
+    assert certificates[0]
+    assert len(builds) == 3  # the miss, and each certificate check
+    assert solve_qz_checked.cache_info()[:2] == (1, 1)
+    solve_qz_checked.cache_clear()
+
+
+def test_a_forged_candidate_falls_back_to_the_full_solve(monkeypatch):
+    """A wrong candidate from the pivot rows fails the caller's check, and
+    the full solve decides: an honest one returns the answer the unforged
+    engine gives; a forged one fails the check again, with the caller's
+    message."""
+    z4 = cyclic_group(4)
+    exact = cochains.coboundary(
+        cochains.Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
+    ext = z2_in_z4_extension()
+    omega = cochains.Cochain.zero(ext.kernel, 2, 2)
+    solve_qz_checked.cache_clear()
+    honest = (cochains.solve_coboundary(exact),
+              anomalies.find_closed_lift(ext, omega))
+    full_solves = []
+
+    class WrongPivots(SparseElimination):
+        def solve_pivots(self, b, den):
+            x, m = super().solve_pivots(b, den)
+            return [2 * v + 1 for v in x], 2 * m
+
+        def solve(self, b, den):
+            full_solves.append(den)
+            return super().solve(b, den)
+
+    class WrongBoth(WrongPivots):
+        def solve(self, b, den):
+            sol, y = super().solve(b, den)
+            return (sol if sol is None else self.solve_pivots(b, den)), y
+
+    monkeypatch.setattr(linalg, "SparseElimination", WrongPivots)
+    assert (cochains.solve_coboundary(exact),
+            anomalies.find_closed_lift(ext, omega)) == honest
+    assert len(full_solves) == 2
+    monkeypatch.setattr(linalg, "SparseElimination", WrongBoth)
+    with pytest.raises(VerificationFailed,
+                       match="^solver output must have coboundary y$"):
+        cochains.solve_coboundary(exact)
+    with pytest.raises(VerificationFailed,
+                       match="^solver output must be closed$"):
+        anomalies.find_closed_lift(ext, omega)
+    assert len(full_solves) == 4
+    solve_qz_checked.cache_clear()
 
 
 def test_random_systems_pivot_on_non_units_and_restart():
