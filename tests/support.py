@@ -33,7 +33,7 @@ from dwkit.errors import (
     VerificationFailed,
 )
 from dwkit.groupoids import FinGroupoid, gauge_groupoid
-from dwkit.groups import FiniteGroup, GroupHom
+from dwkit.groups import FiniteGroup, GroupHom, product_digits, product_index
 from dwkit.invariants import _signed_permutations
 from dwkit.linalg import solve_qz_checked
 from dwkit.phase import PhaseValue
@@ -456,3 +456,77 @@ def reference_delta_rows(index, first_args=None):
                 row.pop(c, None)
         rows.append(row)
     return rows
+
+
+def reference_associativity_witness(table):
+    """The lexicographically first triple (a, b, c) with (ab)c != a(bc),
+    or None: the exhaustive scan over all order^3 triples."""
+    for a, b, c in itertools.product(range(len(table)), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def reference_hom_witness(src: FiniteGroup, dst: FiniteGroup, mapping):
+    """The message GroupHom(src, dst, mapping) must raise, found by the
+    exhaustive scan over all pairs, or None for a homomorphism."""
+    if mapping[src.identity] != dst.identity:
+        return "hom does not preserve identity"
+    for a, b in itertools.product(src.elements(), repeat=2):
+        if mapping[src.mul(a, b)] != dst.mul(mapping[a], mapping[b]):
+            return f"not a homomorphism at ({a}, {b})"
+    return None
+
+
+def reference_cocycle_message(g_grp: FiniteGroup, d_grp: FiniteGroup,
+                              alpha, sigma):
+    """The message NonAbelianCocycle(g_grp, d_grp, alpha, sigma) must
+    raise, with every relation scanned on every letter, or None."""
+    if tuple(alpha[g_grp.identity]) != tuple(d_grp.elements()):
+        return "alpha(1) must be the identity automorphism"
+    if sigma[g_grp.identity][g_grp.identity] != d_grp.identity:
+        return "sigma(1,1) must be the identity"
+    elems = list(d_grp.elements())
+    for g in g_grp.elements():
+        a = alpha[g]
+        if sorted(a) != elems:
+            return f"alpha({g}) is not a bijection"
+        for x, y in itertools.product(elems, repeat=2):
+            if a[d_grp.mul(x, y)] != d_grp.mul(a[x], a[y]):
+                return f"alpha({g}) is not a homomorphism at ({x},{y})"
+    for g1, g2 in itertools.product(g_grp.elements(), repeat=2):
+        s = sigma[g1][g2]
+        for d in elems:
+            rhs = d_grp.word([d_grp.inverses[s], alpha[g1][alpha[g2][d]], s])
+            if alpha[g_grp.mul(g1, g2)][d] != rhs:
+                return ("twisted-homomorphism relation fails at "
+                        f"g1={g1}, g2={g2}, d={d}")
+    for g1, g2, g3 in itertools.product(g_grp.elements(), repeat=3):
+        lhs = d_grp.mul(sigma[g1][g2], sigma[g_grp.mul(g1, g2)][g3])
+        rhs = d_grp.mul(alpha[g1][sigma[g2][g3]], sigma[g1][g_grp.mul(g2, g3)])
+        if lhs != rhs:
+            return f"cocycle relation fails at ({g1},{g2},{g3})"
+    return None
+
+
+def swap_intercalate(table, r1, r2, c1, c2):
+    """A copy of ``table`` with the 2x2 subsquare at rows r1, r2 and
+    columns c1, c2 swapped; it must be an intercalate (u v / v u)."""
+    rows = [list(row) for row in table]
+    u, v = rows[r1][c1], rows[r1][c2]
+    if (rows[r2][c1], rows[r2][c2]) != (v, u):
+        raise ValueError("not an intercalate")
+    rows[r1][c1] = rows[r2][c2] = v
+    rows[r1][c2] = rows[r2][c1] = u
+    return rows
+
+
+def product_index_table(factors):
+    """product_group(factors)'s table built pair by pair through
+    product_index and product_digits."""
+    order = 1
+    for n in factors:
+        order *= n
+    digits = [product_digits(factors, i) for i in range(order)]
+    return [[product_index(factors, [x + y for x, y in zip(da, db)])
+             for db in digits] for da in digits]

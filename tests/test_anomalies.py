@@ -14,6 +14,7 @@ from support import (
     find_isomorphism,
     mixed_radix_position,
     random_cochain,
+    reference_cocycle_message,
     reference_delta_rows,
     reference_first_obstruction,
     reference_interval_pairing,
@@ -242,6 +243,50 @@ def test_non_abelian_cocycle_validation():
         NonAbelianCocycle(z2, z4, alpha, [[0, 0], [0, 1]])
     with pytest.raises(InvalidCocycle):
         NonAbelianCocycle(z2, z4, [list(z4.elements()), [0, 2, 1, 3]], sigma)
+
+
+def bent_cocycles(nc, rng):
+    """(alpha, sigma) of ``nc`` with one seeded change each: an alpha(g)
+    replaced by a different alpha, two of its values swapped, or a sigma
+    value moved."""
+    g_order, d_order = nc.group.order, nc.kernel.order
+    for kind in ("swap alpha", "transpose alpha", "move sigma") * 3:
+        a, s = [list(x) for x in nc.alpha], [list(x) for x in nc.sigma]
+        g = rng.randrange(1, g_order)
+        others = [list(x) for x in nc.alpha if list(x) != a[g]]
+        if kind == "swap alpha" and others:
+            a[g] = rng.choice(others)
+        elif kind != "move sigma" and d_order > 2:
+            i, j = rng.sample(range(1, d_order), 2)
+            a[g][i], a[g][j] = a[g][j], a[g][i]
+        else:
+            h = rng.randrange(g_order)
+            s[g][h] = rng.choice([d for d in range(d_order) if d != s[g][h]])
+        yield a, s
+
+
+def test_cocycle_checks_match_the_exhaustive_scan():
+    rng, verdicts = random.Random(31), set()
+    z2, z2z4 = cyclic_group(2), product_group([2, 4])
+    # alpha(1) is multiplicative on right factors in <(0, 1)>, not on (1, 0)
+    cases = [(z2, z2z4, [range(8), [x - x % 4 + (x // 4 + x) % 4 for x in range(8)]],
+              [[0, 0], [0, 0]])]
+    for ext in extension_fixtures().values():
+        nc = cocycle_from_extension(ext)
+        cases += [(nc.group, nc.kernel, alpha, sigma)
+                  for alpha, sigma in bent_cocycles(nc, rng)]
+    for g_grp, d_grp, alpha, sigma in cases:
+        want = reference_cocycle_message(g_grp, d_grp, alpha, sigma)
+        try:
+            NonAbelianCocycle(g_grp, d_grp, alpha, sigma)
+        except InvalidCocycle as exc:
+            assert str(exc) == want
+        else:
+            assert want is None
+        verdicts.add(want and want.split(" at ")[0])
+    assert verdicts >= {None, "alpha(1) is not a homomorphism",
+                        "twisted-homomorphism relation fails",
+                        "cocycle relation fails"}
 
 
 def test_extension_validation():

@@ -13,6 +13,7 @@ from test_anomalies import (
     order_sixteen_extension,
     z2_in_z4_extension,
 )
+from test_groups import z128_intercalate_table
 from test_io import Z4_TRANSGRESSED_ONCE
 
 from dwkit.cli import main
@@ -49,6 +50,15 @@ def test_group_validate_file(capsys, tmp_path):
     bad.write_text(json.dumps({"kind": "table", "order": 2, "table": [[0, 1], [1, 1]]}))
     code, _, err = run(capsys, "group", "validate", str(bad))
     assert code == 1 and err
+
+
+def test_group_validate_rejects_a_loop_above_order_64(capsys, tmp_path):
+    path = tmp_path / "z128loop.json"
+    path.write_text(json.dumps(
+        {"kind": "table", "order": 128, "table": z128_intercalate_table()}))
+    code, out, err = run(capsys, "group", "validate", str(path))
+    assert code == 1 and not out
+    assert err == "error: associativity fails (witness: (1, 1, 2))\n"
 
 
 def test_malformed_json_reports_position(capsys, tmp_path):
