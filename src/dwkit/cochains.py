@@ -44,8 +44,9 @@ its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
 and solve right-hand sides read them at the result modulus
 (``Cochain.numerators``), treat an absent tuple as 0 and add ints; the
 result keeps each sum reduced mod M, and drops the zeros, with no further
-check.  ``values`` and ``value`` build PhaseValues on access, for readers
-outside hot loops.
+check.  Construction reads numerators too: the catalog writes them from
+closed forms, and the public constructor reads each PhaseValue x/m once as
+x*M/m.  Only ``values`` and ``value`` build PhaseValues, on access.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .groups import (
     cyclic_group,
     dihedral_exponents,
     dihedral_group,
-    product_digits,
     product_group,
 )
 from .linalg import SparseElimination, _CacheInfo, _Memo, solve_qz_checked
@@ -112,19 +112,19 @@ class Cochain:
             t = tuple(t)
             if len(t) != loops + degree:
                 raise ValueError(f"tuple {t} has wrong length")
+            x, m = v.numerator, v.modulus
             if e in t[loops:]:
-                if not v.is_zero():
-                    raise ValueError(
-                        f"non-normalized value at {t}"
-                    )
+                if x % m:
+                    raise ValueError(f"non-normalized value at {t}")
                 continue
-            r = v.reduced()
-            if modulus % r.modulus:
+            # x*modulus/m is integral iff v's reduced modulus divides modulus
+            x, r = divmod(x * modulus, m)
+            if r:
                 raise ValueError(
-                    f"value modulus {v.modulus} does not divide {modulus}"
+                    f"value modulus {m} does not divide {modulus}"
                 )
-            if not r.is_zero():
-                nums[t] = r.numerator * (modulus // r.modulus)
+            if x:
+                nums[t] = x
         self._set(group, degree, modulus, nums, loops)
 
     def _set(self, *fields):
@@ -445,34 +445,30 @@ def catalog_cocycle(name, params=None):
       w(a,b,c) = k a floor((b+c)/N) / N.
     * ``extension_2cocycle`` (N, M): the Z_N-valued 2-cocycle on Z_M,
       sigma(a,b) = floor((a+b)/M) mod N, returned as an M x M table.
+
+    The cochains are written as integer numerators from these closed forms,
+    in ``all_tuples`` order; only ``values`` and ``value`` build PhaseValues.
     """
     params = dict(params or {})
     if name == "product_2cocycle":
         n_par, k = int(params["N"]), int(params.get("k", 1))
         grp = product_group([n_par, n_par])
-        vals = {}
-        for t in all_tuples(grp, 2):
-            a1, _b1 = product_digits([n_par, n_par], t[0])
-            _a2, b2 = product_digits([n_par, n_par], t[1])
-            vals[t] = PhaseValue(k * a1 * b2, n_par)
-        return Cochain(grp, 2, n_par, vals)
+        nonid = grp.nonidentity()  # element (a, b) has index a*N + b
+        return Cochain._from_numerators(grp, 2, n_par, (
+            ((s, t), k * (s // n_par) * (t % n_par)) for s in nonid for t in nonid))
     if name == "dihedral8_2cocycle":
         grp = dihedral_group(8)
-        vals = {}
-        for t in all_tuples(grp, 2):
-            _i, j = dihedral_exponents(8, t[0])
-            i2, _j2 = dihedral_exponents(8, t[1])
-            if j == 1:
-                vals[t] = PhaseValue(i2, 4)
-        return Cochain(grp, 2, 4, vals)
+        nonid = grp.nonidentity()
+        return Cochain._from_numerators(grp, 2, 4, (
+            ((s, t), dihedral_exponents(8, t)[0])
+            for s in nonid if dihedral_exponents(8, s)[1] for t in nonid))
     if name == "cyclic_3cocycle":
         n_par, k = int(params["N"]), int(params.get("k", 1))
         grp = cyclic_group(n_par)
-        vals = {}
-        for t in all_tuples(grp, 3):
-            a, b, c = t
-            vals[t] = PhaseValue(k * a * ((b + c) // n_par), n_par)
-        return Cochain(grp, 3, n_par, vals)
+        nonid = grp.nonidentity()  # floor((b+c)/N) is 1 if b + c >= N, else 0
+        return Cochain._from_numerators(grp, 3, n_par, (
+            ((a, b, c), k * a) for a in nonid for b in nonid
+            for c in range(n_par - b, n_par)))
     if name == "extension_2cocycle":
         n_par, m_par = int(params["N"]), int(params["M"])
         return [

@@ -50,12 +50,14 @@ def _require_keys(obj, required, optional=(), what="object"):
 def _parse(convert, value, field):
     """convert(value), with a malformed value reported as a FormatError
     naming ``field`` (a bare int() raises ValueError, TypeError or
-    OverflowError, which the CLI does not map)."""
+    OverflowError, and a map value outside its target group IndexError,
+    which the CLI does not map)."""
     try:
         return convert(value)
     except (NotAGroup, UnknownBuiltin):
         raise
-    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError, OverflowError,
+            ZeroDivisionError) as exc:
         raise FormatError(f"{field} is malformed ({exc})") from None
 
 

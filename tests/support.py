@@ -33,9 +33,19 @@ from dwkit.errors import (
     VerificationFailed,
 )
 from dwkit.groupoids import FinGroupoid, gauge_groupoid
-from dwkit.groups import FiniteGroup, GroupHom, product_digits, product_index
+from dwkit.groups import (
+    FiniteGroup,
+    GroupHom,
+    cyclic_group,
+    dihedral_exponents,
+    dihedral_group,
+    pauli_group,
+    product_digits,
+    product_group,
+    product_index,
+)
 from dwkit.invariants import _signed_permutations
-from dwkit.linalg import solve_qz_checked
+from dwkit.linalg import SparseElimination, solve_qz_checked
 from dwkit.phase import PhaseValue
 
 
@@ -530,3 +540,89 @@ def product_index_table(factors):
     digits = [product_digits(factors, i) for i in range(order)]
     return [[product_index(factors, [x + y for x, y in zip(da, db)])
              for db in digits] for da in digits]
+
+
+def reference_cochain_numerators(group, degree, modulus, values, loops=0):
+    """The numerators ``Cochain(group, degree, modulus, values, loops)``
+    stores, in storage order, computed through reduced PhaseValues with the
+    constructor's checks, in its order and with its messages."""
+    nums = {}
+    e = group.identity
+    for t, v in values.items():
+        t = tuple(t)
+        if len(t) != loops + degree:
+            raise ValueError(f"tuple {t} has wrong length")
+        if e in t[loops:]:
+            if not v.is_zero():
+                raise ValueError(f"non-normalized value at {t}")
+            continue
+        r = v.reduced()
+        if modulus % r.modulus:
+            raise ValueError(
+                f"value modulus {v.modulus} does not divide {modulus}")
+        if not r.is_zero():
+            nums[t] = r.numerator * (modulus // r.modulus)
+    return nums
+
+
+def reference_catalog_cocycle(name, params=None):
+    """``catalog_cocycle(name, params)`` for the three cochain families,
+    built tuple by tuple as PhaseValues through ``product_digits`` and
+    ``dihedral_exponents``, and stored by ``reference_cochain_numerators``."""
+    params = dict(params or {})
+    vals = {}
+    if name == "product_2cocycle":
+        n_par, k = int(params["N"]), int(params.get("k", 1))
+        grp, degree, modulus = product_group([n_par, n_par]), 2, n_par
+        digits = [product_digits([n_par, n_par], x) for x in grp.elements()]
+        for s, t in all_tuples(grp, 2):
+            vals[s, t] = PhaseValue(k * digits[s][0] * digits[t][1], n_par)
+    elif name == "dihedral8_2cocycle":
+        grp, degree, modulus = dihedral_group(8), 2, 4
+        for t in all_tuples(grp, 2):
+            _i, j = dihedral_exponents(8, t[0])
+            i2, _j2 = dihedral_exponents(8, t[1])
+            if j == 1:
+                vals[t] = PhaseValue(i2, 4)
+    elif name == "cyclic_3cocycle":
+        n_par, k = int(params["N"]), int(params.get("k", 1))
+        grp, degree, modulus = cyclic_group(n_par), 3, n_par
+        for a, b, c in all_tuples(grp, 3):
+            vals[a, b, c] = PhaseValue(k * a * ((b + c) // n_par), n_par)
+    else:
+        raise ValueError(f"no reference for {name!r}")
+    nums = reference_cochain_numerators(grp, degree, modulus, vals)
+    return Cochain._from_numerators(grp, degree, modulus, nums.items())
+
+
+def pauli_h3_duality_certificate():
+    """(cochains, cycles) for H^3(Pauli; U(1)), read off one plain
+    elimination U R V = D of R, the generator-led rows of delta on
+    3-cochains (``delta_matrix_rows``).
+
+    For each pivot (r, c, d) with |d| > 1, in ascending |d|: the cochain
+    (V e_c mod |d|)/|d|, and the integral 3-cycle z = (u_r R)/d as a
+    {position on TupleIndex(pauli, 3): coefficient} dict, u_r row r of U.
+    Since u_r R V = d e_c, the pairing of the cochain of one pivot with the
+    cycle of another is 0 and with its own cycle 1/|d|.  Nothing here is
+    checked: a test checks the closedness, the cycles and the pairings
+    without reading the elimination.
+    """
+    pauli = pauli_group()
+    index = TupleIndex(pauli, 3)
+    rows = delta_matrix_rows(index, pauli.generators())
+    elim = SparseElimination(rows, index.size).eliminate()
+    cochains, cycles = [], []
+    for r, c, d in sorted(elim.pivots, key=lambda p: abs(p[2])):
+        if abs(d) == 1:
+            continue
+        e_c = [0] * index.size
+        e_c[c] = 1
+        cochains.append(vector_cochain(
+            index, [v % abs(d) for v in elim.apply_col_ops(e_c)], abs(d)))
+        z = {}
+        for i, u in elim._row_of_u(r).items():
+            for j, a in rows[i].items():
+                z[j] = z.get(j, 0) + u * a
+        cycles.append({j: v // d for j, v in z.items() if v})
+    return cochains, cycles

@@ -228,6 +228,20 @@ def test_anomaly_exit_codes(capsys, tmp_path):
     assert is_cocycle(lift)
 
 
+@pytest.mark.parametrize("field, image", [("iota", [0, 9]),
+                                          ("lambda", [0, 1, 0, 5])])
+def test_extension_map_outside_its_target_ends_in_an_error_line(
+        capsys, tmp_path, field, image):
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(
+        dict(extension_json(z2_in_z4_extension()), **{field: image})))
+    code, out, err = run(
+        capsys, "anomaly", "--extension", str(path), "--cocycle", "omega1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field} is malformed") and err.count("\n") == 1
+
+
 def test_anomaly_rejects_degree_one_cocycle(capsys, tmp_path):
     ext = tmp_path / "center_of_d8.json"
     ext.write_text(json.dumps(extension_json(center_of_d8_extension())))

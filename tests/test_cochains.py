@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -13,7 +14,10 @@ from support import (
     FormalChain,
     evaluate,
     mixed_radix_position,
+    pauli_h3_duality_certificate,
     random_cochain,
+    reference_catalog_cocycle,
+    reference_cochain_numerators,
     reference_combine,
     reference_delta_rows,
     reference_interval_pairing,
@@ -122,6 +126,114 @@ def test_catalog_cocycles_are_closed():
         ("cyclic_3cocycle", {"N": 4, "k": 3}),
     ):
         assert is_cocycle(catalog_cocycle(name, params))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_catalog_cocycles_match_the_phase_reference(n):
+    """Each family equals its PhaseValue construction in group, degree,
+    modulus and numerators, in storage order (``cochain_json`` emits that
+    order), and is closed."""
+    cases = [("dihedral8_2cocycle", {})] if n == 8 else []
+    for k in sorted({0, 1, n - 1, n, n + 3, -1}):
+        cases += [(name, {"N": n, "k": k})
+                  for name in ("product_2cocycle", "cyclic_3cocycle")]
+    for name, params in cases:
+        got = catalog_cocycle(name, params)
+        want = reference_catalog_cocycle(name, params)
+        assert (got.group, got.degree, got.modulus, got.loops) == (
+            want.group, want.degree, want.modulus, want.loops), (name, params)
+        assert list(got._nums.items()) == list(want._nums.items()), (name, params)
+        assert is_cocycle(got), (name, params)
+
+
+def _constructor_outcome(build, *args):
+    """The stored (tuple, numerator) pairs in order, or the raised
+    exception's type and message."""
+    try:
+        out = build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list((out if isinstance(out, dict) else out._nums).items())
+
+
+def _same_constructor_outcome(group, degree, modulus, values, loops=0):
+    args = (group, degree, modulus, values, loops)
+    got = _constructor_outcome(Cochain, *args)
+    assert got == _constructor_outcome(reference_cochain_numerators, *args)
+    return got
+
+
+_CONSTRUCTOR_GROUPS = (cyclic_group(1), cyclic_group(4), product_group([2, 2]),
+                       dihedral_group(6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constructor_matches_the_reduced_phase_reference(data):
+    group = data.draw(st.sampled_from(_CONSTRUCTOR_GROUPS))
+    degree = data.draw(st.integers(0, 3))
+    loops = data.draw(st.integers(0, 1))
+    modulus = data.draw(st.integers(1, 12))
+    # mostly well-formed tuples, now and then one entry short or long
+    length = st.sampled_from([loops + degree] * 8 + [loops + degree + 1]
+                             + [max(loops + degree - 1, 0)])
+    key = length.flatmap(lambda n: st.tuples(
+        *[st.integers(0, group.order - 1)] * n))
+    value = st.builds(PhaseValue, st.integers(-30, 30),
+                      st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+    values = data.draw(st.dictionaries(key, value, max_size=12))
+    _same_constructor_outcome(group, degree, modulus, values, loops)
+
+
+def test_constructor_matches_the_reference_on_named_cases():
+    z4, k4 = cyclic_group(4), product_group([2, 2])
+    # unreduced 2/4 at M = 2, zeros of any modulus, negative numerators
+    assert _same_constructor_outcome(
+        z4, 2, 2, {(1, 1): PhaseValue(2, 4), (1, 2): PhaseValue(0, 7),
+                   (2, 3): PhaseValue(-3, 6), (3, 3): PhaseValue(-2, 2)}) == [
+        ((1, 1), 1), ((2, 3), 1)]
+    assert _same_constructor_outcome(
+        k4, 1, 12, {(3,): PhaseValue(-1, 4), (1,): PhaseValue(-5, 6)}) == [
+        ((3,), 9), ((1,), 2)]
+    for args, message in (
+        ((z4, 2, 4, {(1,): PhaseValue(1, 4)}), "tuple (1,) has wrong length"),
+        ((z4, 2, 4, {(0, 1): PhaseValue(1, 4)}),
+         "non-normalized value at (0, 1)"),
+        ((z4, 1, 4, {(2,): PhaseValue(0, 4), (1,): PhaseValue(1, 8)}),
+         "value modulus 8 does not divide 4"),
+        ((z4, 1, 6, {(1,): PhaseValue(3, 12)}),
+         "value modulus 12 does not divide 6"),
+        ((z4, 1, 2, {(3,): PhaseValue(0, 4)}, 1), "tuple (3,) has wrong length"),
+    ):
+        assert _same_constructor_outcome(*args) == (ValueError, message)
+
+
+def test_pauli_degree_three_has_order_at_least_64_by_duality():
+    """Four closed 3-cochains and four integral 3-cycles of the Pauli group
+    whose pairing matrix is diag(1/2, 1/2, 1/2, 1/8).  Pairing a class with
+    a cycle is a homomorphism H^3(Pauli; U(1)) -> Q/Z, so the four classes
+    span a subgroup of order 64 and |H^3| >= 64.  The checks read the full
+    coboundary and the full delta_2 rows, never the elimination that built
+    the certificate."""
+    cochains, cycles = pauli_h3_duality_certificate()
+    pauli = pauli_group()
+    assert [c.group for c in cochains] == [pauli] * 4
+    assert all(c.degree == 3 and coboundary(c).is_zero() for c in cochains)
+    delta_2 = delta_matrix_rows(TupleIndex(pauli, 2))
+    for z in cycles:
+        # row i of delta_2 is the face sum of the i-th 3-tuple, position i
+        boundary = {}
+        for i, a in z.items():
+            for col, v in delta_2[i].items():
+                boundary[col] = boundary.get(col, 0) + a * v
+        assert z and not any(boundary.values())
+    index = TupleIndex(pauli, 3)
+    pairing = [[Fraction(sum(cochain_vector(c, index)[i] * a
+                             for i, a in z.items()), c.modulus) % 1
+                for z in cycles] for c in cochains]
+    orders = [2, 2, 2, 8]
+    assert pairing == [[Fraction(int(i == j), orders[i]) for j in range(4)]
+                       for i in range(4)]
 
 
 def test_extension_cocycle_table():
