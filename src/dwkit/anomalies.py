@@ -181,6 +181,8 @@ class Extension:
             raise SectionNotValid("image(iota) must equal kernel(lambda)")
         if len(self.section) != g_grp.order:
             raise SectionNotValid("section must be defined on all of G")
+        if not all(0 <= x < ghat.order for x in self.section):
+            raise SectionNotValid("section must take values in Ghat")
         if self.section[g_grp.identity] != ghat.identity:
             raise SectionNotValid("section must be normalized: s(1) = 1")
         for g in g_grp.elements():

@@ -34,6 +34,7 @@ from .errors import (
     DegreeMismatch,
     NotACocycle,
     NotAGroup,
+    SectionNotValid,
     UnknownBuiltin,
     UnknownFamily,
     VerificationFailed,
@@ -433,6 +434,7 @@ def main(argv=None):
         FormatError,
         NotAGroup,
         NotACocycle,
+        SectionNotValid,
         UnknownBuiltin,
         UnknownFamily,
         BudgetExceeded,

@@ -2,7 +2,9 @@
 
 Cohomology with U(1) coefficients is computed as integral cohomology one
 degree up (exact for finite groups), with U(1)-valued generator cocycles
-recovered by dividing integral torsion witnesses.
+recovered by dividing integral torsion witnesses.  U(1) is divisible, so
+H^n(G; U(1)) = Hom(H_n(G; Z), U(1)): a class is read by pairing it with
+integral n-cycles, one per torsion summand, after ``is_cocycle``.
 
 A cochain lives on the action groupoid G x| X_m.  X_0 is a point, so
 ``loops=0`` gives the group cochains on BG; X_m for m >= 1 is the set of
@@ -33,11 +35,12 @@ and not kept.  Every column index is a position in ``TupleIndex.positions``,
 the one map from tuples to positions.
 
 A cochain is immutable, so its closedness is a fact about the object:
-``is_cocycle``, the library's one closedness check, decides it on the first
-call and keeps the verdict on the cochain, never setting it from how the
-cochain was built.  Equal but distinct cochains each decide once (hashing a
-cochain costs about as much as the check).  ``closed_vector_cochain``
-decides a solver's vector so before wrapping it, and keeps the verdict.
+``is_cocycle``, the library's one closedness check (``classify`` calls it
+too), decides it on the first call and keeps the verdict on the cochain,
+never setting it from how the cochain was built.  Equal but distinct
+cochains each decide once (hashing a cochain costs about as much as the
+check).  ``closed_vector_cochain`` decides a solver's vector so before
+wrapping it, and keeps the verdict.
 
 A cochain stores integer numerators: one x in [1, M) per nonzero tuple at
 its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
@@ -54,7 +57,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import (
@@ -576,44 +579,40 @@ class CohomologyGroup:
 
     ``invariant_factors`` is the ascending divisibility chain (entries > 1);
     ``generators[i]`` is a U(1)-valued cocycle of order exactly
-    ``invariant_factors[i]`` with classify(generators[i]) = e_i.
+    ``invariant_factors[i]`` with classify(generators[i]) = e_i.  U(1) is
+    divisible, so H^n(G; U(1)) = Hom(H_n(G; Z), U(1)) and a class is read
+    by pairing with integral n-cycles.  The group keeps, per invariant
+    factor, one part (p^e, k^-1 mod p^e, w) per prime p: w = d*z for an
+    integral n-cycle z whose class has order d = p^e * k, as a sparse
+    {tuple: int} dict.
     """
 
-    def __init__(self, group, degree, invariant_factors, generators, data):
+    def __init__(self, group, degree, invariant_factors, generators, slots):
         self.group = group
         self.degree = degree
         self.invariant_factors = invariant_factors
         self.generators = generators
-        self._data = data
+        self._slots = slots
 
     def classify(self, c: Cochain):
         """Coefficient vector of [c] on the generators, mod the factors.
 
         Additive, kills coboundaries; raises NotACocycle if c is not closed
-        over Q/Z.
+        over Q/Z (``is_cocycle``).  A part reads sum(w_t x_t) / M on c's
+        numerators x at its modulus M, an integer d<c, z> as c is closed,
+        times k^-1 mod p^e; a factor's parts combine by CRT.
         """
-        if c.group != self.group or c.degree != self.degree:
+        if (c.group, c.degree, c.loops) != (self.group, self.degree, 0):
             raise DegreeMismatch("cochain does not match this cohomology")
-        d = self._data
-        den = c.denominator()
-        vec = cochain_vector(c, d["index_n"], scale_to=den)
-        # the Bockstein delta(c)/den in kernel coordinates, as a mat-vec over
-        # the rows of delta_n that cohomology() projected there (its pivot
-        # rows vanish, and the projection is unimodular, so closedness over
-        # Q/Z is divisibility of these entries by den)
-        fc_vec = []
-        for row in d["x_rows"]:
-            v = sum([a * vec[j] for j, a in row.items()])
-            if v % den:
-                raise NotACocycle("cochain is not closed over Q/Z")
-            fc_vec.append(v // den)
-        y = SparseElimination.apply_row_ops(d["row_ops"], fc_vec)
+        if not is_cocycle(c):
+            raise NotACocycle("cochain is not closed over Q/Z")
+        get, m = c._nums.get, c.modulus
         out = []
-        for parts in d["slots"]:
+        for parts in self._slots:
             residue, mod = 0, 1
-            for _p, pe, pos, mult in parts:
-                comp = y[d["pivot_rows"][pos]] * pow(mult, -1, pe) % pe
-                residue, mod = _crt_pair(residue, mod, comp, pe)
+            for pe, inv, w in parts:
+                pairing = sum([v * get(t, 0) for t, v in w.items()]) // m
+                residue, mod = _crt_pair(residue, mod, pairing * inv % pe, pe)
             out.append(residue)
         return tuple(out)
 
@@ -638,10 +637,13 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
 
     Two exact sparse eliminations: the kernel of the integral bar
     differential on generator-led rows, then delta_n projected into kernel
-    coordinates, whose diagonal pivots give the torsion.  Each torsion
-    generator f of order d gets a U(1) representative a/d from an integral
-    witness delta(a) = d*f read off the second elimination's column log,
-    and every generator is checked to classify as its unit vector.
+    coordinates, X, with U X V = D.  The torsion pivots (r, c, d) of D give
+    the factors.  Each torsion generator of order d gets a U(1)
+    representative a/d from an integral witness delta(a) = d*f read off
+    V's column log, and each pivot the integral n-cycle u_r X / d from row
+    r of U.  The check trusts neither log: the generators are closed, the
+    cycles are integral with zero boundary, and each generator classifies
+    as its unit vector.
 
     Results are memoized in-process per (group, degree), for the
     COHOMOLOGY_GROUP_MEMO_SIZE most recently used keys;
@@ -661,7 +663,7 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
                                                c._nums.items())
                       for c in generators]
     return CohomologyGroup(group, n, list(h.invariant_factors),
-                           list(generators), h._data)
+                           list(generators), h._slots)
 
 
 def _cohomology(group, n):
@@ -687,63 +689,57 @@ def _cohomology(group, n):
     if len(elim_x.pivots) != len(free):
         raise VerificationFailed("unexpected free part in group cohomology")
 
-    # raw cyclic summands -> canonical invariant factors (per-prime slots)
-    raw_orders = [abs(d) for _r, _c, d in elim_x.pivots]
-    primary = {}  # prime -> [(exponent, pivot position, cofactor)], desc
-    for pos, d in enumerate(raw_orders):
-        if d <= 1:
+    # cycles: X delta_{n-1} = 0, so a torsion pivot (r, c, d) gives
+    # w = u_r X = d (row c of V^-1), d times an integral n-cycle
+    tuples, cycles = list(index_n.all()), {}
+    primary = {}  # prime -> [(prime power, pivot position, cofactor)]
+    for pos, (r, _c, d) in enumerate(elim_x.pivots):
+        if abs(d) <= 1:
             continue
-        for p, e in _factor(d).items():
-            primary.setdefault(p, []).append((e, pos, d // p**e))
-    for p in primary:
-        primary[p].sort(reverse=True)
-    nslots = max((len(v) for v in primary.values()), default=0)
-    slots = []
-    for t in range(nslots):
-        parts = []
-        for p in sorted(primary):
-            lst = primary[p]
-            if t < len(lst):
-                e, pos, mult = lst[t]
-                parts.append((p, p**e, pos, mult))
-        slots.append(parts)
-    slots.reverse()  # ascending divisibility chain
-    factors = []
-    for parts in slots:
-        f = 1
-        for _p, pe, _pos, _mult in parts:
-            f *= pe
-        factors.append(f)
+        w = {}
+        for i, u in elim_x._row_of_u(r).items():
+            for j, a in x_rows[i].items():
+                w[j] = w.get(j, 0) + u * a
+        w = cycles[pos] = {tuples[j]: v for j, v in w.items() if v}
+        boundary = {}
+        for t, v in w.items():
+            for j, f in enumerate(_delta_faces(group, t)):
+                if f is not None:
+                    boundary[f] = boundary.get(f, 0) + (-v if j % 2 else v)
+        if any(v % d for v in w.values()) or any(boundary.values()):
+            raise VerificationFailed(f"pivot {pos} gives no integral cycle")
+        for p, e in _factor(abs(d)).items():
+            primary.setdefault(p, []).append((p**e, pos, abs(d) // p**e))
 
-    # Bockstein witnesses: with U X V = D for X = x_rows, a pivot (r, c, d)
-    # gives delta(V e_c) = d g_r, g_r the raw generator at row r (delta_n
-    # has no pivot coordinates in elim_b's basis), so a below has
-    # delta(a) = d_slot * sum(mult * g_r) over the slot's prime parts
+    # raw cyclic summands -> canonical invariant factors: slot t takes the
+    # t-th largest power of each prime
+    for ranked in primary.values():
+        ranked.sort(reverse=True)
+    nslots = max(map(len, primary.values()), default=0)
+    slots = [[ranked[t] for _p, ranked in sorted(primary.items())
+              if t < len(ranked)]
+             for t in reversed(range(nslots))]  # ascending divisibility chain
+    factors = [prod(pe for pe, _pos, _mult in parts) for parts in slots]
+
+    # Bockstein witnesses: a pivot (r, c, d) gives delta(V e_c) = d g_r, g_r
+    # the raw generator at row r (delta_n has no pivot coordinates in
+    # elim_b's basis), so a below has delta(a) = d_slot * sum(mult * g_r)
+    # over the slot's prime parts
     generators = []
     for d_slot, parts in zip(factors, slots):
         e = [0] * index_n.size
-        for _p, pe, pos, _mult in parts:
+        for pe, pos, _mult in parts:
             _r, c, d = elim_x.pivots[pos]
             e[c] += d_slot // pe if d > 0 else -(d_slot // pe)
         a = elim_x.apply_col_ops(e)
-        generators.append(vector_cochain(index_n, [v % d_slot for v in a],
-                                         d_slot))
+        generators.append(closed_vector_cochain(
+            index_n, [v % d_slot for v in a], d_slot))
 
-    data = {
-        "index_n": index_n,
-        "x_rows": x_rows,
-        "row_ops": elim_x.row_ops,
-        "pivot_rows": [r for r, _c, _d in elim_x.pivots],
-        "slots": slots,
-    }
-    h = CohomologyGroup(group, n, factors, generators, data)
+    h = CohomologyGroup(group, n, factors, generators, [
+        [(pe, pow(mult, -1, pe), cycles[pos]) for pe, pos, mult in parts]
+        for parts in slots])
     for i, gen in enumerate(generators):
-        unit = tuple(int(i == j) for j in range(len(generators)))
-        try:
-            ok = h.classify(gen) == unit
-        except NotACocycle:
-            ok = False
-        if not ok:
+        if h.classify(gen) != tuple(int(i == j) for j in range(len(factors))):
             raise VerificationFailed(f"generator {i} does not classify as e_{i}")
     return h
 

@@ -255,10 +255,10 @@ class SparseElimination:
     @staticmethod
     def apply_row_ops(row_ops, b):
         """U b for the row transform U logged in ``row_ops``, packed as runs
-        or a plain log of triples, grouped into runs here (a caller may keep
-        the log without the elimination).  No op of a run writes its source
-        row j, so b_j is read once per run, and a run with b_j = 0, which
-        would add q * 0 throughout, is skipped."""
+        or a plain log of triples (``pack`` keeps one whose entries need
+        more than 64 bits), grouped into runs here.  No op of a run writes
+        its source row j, so b_j is read once per run, and a run with
+        b_j = 0, which would add q * 0 throughout, is skipped."""
         if not isinstance(row_ops, _RowRuns):
             row_ops = _RowRuns.group(row_ops)
         b = list(b)

@@ -16,9 +16,12 @@ from dwkit.anomalies import (
 from dwkit.cochains import (
     Cochain,
     TupleIndex,
+    _crt_pair,
     _delta_faces,
+    _factor,
     all_tuples,
     coboundary_agrees,
+    cochain_vector,
     delta_matrix_rows,
     interval_pairing,
     is_cocycle,
@@ -626,3 +629,62 @@ def pauli_h3_duality_certificate():
                 z[j] = z.get(j, 0) + u * a
         cycles.append({j: v // d for j, v in z.items() if v})
     return cochains, cycles
+
+
+def row_log_classifier(group, n):
+    """(invariant factors, classify) of H^n(G; U(1)) read off U's row log,
+    a reference for ``CohomologyGroup.classify`` built from its own runs of
+    ``cohomology``'s two eliminations: elim_b, the kernel of delta_{n+1} on
+    generator-led rows, and elim_x, U X V = D for X the rows of delta_n in
+    elim_b's kernel coordinates.
+
+    classify(c) forms X c~/den as a mat-vec (c = c~/den, den its
+    denominator; NotACocycle unless every entry divides by den), replays
+    elim_x's row log on it, and reads U X c~/den at the torsion pivot rows.
+    The per-prime slots (cofactor inverted mod p^e) and the CRT step then
+    give the coordinates on the invariant factors.
+    """
+    index_n, index_k = TupleIndex(group, n), TupleIndex(group, n + 1)
+    elim_b = SparseElimination(
+        delta_matrix_rows(index_k, group.generators()), index_k.size).eliminate()
+    coords = elim_b.col_coords_rows(delta_matrix_rows(index_n))
+    x_rows = [dict(sorted(coords[f].items())) for f in elim_b.free_cols]
+    elim_x = SparseElimination(x_rows, index_n.size).eliminate()
+    primary = {}  # prime -> [(exponent, pivot position, cofactor)]
+    for pos, (_r, _c, d) in enumerate(elim_x.pivots):
+        if abs(d) > 1:
+            for p, e in _factor(abs(d)).items():
+                primary.setdefault(p, []).append((e, pos, abs(d) // p**e))
+    for ranked in primary.values():
+        ranked.sort(reverse=True)
+    slots = []  # built descending, then reversed
+    for t in range(max(map(len, primary.values()), default=0)):
+        parts = []
+        for p in sorted(primary):
+            if t < len(primary[p]):
+                e, pos, mult = primary[p][t]
+                parts.append((p**e, elim_x.pivots[pos][0], mult))
+        slots.append(parts)
+    slots.reverse()
+    factors = [lcm(*(pe for pe, _r, _m in parts)) for parts in slots]
+
+    def classify(c):
+        den = c.denominator()
+        vec = cochain_vector(c, index_n, scale_to=den)
+        xc = []
+        for row in x_rows:
+            v = sum(a * vec[j] for j, a in row.items())
+            if v % den:
+                raise NotACocycle("cochain is not closed over Q/Z")
+            xc.append(v // den)
+        y = SparseElimination.apply_row_ops(elim_x.row_ops, xc)
+        out = []
+        for parts in slots:
+            residue, mod = 0, 1
+            for pe, r, mult in parts:
+                residue, mod = _crt_pair(residue, mod,
+                                         y[r] * pow(mult, -1, pe) % pe, pe)
+            out.append(residue)
+        return tuple(out)
+
+    return factors, classify

@@ -297,6 +297,10 @@ def test_extension_validation():
         Extension(z2, z4, z2, iota, lam, (0, 2))
     with pytest.raises(SectionNotValid):
         Extension(z2, z4, z2, iota, lam, (1, 3))
+    # -1 would index Ghat's last element, which lambda maps to 1
+    for section in ((0, 9), (0, -1)):
+        with pytest.raises(SectionNotValid, match="values in Ghat"):
+            Extension(z2, z4, z2, iota, lam, section)
 
 
 def test_carry_cocycle_builds_cyclic_group():

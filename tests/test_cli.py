@@ -228,10 +228,18 @@ def test_anomaly_exit_codes(capsys, tmp_path):
     assert is_cocycle(lift)
 
 
-@pytest.mark.parametrize("field, image", [("iota", [0, 9]),
-                                          ("lambda", [0, 1, 0, 5])])
+@pytest.mark.parametrize("field, image, reason", [
+    pytest.param("iota", [0, 9], "iota is malformed", id="iota-image0"),
+    pytest.param("lambda", [0, 1, 0, 5], "lambda is malformed",
+                 id="lambda-image1"),
+    pytest.param("section", [0, 9], "section must take values in Ghat",
+                 id="section-image2"),
+    pytest.param("section", [1, 1], "section must be normalized",
+                 id="section-image3"),
+    pytest.param("iota", [0, 0], "iota must be injective", id="iota-image4"),
+])
 def test_extension_map_outside_its_target_ends_in_an_error_line(
-        capsys, tmp_path, field, image):
+        capsys, tmp_path, field, image, reason):
     path = tmp_path / "ext.json"
     path.write_text(json.dumps(
         dict(extension_json(z2_in_z4_extension()), **{field: image})))
@@ -239,7 +247,7 @@ def test_extension_map_outside_its_target_ends_in_an_error_line(
         capsys, "anomaly", "--extension", str(path), "--cocycle", "omega1",
     )
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {field} is malformed") and err.count("\n") == 1
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
 
 
 def test_anomaly_rejects_degree_one_cocycle(capsys, tmp_path):

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from support import (
     reference_multiple,
     reference_pullback,
     reference_rhs,
+    row_log_classifier,
     torus_fundamental_cycle,
 )
 from test_anomalies import doubling_extension, z2_in_z4_extension
@@ -332,6 +334,81 @@ def test_classify_rejects_non_cocycles():
     if not is_cocycle(c):
         with pytest.raises(NotACocycle):
             coh.classify(c)
+
+
+def test_classify_rejects_a_loop_groupoid_cochain():
+    k4 = product_group([2, 2])
+    h2 = cohomology(k4, 2)
+    assert h2.invariant_factors == [2]
+    for theta in cohomology(k4, 3).generators:
+        loop = transgress_circle(theta)
+        assert (loop.degree, loop.loops) == (2, 1) and is_cocycle(loop)
+        with pytest.raises(DegreeMismatch):
+            h2.classify(loop)
+
+
+# every (group, degree) whose cohomology the tier-1 tests compute, then the
+# keys of the bench cohomology workload that are not among them
+_CLASSIFY_KEYS = [
+    ("Z2", 2), ("Z2", 3), ("Z3", 2), ("Z3", 3),
+    ("Z2xZ2", 1), ("Z2xZ2", 2), ("Z2xZ2", 3), ("Z2xZ2", 4),
+    ("Z4", 1), ("Z4", 2), ("Z4", 3), ("Z4", 4),
+    ("D6", 1), ("D6", 2), ("D6", 3), ("Z2xZ3", 2), ("Z2xZ3", 3),
+    ("D8", 1), ("D8", 2), ("D8", 3), ("Z2xZ2xZ2", 1), ("Z2xZ2xZ2", 2),
+    ("Z2xZ4", 2), ("Z8", 2), ("Z3xZ3", 2), ("Z2xZ5", 2), ("Z2xZ5", 3),
+    ("Z2xZ6", 2), ("Z3xZ4", 2), ("Z4xZ4", 2), ("pauli", 1), ("pauli", 2),
+    ("Z6", 3), ("Z8", 3), ("Z2xZ2xZ2", 3), ("Z4xZ2", 3), ("Z3xZ3", 3),
+]
+
+
+@functools.cache
+def _labelled_group(label):
+    """The group a label names: pauli, D<order>, Z<n>, or Z<a>xZ<b>..."""
+    if label == "pauli":
+        return pauli_group()
+    if label.startswith("D"):
+        return dihedral_group(int(label[1:]))
+    sizes = [int(z) for z in label[1:].split("xZ")]
+    return product_group(sizes) if len(sizes) > 1 else cyclic_group(sizes[0])
+
+
+@functools.cache
+def _row_log_reference(label, n):
+    return row_log_classifier(_labelled_group(label), n)
+
+
+@pytest.mark.parametrize("label, n", _CLASSIFY_KEYS,
+                         ids=[f"{g}-H{n}" for g, n in _CLASSIFY_KEYS])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_classify_matches_the_row_log_reading(label, n, data):
+    """A generator combination plus a coboundary, at its own modulus or a
+    multiple, classifies as its coefficients, as the U-log reference reads;
+    adding a random cochain, both classify alike or both raise NotACocycle
+    (the reference from its own closedness test)."""
+    group = _labelled_group(label)
+    factors, reference = _row_log_reference(label, n)
+    h = cohomology(group, n)
+    assert h.invariant_factors == factors
+    coeffs = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
+    c = Cochain.zero(group, n)
+    for k, gen in zip(coeffs, h.generators):
+        c = c + gen * k
+    modulus = lcm(1, *factors) * data.draw(st.sampled_from([1, 2, 3, 4]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    c = c + coboundary(random_cochain(group, n - 1, modulus,
+                                      random.Random(seed)))
+    if data.draw(st.booleans()):
+        big = c.modulus * data.draw(st.integers(2, 5))
+        c = Cochain._from_numerators(group, n, big, c.numerators(big).items())
+    assert h.classify(c) == reference(c) == coeffs
+    other = c + random_cochain(group, n, modulus, random.Random(seed + 1))
+    if is_cocycle(other):
+        assert h.classify(other) == reference(other)
+    else:
+        for read in (h.classify, reference):
+            with pytest.raises(NotACocycle):
+                read(other)
 
 
 def test_solve_coboundary():
@@ -792,6 +869,61 @@ def test_corrupted_witness_log_fails_verification_under_optimize():
     )
     assert done.stdout.splitlines() == [
         "1", "VerificationFailed", "VerificationFailed",
+    ]
+
+
+# cohomology runs whose elim_x row log (the source of the cycles) lost, or
+# had negated, the first op that writes a torsion pivot row; the cycle
+# self-check must turn the bad cycles (here: not divisible by their pivot)
+# into VerificationFailed under -O
+_CORRUPTED_CYCLE_RUN = """
+import sys
+import dwkit.cochains as C
+from dwkit.errors import VerificationFailed
+from dwkit.groups import dihedral_group
+
+def drop(ops, k):
+    del ops[k]
+
+def negate(ops, k):
+    i, j, q = ops[k]
+    ops[k] = (i, j, -q)
+
+def corrupting(corrupt):
+    class CorruptsXRowOps(SparseElimination):
+        def eliminate(self):
+            super().eliminate()
+            if self.ncols == 7 ** 3:  # delta_3 of D8 in kernel coordinates
+                torsion = {r for r, _c, d in self.pivots if abs(d) > 1}
+                ops = list(self.row_ops)
+                corrupt(ops, next(k for k, (i, _j, _q) in enumerate(ops)
+                                  if i in torsion))
+                self.row_ops = ops
+            return self
+    return CorruptsXRowOps
+
+SparseElimination = C.SparseElimination
+print(sys.flags.optimize)
+for corrupt in (drop, negate):
+    C.SparseElimination = corrupting(corrupt)
+    C.cohomology.cache_clear()
+    try:
+        C.cohomology(dihedral_group(8), 3)
+    except VerificationFailed as exc:
+        print(exc)
+"""
+
+
+def test_corrupted_cycle_log_fails_verification_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_CYCLE_RUN],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines() == [
+        "1", "pivot 299 gives no integral cycle",
+        "pivot 299 gives no integral cycle",
     ]
 
 
