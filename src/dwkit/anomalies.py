@@ -46,7 +46,6 @@ from operator import neg
 from .cochains import (
     Cochain,
     TupleIndex,
-    _lead_delta,
     all_tuples,
     check_cohomology_budget,
     closed_vector_cochain,
@@ -214,7 +213,7 @@ class Extension:
         TupleIndex(D, n) of each tuple's image, in the order of ``all()``;
         built on first use and kept beside alpha(g)."""
         if (g, n) not in self._acted:
-            index, a = TupleIndex(self.kernel, n), self.action(g)
+            index, a = TupleIndex.of(self.kernel, n), self.action(g)
             pos = index.positions
             self._acted[g, n] = [pos[tuple(map(a, t))] for t in index.all()]
         return self._acted[g, n]
@@ -349,7 +348,7 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
 
     # columns: c_g for g != 1 in blocks of idx_c, then b_{g1,g2} per pair
     gens = d_grp.generators()
-    idx_c, idx_b = TupleIndex(d_grp, n - 1), TupleIndex(d_grp, n - 2)
+    idx_c, idx_b = TupleIndex.of(d_grp, n - 1), TupleIndex.of(d_grp, n - 2)
     block = {g: k * idx_c.size for k, g in enumerate(g_grp.nonidentity())}
     off_b = len(block) * idx_c.size
     lead = list(idx_b.rows(gens))
@@ -366,10 +365,8 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
             vec[inv[mul(g1, g2)]], sl[s])]
             for (g1, g2), s in zip(pairs, sigmas)], m
 
-    delta_c, delta_b = _lead_delta(d_grp, n - 1), _lead_delta(d_grp, n - 2)
-
     def closed(u, m):
-        return not any(map(m.__rmod__, delta_c(u)))
+        return not any(map(m.__rmod__, idx_c.lead_delta(u)))
 
     us, m_u = obstructions(phis, 1)
     if not all(closed(u, m_u) for u in us):
@@ -401,11 +398,11 @@ def is_first_obstruction_trivial(ext: Extension, omega: Cochain, phis):
         corrected = dict(phis)
         for g, off in block.items():
             corrected[g] = phis[g] + closed_vector_cochain(
-                idx_c, x[off:off + idx_c.size], m)
+                idx_c, x[off:off + idx_c.size], m, d_grp)
         us, m_u = obstructions(corrected, m)
         for p, u in enumerate(us):
             off = off_b + p * idx_b.size
-            db = delta_b(x[off:off + idx_b.size])
+            db = idx_b.lead_delta(x[off:off + idx_b.size])
             if not closed(u, m_u) or any((m_u // m * v - u[pos_c[t]]) % m_u
                                          for v, t in zip(db, lead)):
                 raise VerificationFailed("corrected obstruction must be delta b")
@@ -443,14 +440,14 @@ def find_closed_lift(ext: Extension, omega: Cochain):
         raise NotACocycle("lifting is a statement about cocycles")
     ghat, n = ext.total, omega.degree
     gens = ghat.generators()
-    index = TupleIndex(ghat, n)
+    index = TupleIndex.of(ghat, n)
 
     def build():
         rows = delta_matrix_rows(index, gens)
         return rows + _restriction_rows(ext, n, index), index.size
 
     def finish(sol):
-        omegahat = closed_vector_cochain(index, *sol)
+        omegahat = closed_vector_cochain(index, *sol, ghat)
         if pullback(ext.iota, omegahat) != omega:
             raise VerificationFailed("solver output must restrict")
         return omegahat
@@ -484,8 +481,8 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
     n = omega.degree
     ghat, g_grp = ext.total, ext.quotient
     gens_hat, gens = ghat.generators(), g_grp.generators()
-    idx_x = TupleIndex(ghat, n)
-    idx_y = TupleIndex(g_grp, n + 1)
+    idx_x = TupleIndex.of(ghat, n)
+    idx_y = TupleIndex.of(g_grp, n + 1)
     off = idx_x.size
 
     def build():
@@ -505,8 +502,8 @@ def find_boundary_pair(ext: Extension, omega: Cochain):
 
     def finish(sol):
         x, m = sol
-        omega_p = vector_cochain(idx_x, x[:off], m)
-        theta = vector_cochain(idx_y, x[off:], m)
+        omega_p = vector_cochain(idx_x, x[:off], m, ghat)
+        theta = vector_cochain(idx_y, x[off:], m, g_grp)
         if pullback(ext.iota, omega_p) != omega:
             raise VerificationFailed("solver output must restrict to omega")
         if not _is_boundary_pair(ext, omega_p, theta):

@@ -28,11 +28,12 @@ delta c~ mod den is a Z/den-cocycle (delta delta c~ = 0 over Z).  Hence
 same holds for delta c = y with y closed, since delta c - y is then a cocycle
 (``coboundary_agrees``); only ``coboundary`` builds every tuple.  The faces of
 the generator-led tuples depend only on (group, degree, loops), so their
-column indices are kept per key as integer arrays and each check is a signed
-sum of gathers from c~.  The rows of every elimination system
-(``delta_matrix_rows``) are read off the same arrays, built for that system
-and not kept.  Every column index is a position in ``TupleIndex.positions``,
-the one map from tuples to positions.
+column indices are kept as integer arrays on the memoized index of that key
+(``TupleIndex.of``) and each check is a signed sum of gathers from c~
+(``_apply_faces``, which also does the torus and transgression sums).  The
+rows of every elimination system (``delta_matrix_rows``) are read off the
+same arrays, built for that system and not kept.  Every column index is a
+position in ``TupleIndex.positions``, the one map from tuples to positions.
 
 A cochain is immutable, so its closedness is a fact about the object:
 ``is_cocycle``, the library's one closedness check (``classify`` calls it
@@ -56,9 +57,10 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import cached_property
+from collections import defaultdict
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .errors import (
     BudgetExceeded,
@@ -82,9 +84,9 @@ BAR_MATRIX_NNZ_BUDGET = 2**22
 # the cohomology workload asks for 17 (group, degree) keys, once each
 COHOMOLOGY_GROUP_MEMO_SIZE = 64
 _cohomology_groups = _Memo(COHOMOLOGY_GROUP_MEMO_SIZE)
-# an anomaly pass asks for 27 (group, degree, loops) keys in about 645 calls
-FACE_MEMO_SIZE = 64
-_face_tables = _Memo(FACE_MEMO_SIZE)
+# a cohomology pass asks for 30 (group, degree, loops) keys in about 180 calls
+INDEX_MEMO_SIZE = 64
+_tuple_indices = _Memo(INDEX_MEMO_SIZE)
 _verdict_counts = [0, 0]  # is_cocycle's [hits, misses]
 
 
@@ -240,9 +242,12 @@ def all_tuples(group, n):
 class TupleIndex:
     """Dense base-major indexing of X_m x (G minus 1)^n (see Cochain).
 
-    ``positions`` is the {tuple: position} table of every indexed tuple,
-    in the order of ``all()``, built on first use and kept with the index;
-    it is the one map from tuples to positions.
+    ``TupleIndex.of(group, n, loops)`` is the index of that key, memoized
+    for the INDEX_MEMO_SIZE most recently used keys (equal groups share
+    one; ``TupleIndex.cache_info()``).  Each table below depends only on
+    the key, and is built on first use and kept with the index:
+    ``positions``, the one map from tuples to positions (the order of
+    ``all()``), and the gather tables that ``_apply_faces`` sums.
     """
 
     def __init__(self, group, n, loops=0):
@@ -254,9 +259,61 @@ class TupleIndex:
         self.bases = gauge_groupoid(group, loops).objects() if loops else [()]
         self.size = len(self.bases) * self.radix**n
 
+    @classmethod
+    def of(cls, group, n, loops=0):
+        return _tuple_indices.get((group, n, loops), lambda: cls(group, n, loops))
+
+    cache_info = _tuple_indices.cache_info
+    cache_clear = _tuple_indices.cache_clear
+
     @cached_property
     def positions(self):
         return {t: i for i, t in enumerate(self.all())}
+
+    @cached_property
+    def lead_faces(self):
+        """({generator: its place in group.generators()}, face columns of
+        the generator-led rows of delta on this index)."""
+        gens = self.group.generators()
+        return {s: i for i, s in enumerate(gens)}, _face_columns(self, gens)
+
+    def lead_delta(self, vec):
+        """delta of the integer vector vec, on the generator-led rows."""
+        return _apply_faces(self.lead_faces[1], [*vec, 0])
+
+    @cached_property
+    def torus_columns(self):
+        """On the index of (G, 0, n), whose tuples t are the commuting
+        n-tuples: (signs, columns), column i the position of each t o s for
+        the i-th permutation s (None for the identity, first), signs the
+        later sign(s)."""
+        perms = _signed_permutations(self.loops)[1:]
+        position = self.positions.__getitem__
+        cols = [None] + [
+            array("l", map(position, map(itemgetter(*perm), self.bases)))
+            for _sign, perm in perms]
+        return [sign for sign, _perm in perms], cols
+
+    @cached_property
+    def transgression(self):
+        """On the index of (G, k, m), k >= 1: (faces, columns, rows) of
+        circle transgression (``transgress_circle``), the rows base-major,
+        the distinct faces, and per face i the place of each row's face i
+        among them."""
+        g, degree, loops = self.group, self.n, self.loops
+        position, rows = defaultdict(itertools.count().__next__), []
+        cols = [array("l") for _ in range(degree)]
+        for base in gauge_groupoid(g, loops + 1).objects():
+            phi, loop = base[:-1], base[-1]
+            for args in itertools.product(self.nonid, repeat=degree - 1):
+                row = base + args  # face 0: the loop carried past no arg
+                rows.append(row)
+                cols[0].append(position[row])
+                carried = loop
+                for i in range(1, degree):
+                    carried = g.conjugate(g.inverses[args[i - 1]], carried)
+                    cols[i].append(position[phi + args[:i] + (carried,) + args[i:]])
+        return list(position), cols, rows
 
     def all(self):
         args = itertools.product(self.nonid, repeat=self.n)
@@ -314,27 +371,35 @@ def _face_columns(index, first_args=None):
     return cols
 
 
-def _apply_faces(cols, vec):
-    """delta of the integer vector vec (its zero slot appended) over the
-    rows of ``cols``, as an iterator."""
-    acc = map(vec.__getitem__, cols[0])
-    for j in range(1, len(cols)):
-        acc = map(sub if j % 2 else add, acc, map(vec.__getitem__, cols[j]))
+def _apply_faces(cols, vec, signs=None):
+    """The sum over j of sign_j * (vec gathered at cols[j]), as an
+    iterator: sign_0 = 1, then ``signs`` (default -1, 1, -1, ..., which
+    gives delta of vec, its zero slot appended, over the rows of cols).
+    A first column None stands for the identity gather, vec itself."""
+    at = vec.__getitem__
+    acc = iter(vec) if cols[0] is None else map(at, cols[0])
+    for sign, col in zip(signs or itertools.cycle((-1, 1)), cols[1:]):
+        acc = map(add if sign > 0 else sub, acc, map(at, col))
     return acc
 
 
-def _generator_faces(group, n, loops):
-    """(index, generator positions, face columns) of the generator-led
-    rows of delta on n-cochains."""
-    index = TupleIndex(group, n, loops)
-    gens = group.generators()
-    return index, {s: i for i, s in enumerate(gens)}, _face_columns(index, gens)
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """(sign, permutation) for every permutation of range(n), identity
+    first."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        out.append(((-1) ** inversions, perm))
+    return tuple(out)
 
 
 def coboundary(c):
     """The bar differential (trivial coefficients), degree n -> n+1."""
     g, n, m = c.group, c.degree, c.loops
-    index = TupleIndex(g, n, m)
+    index = TupleIndex.of(g, n, m)
     vec = cochain_vector(c, index, scale_to=c.modulus) + [0]
     acc = _apply_faces(_face_columns(index), vec)
     return Cochain._from_numerators(g, n + 1, c.modulus, zip(index.rows(), acc),
@@ -346,9 +411,7 @@ def coboundary_agrees(c, y=None):
 
     For a closed y, delta c - y is a cocycle, so this decides delta c == y
     exactly (module docstring); a caller proves y closed first.  The face
-    columns come from a memo per (group, degree, loops) of the
-    FACE_MEMO_SIZE most recently used keys;
-    ``coboundary_agrees.cache_info()`` counts its hits and misses.
+    columns are ``TupleIndex.of(group, degree, loops).lead_faces``.
     """
     g, n, m = c.group, c.degree, c.loops
     den = c.denominator()
@@ -356,7 +419,8 @@ def coboundary_agrees(c, y=None):
         if (y.group, y.degree, y.loops) != (g, n + 1, m):
             return False
         den = lcm(den, y.denominator())
-    index, lead, cols = _face_tables.get((g, n, m), lambda: _generator_faces(g, n, m))
+    index = TupleIndex.of(g, n, m)
+    lead, cols = index.lead_faces
     acc = _apply_faces(cols, cochain_vector(c, index, scale_to=den) + [0])
     if y is not None:
         # row of base + (s, rest) is (base, s, rest) in mixed radix
@@ -368,17 +432,6 @@ def coboundary_agrees(c, y=None):
                 b, rest = divmod(pos[t[:m] + t[m + 1:]], tail)
                 acc[(b * len(lead) + k) * tail + rest] -= w
     return not any(map(den.__rmod__, acc))
-
-
-def _lead_delta(group, n, loops=0):
-    """vec -> delta vec on TupleIndex(group, n, loops), generator-led rows."""
-    cols = _face_tables.get((group, n, loops),
-                            lambda: _generator_faces(group, n, loops))[2]
-    return lambda vec: _apply_faces(cols, [*vec, 0])
-
-
-coboundary_agrees.cache_info = _face_tables.cache_info
-coboundary_agrees.cache_clear = _face_tables.cache_clear
 
 
 def is_cocycle(c):
@@ -396,9 +449,20 @@ def is_cocycle(c):
 is_cocycle.cache_info = lambda: _CacheInfo(*_verdict_counts, None, None)
 
 
+def _check_group_cochain(c, group=None):
+    """The check of every entry point that reads c's tuples as group tuples:
+    DegreeMismatch unless loops = 0, ValueError if c is not on ``group``."""
+    if c.loops:
+        raise DegreeMismatch(
+            f"need a group cochain, got one on the {c.loops}-fold loop groupoid")
+    if group is not None and c.group is not group and c.group != group:
+        raise ValueError("cocycle lives on a different group")
+
+
 def pullback(f: GroupHom, c: Cochain):
     """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized; c itself
     (cochains are immutable) when f is the identity of c's group."""
+    _check_group_cochain(c)
     if f.source == f.target == c.group and f.map == tuple(range(len(f.map))):
         return c
     get, image = c._nums.get, f.map.__getitem__
@@ -415,6 +479,7 @@ def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):
     delta Phi = iota^* omega_hat - kappa^* iota^* omega_hat,
     where kappa is conjugation by ghat (for closed omega_hat).
     """
+    _check_group_cochain(omega_hat)
     ghg = omega_hat.group
     d_grp = iota.source
     n, m = omega_hat.degree, omega_hat.modulus
@@ -526,20 +591,21 @@ def numerators_at(c: Cochain, tuples, den):
     return list(map(c.numerators(den).get, tuples, itertools.repeat(0)))
 
 
-def vector_cochain(index, vec, modulus):
-    """Cochain on ``index`` with values vec[i]/modulus on the indexed tuples."""
-    return Cochain._from_numerators(index.group, index.n, modulus,
+def vector_cochain(index, vec, modulus, group=None):
+    """Cochain on ``group`` (default index.group, which for a memoized index
+    may be an equal group) with values vec[i]/modulus on index's tuples."""
+    return Cochain._from_numerators(group or index.group, index.n, modulus,
                                     zip(index.all(), vec, strict=True),
                                     index.loops)
 
 
-def closed_vector_cochain(index, vec, modulus):
-    """vector_cochain(index, vec, modulus), closed: is_cocycle's test,
-    delta vec = 0 (mod modulus) on generator-led rows, or VerificationFailed."""
-    delta = _lead_delta(index.group, index.n, index.loops)(vec)
-    if any(map(modulus.__rmod__, delta)):
+def closed_vector_cochain(index, vec, modulus, group=None):
+    """vector_cochain(index, vec, modulus, group), closed: is_cocycle's
+    test, delta vec = 0 (mod modulus) on generator-led rows, or
+    VerificationFailed."""
+    if any(map(modulus.__rmod__, index.lead_delta(vec))):
         raise VerificationFailed("solver output must be closed")
-    c = vector_cochain(index, vec, modulus)
+    c = vector_cochain(index, vec, modulus, group)
     object.__setattr__(c, "_closed", True)
     return c
 
@@ -669,7 +735,8 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
 def _cohomology(group, n):
     k = n + 1
     gens = group.generators()
-    index_n = TupleIndex(group, n)
+    # index_k serves this elimination only: kept, it raised peak memory
+    index_n = TupleIndex.of(group, n)
     index_k = TupleIndex(group, k)
 
     # cocycles: kernel of delta_k on the generator-restricted row set
@@ -733,7 +800,7 @@ def _cohomology(group, n):
             e[c] += d_slot // pe if d > 0 else -(d_slot // pe)
         a = elim_x.apply_col_ops(e)
         generators.append(closed_vector_cochain(
-            index_n, [v % d_slot for v in a], d_slot))
+            index_n, [v % d_slot for v in a], d_slot, group))
 
     h = CohomologyGroup(group, n, factors, generators, [
         [(pe, pow(mult, -1, pe), cycles[pos]) for pe, pos, mult in parts]
@@ -766,7 +833,7 @@ def solve_coboundary(y: Cochain):
         raise DegreeMismatch("cannot solve below degree 1")
     if y.is_zero():
         return Cochain.zero(g, n - 1, y.modulus, loops)
-    index = TupleIndex(g, n - 1, loops)
+    index = TupleIndex.of(g, n - 1, loops)
     if not is_cocycle(y):
         return None
     den = y.denominator()
@@ -776,7 +843,7 @@ def solve_coboundary(y: Cochain):
         return delta_matrix_rows(index, gens), index.size
 
     def finish(sol):
-        x = vector_cochain(index, *sol)
+        x = vector_cochain(index, *sol, g)
         if not coboundary_agrees(x, y):
             raise VerificationFailed("solver output must have coboundary y")
         return x

@@ -14,32 +14,28 @@ numerators at its modulus M (``Cochain.numerators``): terms are added as
 ints, a PhaseValue is built only for each distinct residue of a sum, and a
 transgressed cochain is built from its numerators.  Both gather those
 numerators through integer tables that depend only on the group, degree
-and loops, memoized for the KERNEL_MEMO_SIZE most recently used keys;
-``dw_partition_torus.cache_info()`` and ``transgress_circle.cache_info()``
-report that one memo.  A single torus value, as the symmetry action and
-the relative partition function need it, is ``torus_pairing``: the same
-signed permutation sum at one tuple.
+and loops, kept on the memoized ``TupleIndex.of`` of that key
+(``torus_columns``, ``transgression``), and sum them with the signed gather
+of the coboundary checks.  A single torus value, as the symmetry action
+and the relative partition function need it, is ``torus_pairing``: the
+same signed permutation sum at one tuple.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import (
-    count,
-    cycle,
-    permutations,
-    product as iter_product,
-    repeat,
-)
+from itertools import repeat
 from math import factorial, lcm
-from operator import add, itemgetter, sub
 
 from .cochains import (
     Cochain,
+    TupleIndex,
+    _apply_faces,
+    _check_group_cochain,
+    _signed_permutations,
     coboundary_agrees,
     is_cocycle,
     pullback,
@@ -53,14 +49,10 @@ from .errors import (
 )
 from .groupoids import gauge_groupoid
 from .groups import FiniteGroup
-from .linalg import _Memo
 from .phase import PhaseValue
 
 # torus-cycle terms (commuting tuples times n!) one torus table may index
 TORUS_TERM_BUDGET = 10**7
-# an invariants pass asks for 20 torus and transgression keys in 43 calls
-KERNEL_MEMO_SIZE = 64
-_kernel_tables = _Memo(KERNEL_MEMO_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -156,24 +148,6 @@ class TorusPartition:
         return int(self.value)
 
 
-def _check_group(group, cochain):
-    if cochain.group is not group and cochain.group != group:
-        raise ValueError("cocycle lives on a different group")
-
-
-@lru_cache(maxsize=None)
-def _signed_permutations(n):
-    """(sign, permutation) for every permutation of range(n), identity
-    first."""
-    out = []
-    for perm in permutations(range(n)):
-        inversions = sum(
-            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
-        )
-        out.append(((-1) ** inversions, perm))
-    return tuple(out)
-
-
 def torus_pairing(nums, elems):
     """<c, [T^n]> at the commuting holonomies ``elems``, as an integer over
     the modulus at which ``nums`` holds c's numerators
@@ -187,29 +161,19 @@ def torus_pairing(nums, elems):
                for sign, perm in _signed_permutations(len(elems)))
 
 
-def _signed_sum(acc, nums, signed):
-    """acc plus sign * (nums gathered at cols), for each (sign, cols) of
-    ``signed``, as a list."""
-    at = nums.__getitem__
-    for sign, cols in signed:
-        acc = list(map(add if sign > 0 else sub, acc, map(at, cols)))
-    return acc
-
-
 def _torus_residues(theta):
     """Counter {r: how many commuting n-tuples t (n = deg theta) have
     <theta, [T^n_t]> = r / theta.modulus}.
 
     The torus cycle of t is the sum over permutations s of sign(s) t o s,
-    as in ``torus_pairing``, and t o s is again a commuting tuple.  The
-    torus table of (G, n) holds, per non-identity s, (sign(s), the position
-    of each t o s among the tuples of ``gauge_groupoid(G, n)``); a call
-    reads theta's numerators once per tuple and adds the gathered columns.
-    The budget on tuples times n! is checked before the table is looked up
-    or built.  A theta that vanishes on every commuting tuple reads no
-    table, and theta = 0 (untwisted) not its numerators either: each t o s
-    is a commuting tuple, so every pairing is 0 and the sum is
-    |Hom(Z^n, G)| phases 1.
+    as in ``torus_pairing``, and t o s is again a commuting tuple.  A call
+    reads theta's numerators once per tuple of ``gauge_groupoid(G, n)`` and
+    sums them gathered at each t o s, with signs, through the torus table
+    ``TupleIndex.of(G, 0, n).torus_columns``.  The budget on tuples times
+    n! is checked before the index is looked up or built.  A theta that
+    vanishes on every commuting tuple reads no table, and theta = 0
+    (untwisted) not its numerators either: each t o s is a commuting
+    tuple, so every pairing is 0 and the sum is |Hom(Z^n, G)| phases 1.
     """
     group, n, m = theta.group, theta.degree, theta.modulus
     tuples = gauge_groupoid(group, n).objects()
@@ -222,15 +186,8 @@ def _torus_residues(theta):
     nums = list(map(theta.numerators().get, tuples, repeat(0)))
     if not any(nums):
         return Counter({0: len(tuples)})
-
-    def build():
-        position = {t: i for i, t in enumerate(tuples)}.__getitem__
-        return tuple(
-            (sign, array("l", map(position, map(itemgetter(*perm), tuples))))
-            for sign, perm in _signed_permutations(n)[1:])
-
-    signed = _kernel_tables.get(("torus", group, n), build)
-    return Counter(map(m.__rmod__, _signed_sum(nums, nums, signed)))
+    signs, cols = TupleIndex.of(group, 0, n).torus_columns
+    return Counter(map(m.__rmod__, _apply_faces(cols, nums, signs)))
 
 
 def _phase_average(group, residues, modulus, what):
@@ -253,7 +210,7 @@ def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusParti
     objects of the associated category); integrality is checked exactly,
     never rounded.
     """
-    _check_group(group, theta)
+    _check_group_cochain(theta, group)
     if theta.degree != n:
         raise DegreeMismatch(f"need degree {n}, got {theta.degree}")
     if n < 1:
@@ -276,7 +233,7 @@ def twisted_irrep_count(group: FiniteGroup, omega: Cochain) -> int:
     omega(h,g) - omega(g,h); swapping the pair shows this is the 2-torus
     sum of omega.
     """
-    _check_group(group, omega)
+    _check_group_cochain(omega, group)
     if omega.degree != 2:
         raise DegreeMismatch("twisted representations need a 2-cocycle")
     if not is_cocycle(omega):
@@ -292,7 +249,7 @@ def omega_regular_class_count(group: FiniteGroup, omega: Cochain) -> int:
     centralizer of g; this is the classical oracle for the number of
     twisted irreducibles.
     """
-    _check_group(group, omega)
+    _check_group_cochain(omega, group)
     if omega.degree != 2:
         raise DegreeMismatch("regularity is defined for 2-cochains")
     get = omega.numerators().get
@@ -329,9 +286,9 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
 
     Row base + args (base in ``gauge_groupoid(G, m + 1)``, args nonidentity)
     gets the alternating sum of theta on its k faces
-    phi + args[:i] + (carried,) + args[i:].  The table of (G, k, m) holds
-    the rows base-major, the distinct faces, and k arrays of face positions;
-    a call reads theta's numerators once per face and gathers them.
+    phi + args[:i] + (carried,) + args[i:], read through the table of
+    (G, k, m), ``TupleIndex.of(G, k, m).transgression``: a call reads
+    theta's numerators once per distinct face and gathers them.
     """
     if check and not is_cocycle(theta):
         raise NotACocycle("transgression needs a cocycle")
@@ -339,35 +296,11 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
     if degree < 1:
         raise DegreeMismatch("transgression needs degree >= 1")
     g, m, loops = theta.group, theta.modulus, theta.loops
-
-    def build():
-        table, inverses, non_id = g.table, g.inverses, g.nonidentity()
-        position, rows = defaultdict(count().__next__), []
-        cols = [array("l") for _ in range(degree)]
-        for base in gauge_groupoid(g, loops + 1).objects():
-            phi, loop = base[:-1], base[-1]
-            for args in iter_product(non_id, repeat=degree - 1):
-                row = base + args  # face 0: the loop carried past no arg
-                rows.append(row)
-                cols[0].append(position[row])
-                carried = loop
-                for i in range(1, degree):
-                    x = args[i - 1]
-                    carried = table[table[inverses[x]][carried]][x]
-                    cols[i].append(position[phi + args[:i] + (carried,) + args[i:]])
-        return list(position), cols, rows
-
-    faces, cols, rows = _kernel_tables.get(("transgress", g, degree, loops),
-                                           build)
+    faces, cols, rows = TupleIndex.of(g, degree, loops).transgression
     nums = list(map(theta.numerators().get, faces, repeat(0)))
-    acc = _signed_sum(list(map(nums.__getitem__, cols[0])), nums,
-                      zip(cycle((-1, 1)), cols[1:]))
-    return Cochain._from_numerators(g, degree - 1, m, zip(rows, acc),
+    return Cochain._from_numerators(g, degree - 1, m,
+                                    zip(rows, _apply_faces(cols, nums)),
                                     loops + 1)
-
-
-dw_partition_torus.cache_info = transgress_circle.cache_info = _kernel_tables.cache_info
-dw_partition_torus.cache_clear = transgress_circle.cache_clear = _kernel_tables.cache_clear
 
 
 def transgress_torus(theta: Cochain, times=None, check=True) -> Cochain:
@@ -394,6 +327,7 @@ def dpr_double_cocycle(theta: Cochain) -> Cochain:
                  + theta(x, y, (xy)^{-1}g(xy)), a 2-cochain on the loop
     groupoid; serves as an independent cross-check for transgress_circle.
     """
+    _check_group_cochain(theta)
     if theta.degree != 3:
         raise DegreeMismatch("the double cocycle needs a 3-cocycle")
     if not is_cocycle(theta):
@@ -467,7 +401,7 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
     n = theta.degree
     if n < 2:
         raise DegreeMismatch("state spaces need degree >= 2")
-    _check_group(group, theta)
+    _check_group_cochain(theta, group)
     if not is_cocycle(theta):
         raise NotACocycle("state_space_torus needs a cocycle")
     k = n - 1

@@ -12,6 +12,7 @@ from dwkit.anomalies import (
     _ext_sigma,
     cocycle_from_extension,
     extension_from_cocycle,
+    relative_partition_torus,
 )
 from dwkit.cochains import (
     Cochain,
@@ -63,6 +64,20 @@ def random_cochain(group, degree, modulus, rng=None, density=0.5, loops=0):
             if not v.is_zero():
                 vals[t] = v
     return Cochain(group, degree, modulus, vals, loops)
+
+
+def orbifold_torus_sum(ext: Extension, omega_p: Cochain, theta: Cochain):
+    """(1/|G|) * the sum of relative_partition_torus(ext, omega_p, theta,
+    phi) over the commuting n-tuples phi of G (n = deg omega'), read off
+    the table: gauging G in the relative theory, as a pushforward."""
+    g_grp, table = ext.quotient, ext.quotient.table
+    total = 0
+    for phi in itertools.product(g_grp.elements(), repeat=omega_p.degree):
+        if all(table[a][b] == table[b][a] for a in phi for b in phi):
+            value = relative_partition_torus(ext, omega_p, theta, phi).value
+            assert value is not None, f"irrational sector {phi}"
+            total += value
+    return total / g_grp.order
 
 
 def delooping(group: FiniteGroup) -> FinGroupoid:

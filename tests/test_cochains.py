@@ -34,7 +34,7 @@ from test_invariants import klein_in_d8_extension, reference_transgress_circle
 from dwkit import anomalies, cochains
 
 from dwkit.cochains import (
-    FACE_MEMO_SIZE,
+    INDEX_MEMO_SIZE,
     Cochain,
     TupleIndex,
     _crt_pair,
@@ -70,7 +70,15 @@ from dwkit.groups import (
     product_group,
     product_index,
 )
-from dwkit.invariants import dw_partition_torus, transgress_circle, transgress_torus
+from dwkit.invariants import (
+    dpr_double_cocycle,
+    dw_partition_torus,
+    omega_regular_class_count,
+    state_space_torus,
+    transgress_circle,
+    transgress_torus,
+    twisted_irrep_count,
+)
 from dwkit.io import cochain_json, group_json
 from dwkit.phase import PhaseValue
 
@@ -345,6 +353,33 @@ def test_classify_rejects_a_loop_groupoid_cochain():
         assert (loop.degree, loop.loops) == (2, 1) and is_cocycle(loop)
         with pytest.raises(DegreeMismatch):
             h2.classify(loop)
+
+
+def test_group_cochain_entry_points_reject_a_loop_groupoid_cochain():
+    """Every entry point that reads a cochain's tuples as group tuples
+    refuses one on a loop groupoid, rather than dropping its loops."""
+    k4 = product_group([2, 2])
+    swap, ident = GroupHom(k4, k4, [0, 2, 1, 3]), GroupHom.identity(k4)
+    h2 = cohomology(k4, 2)
+    for theta in cohomology(k4, 3).generators:
+        loop = transgress_circle(theta)
+        assert (loop.degree, loop.loops) == (2, 1) and is_cocycle(loop)
+        for call in (lambda: h2.classify(loop),
+                     lambda: pullback(swap, loop),
+                     lambda: pullback(ident, loop),
+                     lambda: interval_pairing(loop, 1, ident),
+                     lambda: dw_partition_torus(k4, loop, 2),
+                     lambda: twisted_irrep_count(k4, loop),
+                     lambda: state_space_torus(k4, loop),
+                     lambda: omega_regular_class_count(k4, loop)):
+            with pytest.raises(DegreeMismatch):
+                call()
+    # the double cocycle reads a degree-3 cochain: one circle below H^4
+    for theta in cohomology(k4, 4).generators:
+        loop = transgress_circle(theta)
+        assert (loop.degree, loop.loops) == (3, 1) and is_cocycle(loop)
+        with pytest.raises(DegreeMismatch):
+            dpr_double_cocycle(loop)
 
 
 # every (group, degree) whose cohomology the tier-1 tests compute, then the
@@ -1019,13 +1054,13 @@ def test_face_and_gauge_memos_count_a_hit_on_a_repeated_call():
     s3 = dihedral_group(6)
     c = random_cochain(s3, 2, 6, random.Random(1), loops=1)
     assert is_cocycle(c) == coboundary(c).is_zero()
-    faces, gauge = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
+    faces, gauge = TupleIndex.cache_info(), gauge_groupoid.cache_info()
     coboundary_agrees(c)
     gauge_groupoid(s3, 1)
-    after = coboundary_agrees.cache_info(), gauge_groupoid.cache_info()
+    after = TupleIndex.cache_info(), gauge_groupoid.cache_info()
     assert [(i.hits, i.misses) for i in after] == [
         (faces.hits + 1, faces.misses), (gauge.hits + 1, gauge.misses)]
-    assert [i.maxsize for i in after] == [FACE_MEMO_SIZE, GAUGE_MEMO_SIZE]
+    assert [i.maxsize for i in after] == [INDEX_MEMO_SIZE, GAUGE_MEMO_SIZE]
     # an invariants pass asks for 85 distinct (group, n): a repeated round
     # of 90 cheap keys is all hits
     keys = [(cyclic_group(m), n) for m in range(1, 31) for n in (0, 1, 2)]
@@ -1052,9 +1087,9 @@ def test_is_cocycle_keeps_its_verdict_on_the_cochain():
     assert is_cocycle(fresh)
     assert _verdict_traffic() == (hits, misses + 1)
     # a repeated call reads the kept verdict and no face table
-    faces = coboundary_agrees.cache_info()
+    faces = TupleIndex.cache_info()
     assert is_cocycle(fresh)
-    assert coboundary_agrees.cache_info() == faces
+    assert TupleIndex.cache_info() == faces
     assert _verdict_traffic() == (hits + 1, misses + 1)
     # a non-closed cochain is rejected on every call
     bad = _bump(fresh, next(iter(TupleIndex(s3, 3).all())), PhaseValue(1, 2))

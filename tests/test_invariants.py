@@ -9,7 +9,9 @@ import pytest
 from support import evaluate, random_cochain, torus_fundamental_cycle
 
 from dwkit.cochains import (
+    INDEX_MEMO_SIZE,
     Cochain,
+    TupleIndex,
     catalog_cocycle,
     coboundary,
     cohomology,
@@ -36,7 +38,6 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import (
-    KERNEL_MEMO_SIZE,
     ExactPhaseSum,
     dpr_double_cocycle,
     drinfeld_double_simple_count,
@@ -243,24 +244,24 @@ def test_torus_term_budget_bounds_every_torus_sum(monkeypatch):
     d8 = dihedral_group(8)
     w = catalog_cocycle("dihedral8_2cocycle", {})
     assert twisted_irrep_count(d8, w) == 2
-    info = dw_partition_torus.cache_info()
+    info = TupleIndex.cache_info()
     # D8 has 40 commuting pairs: 80 terms
     monkeypatch.setattr(invariants, "TORUS_TERM_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
         dw_partition_torus(d8, w, 2)
     with pytest.raises(BudgetExceeded):
         twisted_irrep_count(d8, w)
-    # raised before the table lookup, so the memo saw neither call
-    assert dw_partition_torus.cache_info() == info
+    # raised before the index lookup, so the memo saw neither call
+    assert TupleIndex.cache_info() == info
     with pytest.raises(BudgetExceeded):
         state_space_torus(d8, w)
     monkeypatch.undo()
     # a zero theta is checked too: K4 has 4^7 commuting 7-tuples, 82.6 M terms
     k4 = product_group([2, 2])
-    info = dw_partition_torus.cache_info()
+    info = TupleIndex.cache_info()
     with pytest.raises(BudgetExceeded):
         dw_partition_torus(k4, Cochain.zero(k4, 7), 7)
-    assert dw_partition_torus.cache_info() == info
+    assert TupleIndex.cache_info() == info
 
 
 def builtin_groups_up_to(order):
@@ -297,53 +298,76 @@ def test_untwisted_partition_is_the_commuting_tuple_count():
             want = Fraction(commuting_tuple_count(group, n), group.order)
             for modulus in (1, 4):
                 theta = Cochain.zero(group, n, modulus)
-                info = dw_partition_torus.cache_info()
+                info = TupleIndex.cache_info()
                 got = dw_partition_torus(group, theta, n)
                 # a zero theta neither reads nor builds a torus table
-                assert dw_partition_torus.cache_info() == info
+                assert TupleIndex.cache_info() == info
                 assert got.value == want
                 assert got.phase_sum == torus_reference_sum(group, theta, n)
 
 
-def _kernel_traffic():
-    info = transgress_circle.cache_info()
-    assert dw_partition_torus.cache_info() == info
+def _index_traffic():
+    info = TupleIndex.cache_info()
     return info.hits, info.misses
 
 
 def test_kernel_tables_are_shared_per_group_and_degree():
     z4, k4 = cyclic_group(4), product_group([2, 2])
     a, b = gens(z4, 3)[0], 3 * gens(z4, 3)[0]
-    dw_partition_torus.cache_clear()
-    assert _kernel_traffic() == (0, 0)
+    # closedness is decided once per cochain, before the traffic is counted
+    assert is_cocycle(a) and is_cocycle(b)
+    TupleIndex.cache_clear()
+    assert _index_traffic() == (0, 0)
     # a second cocycle on the same (G, n) hits the table the first one built
     for theta, traffic in ((a, (0, 1)), (b, (1, 1))):
         got = dw_partition_torus(z4, theta, 3)
         assert got.phase_sum == torus_reference_sum(z4, theta, 3)
-        assert _kernel_traffic() == traffic
+        assert _index_traffic() == traffic
     for theta, traffic in ((a, (1, 2)), (b, (2, 2))):
         got = transgress_circle(theta)
         assert list(got.values.items()) == list(
             reference_transgress_circle(theta).values.items())
-        assert _kernel_traffic() == traffic
+        assert _index_traffic() == traffic
     # Z4 and K4 have the same order but tables of their own; a zero theta
     # reads no table, so Z4 takes a closed theta that is nonzero on pairs
     quarter = coboundary(Cochain(z4, 1, 4, {(1,): PhaseValue(1, 4)}))
-    for group in (z4, k4):
-        theta = gens(group, 2)[0] if group is k4 else quarter
-        before = _kernel_traffic()
+    for group, theta in ((z4, quarter), (k4, gens(k4, 2)[0])):
+        assert is_cocycle(theta)
+        before = _index_traffic()
         got = dw_partition_torus(group, theta, 2)
         assert got.phase_sum == torus_reference_sum(group, theta, 2)
-        assert _kernel_traffic() == (before[0], before[1] + 1)
+        assert _index_traffic() == (before[0], before[1] + 1)
     # tables built again after cache_clear give the same answers
-    transgress_circle.cache_clear()
     omega = gens(k4, 2)[0]
+    assert is_cocycle(omega)
+    TupleIndex.cache_clear()
     got = dw_partition_torus(k4, omega, 2)
     assert got.phase_sum == torus_reference_sum(k4, omega, 2)
     assert list(transgress_circle(a).values.items()) == list(
         reference_transgress_circle(a).values.items())
-    assert _kernel_traffic() == (0, 2)
-    assert dw_partition_torus.cache_info().maxsize == KERNEL_MEMO_SIZE
+    assert _index_traffic() == (0, 2)
+    assert TupleIndex.cache_info().maxsize == INDEX_MEMO_SIZE
+
+
+def test_one_index_per_key_serves_closedness_torus_and_transgression():
+    """A closedness check, a torus sum and a transgression each miss the
+    index memo once per (group, n, loops) key, then only hit: the check and
+    the transgression of a degree-k cochain on m loops share (G, k, m)."""
+    z8 = cyclic_group(8)
+    theta = catalog_cocycle("cyclic_3cocycle", {"N": 8, "k": 3})
+    TupleIndex.cache_clear()
+    for traffic in ((2, 3), (7, 3)):
+        # a fresh copy decides its closedness again
+        fresh = Cochain._from_numerators(z8, 3, 8, theta.numerators().items())
+        assert is_cocycle(fresh)  # (Z8, 3, 0)
+        assert dw_partition_torus(z8, fresh, 3) == 64  # (Z8, 0, 3)
+        loop = transgress_circle(fresh)  # (Z8, 3, 0)
+        assert is_cocycle(loop)  # (Z8, 2, 1)
+        assert list(transgress_circle(loop).values.items()) == list(
+            reference_transgress_circle(loop).values.items())  # (Z8, 2, 1)
+        assert _index_traffic() == traffic
+    assert TupleIndex.cache_info().currsize == 3
+    assert TupleIndex.of(z8, 2, 1) is TupleIndex.of(cyclic_group(8), 2, 1)
 
 
 # --------------------------------------------------------------------------
