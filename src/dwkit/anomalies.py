@@ -615,7 +615,7 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
         phihat, h = obj
         x = torus_pairing(top, phihat)
         if h in cylinders:
-            x += torus_pairing(cylinders[h], tuple(ext.lam(y) for y in phihat))
+            x -= torus_pairing(cylinders[h], tuple(ext.lam(y) for y in phihat))
         return PhaseValue(x, m).reduced()
 
     # an empty fibre integrates to 0, the empty phase sum

@@ -41,7 +41,8 @@ too), decides it on the first call and keeps the verdict on the cochain,
 never setting it from how the cochain was built.  Equal but distinct
 cochains each decide once (hashing a cochain costs about as much as the
 check).  ``closed_vector_cochain`` decides a solver's vector so before
-wrapping it, and keeps the verdict.
+wrapping it, and keeps the verdict.  So is the circle transgression of
+the cochain, kept next to the verdict by ``invariants.transgress_circle``.
 
 A cochain stores integer numerators: one x in [1, M) per nonzero tuple at
 its modulus M.  Sums, differences, multiples, slants (``interval_pairing``)
@@ -104,7 +105,8 @@ class Cochain:
     PhaseValues on access, for readers outside hot loops.
     """
 
-    __slots__ = ("group", "degree", "modulus", "_nums", "loops", "_closed")
+    __slots__ = ("group", "degree", "modulus", "_nums", "loops", "_closed",
+                 "_transgressed")
 
     def __init__(self, group, degree, modulus, values=None, loops=0):
         if degree < 0:
@@ -133,8 +135,9 @@ class Cochain:
         self._set(group, degree, modulus, nums, loops)
 
     def _set(self, *fields):
-        """Set the fields in ``__slots__`` order, and ``_closed`` to None."""
-        for name, field in zip(self.__slots__, fields + (None,)):
+        """Set the fields in ``__slots__`` order, and the kept results
+        ``_closed`` and ``_transgressed`` to None."""
+        for name, field in zip(self.__slots__, fields + (None, None)):
             object.__setattr__(self, name, field)
 
     @classmethod
@@ -288,7 +291,8 @@ class TupleIndex:
         the i-th permutation s (None for the identity, first), signs the
         later sign(s)."""
         perms = _signed_permutations(self.loops)[1:]
-        position = self.positions.__getitem__
+        # built here, not kept: no other reader asks positions of this index
+        position = {t: i for i, t in enumerate(self.bases)}.__getitem__
         cols = [None] + [
             array("l", map(position, map(itemgetter(*perm), self.bases)))
             for _sign, perm in perms]

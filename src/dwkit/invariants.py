@@ -9,16 +9,17 @@ No floating point: sums of phases are carried as integer vectors indexed by
 residues mod M (elements of the group ring Z[Z_M]) and collapsed by exact
 reduction modulo the M-th cyclotomic polynomial.
 
-The torus sums and circle transgression run on the cocycle's integer
-numerators at its modulus M (``Cochain.numerators``): terms are added as
-ints, a PhaseValue is built only for each distinct residue of a sum, and a
-transgressed cochain is built from its numerators.  Both gather those
-numerators through integer tables that depend only on the group, degree
-and loops, kept on the memoized ``TupleIndex.of`` of that key
-(``torus_columns``, ``transgression``), and sum them with the signed gather
-of the coboundary checks.  A single torus value, as the symmetry action
-and the relative partition function need it, is ``torus_pairing``: the
-same signed permutation sum at one tuple.
+The torus sums and circle transgression read the cocycle's integer
+numerators at its modulus M in place (``Cochain.numerators`` would copy
+them): terms are added as ints, a PhaseValue is built only for each
+distinct residue of a sum, and a transgressed cochain is built from its
+numerators and kept on the cocycle.  Both gather those numerators
+through integer tables that depend only on the group, degree and loops,
+kept on the memoized ``TupleIndex.of`` of that key (``torus_columns``,
+``transgression``), and sum them with the signed gather of the coboundary
+checks.  A single torus value, as the symmetry action and the relative
+partition function need it, is ``torus_pairing``: the same signed
+permutation sum at one tuple.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _torus_residues(theta):
                              TORUS_TERM_BUDGET)
     if theta.is_zero():
         return Counter({0: len(tuples)})
-    nums = list(map(theta.numerators().get, tuples, repeat(0)))
+    nums = list(map(theta._nums.get, tuples, repeat(0)))
     if not any(nums):
         return Counter({0: len(tuples)})
     signs, cols = TupleIndex.of(group, 0, n).torus_columns
@@ -252,7 +253,7 @@ def omega_regular_class_count(group: FiniteGroup, omega: Cochain) -> int:
     _check_group_cochain(omega, group)
     if omega.degree != 2:
         raise DegreeMismatch("regularity is defined for 2-cochains")
-    get = omega.numerators().get
+    get = omega._nums.get
     count = 0
     for cls in group.conjugacy_classes():
         g = cls[0]
@@ -288,24 +289,28 @@ def transgress_circle(theta: Cochain, check=True) -> Cochain:
     gets the alternating sum of theta on its k faces
     phi + args[:i] + (carried,) + args[i:], read through the table of
     (G, k, m), ``TupleIndex.of(G, k, m).transgression``: a call reads
-    theta's numerators once per distinct face and gathers them.
+    theta's numerators once per distinct face and gathers them.  The
+    result is kept on theta for as long as theta is alive, and every later
+    call returns it, after the closedness check when ``check`` is set.
     """
     if check and not is_cocycle(theta):
         raise NotACocycle("transgression needs a cocycle")
     degree = theta.degree
     if degree < 1:
         raise DegreeMismatch("transgression needs degree >= 1")
-    g, m, loops = theta.group, theta.modulus, theta.loops
-    faces, cols, rows = TupleIndex.of(g, degree, loops).transgression
-    nums = list(map(theta.numerators().get, faces, repeat(0)))
-    return Cochain._from_numerators(g, degree - 1, m,
-                                    zip(rows, _apply_faces(cols, nums)),
-                                    loops + 1)
+    if theta._transgressed is None:
+        g, m, loops = theta.group, theta.modulus, theta.loops
+        faces, cols, rows = TupleIndex.of(g, degree, loops).transgression
+        nums = list(map(theta._nums.get, faces, repeat(0)))
+        object.__setattr__(theta, "_transgressed", Cochain._from_numerators(
+            g, degree - 1, m, zip(rows, _apply_faces(cols, nums)), loops + 1))
+    return theta._transgressed
 
 
 def transgress_torus(theta: Cochain, times=None, check=True) -> Cochain:
     """Iterate circle transgression ``times`` times, 1 <= times <= deg theta
-    (default: down to degree 0)."""
+    (default: down to degree 0).  Each level keeps the next on itself
+    (``transgress_circle``), so theta holds the whole chain while alive."""
     times = theta.degree if times is None else times
     if not 1 <= times <= theta.degree:
         raise DegreeMismatch(
@@ -333,7 +338,7 @@ def dpr_double_cocycle(theta: Cochain) -> Cochain:
     if not is_cocycle(theta):
         raise NotACocycle("the double cocycle needs a 3-cocycle")
     g_grp = theta.group
-    get = theta.numerators().get
+    get = theta._nums.get
     vals = []
     for g in g_grp.elements():
         for x in g_grp.nonidentity():
@@ -406,7 +411,7 @@ def state_space_torus(group: FiniteGroup, theta: Cochain) -> StateSpace:
         raise NotACocycle("state_space_torus needs a cocycle")
     k = n - 1
     bundle = transgress_torus(theta, n - 1, check=False)
-    get = bundle.numerators().get
+    get = bundle._nums.get
     basis = flat_basis(gauge_groupoid(group, k), lambda x, y: get(x + (y,), 0))
     dim = _partition_torus(group, theta).value
     if dim != len(basis):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,9 @@ from dwkit.groups import (
     product_index,
 )
 from dwkit.invariants import (
+    ExactPhaseSum,
     dw_partition_torus,
+    torus_pairing,
     transgress_circle,
     twisted_irrep_count,
 )
@@ -970,6 +973,36 @@ def test_gauging_an_anomaly_free_lift_gives_the_dw_invariant_of_ghat():
                     dw_partition_torus(ghat, lift, n).value), name
                 lifts += 1
     assert lifts == 16
+
+
+def test_theta_cylinder_sign_on_a_nonabelian_quotient():
+    """On the exact bulk pair (omegahat + lambda^* beta, delta beta) of
+    Z3 x S3 -> S3 (n = 2, omegahat the anomaly-free lift of 0), every
+    sector's fibre integrand is gauge invariant, and the sectors weighted
+    by exp(-2 pi i <beta, T_phi>) sum to |G| Z(T^2; Ghat, omegahat).  A
+    non-abelian G is needed: there the theta-cylinder term is not symmetric
+    in its holonomies, so its sign shows."""
+    z3, s3 = cyclic_group(3), dihedral_group(6)
+    ext = direct_product_extension(z3, s3)
+    lift = anomaly_report(ext, Cochain.zero(z3, 2)).closed_lift
+    want = dw_partition_torus(ext.total, lift, 2).value
+    sectors = [phi for phi in itertools.product(s3.elements(), repeat=2)
+               if s3.commute(*phi)]
+    rng, evaluated = random.Random(6), 0
+    for _ in range(5):
+        beta = random_cochain(s3, 2, 6, rng)
+        omega_p, theta = lift + pullback(ext.lam, beta), coboundary(beta)
+        weights = {}
+        for phi in sectors:
+            # raises NotGaugeInvariant if the integrand is not gauge invariant
+            z = relative_partition_torus(ext, omega_p, theta, phi).phase_sum
+            evaluated += 1
+            shift = PhaseValue(-torus_pairing(beta.numerators(), phi), 6)
+            for r, c in enumerate(z.counts):
+                p = (PhaseValue(r, z.modulus) + shift).reduced()
+                weights[p] = weights.get(p, 0) + Fraction(c, s3.order)
+        assert ExactPhaseSum.from_weights(weights).as_rational() == want
+    assert evaluated == 90
 
 
 def test_relative_partition_empty_fibre_is_zero():

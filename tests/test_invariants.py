@@ -339,11 +339,13 @@ def test_kernel_tables_are_shared_per_group_and_degree():
         assert _index_traffic() == (before[0], before[1] + 1)
     # tables built again after cache_clear give the same answers
     omega = gens(k4, 2)[0]
-    assert is_cocycle(omega)
+    # a keeps its transgression, so a fresh copy of it reads the table
+    fresh = Cochain._from_numerators(z4, 3, a.modulus, a.numerators().items())
+    assert is_cocycle(omega) and is_cocycle(fresh)
     TupleIndex.cache_clear()
     got = dw_partition_torus(k4, omega, 2)
     assert got.phase_sum == torus_reference_sum(k4, omega, 2)
-    assert list(transgress_circle(a).values.items()) == list(
+    assert list(transgress_circle(fresh).values.items()) == list(
         reference_transgress_circle(a).values.items())
     assert _index_traffic() == (0, 2)
     assert TupleIndex.cache_info().maxsize == INDEX_MEMO_SIZE
@@ -533,6 +535,53 @@ def test_dpr_on_nonabelian_group():
     s3 = dihedral_group(6)
     for gen in cohomology(s3, 3).generators:
         assert matches_dpr(gen)
+
+
+def test_transgression_is_kept_on_the_cochain():
+    """A second transgression of the same cochain returns the kept result,
+    level by level down a torus chain; an equal but distinct cochain
+    transgresses for itself."""
+    theta = catalog_cocycle("cyclic_3cocycle", {"N": 6, "k": 5})
+    loop = transgress_circle(theta)
+    assert transgress_circle(theta) is loop
+    assert list(loop.values.items()) == list(
+        reference_transgress_circle(theta).values.items())
+    chain = transgress_torus(theta)
+    assert transgress_torus(theta) is chain
+    assert transgress_circle(transgress_circle(loop)) is chain
+    assert state_space_torus(theta.group, theta).line_bundle is (
+        transgress_circle(loop))
+    twin = Cochain._from_numerators(theta.group, 3, 6, theta.numerators().items())
+    twin_loop = transgress_circle(twin)
+    assert twin == theta and twin_loop is not loop and twin_loop == loop
+
+
+def test_kept_transgression_does_not_skip_the_closedness_check():
+    z4 = cyclic_group(4)
+    c = random_cochain(z4, 3, 4, random.Random(7))
+    assert not is_cocycle(c)
+    loop = transgress_circle(c, check=False)
+    assert transgress_circle(c, check=False) is loop
+    with pytest.raises(NotACocycle):
+        transgress_circle(c)
+    with pytest.raises(NotACocycle):
+        transgress_torus(c)
+    assert transgress_torus(c, 1, check=False) is loop
+
+
+def test_matches_dpr_recomputes_the_double_cocycle(monkeypatch):
+    """The kept transgression is compared with a double cocycle computed
+    afresh on every call, so a wrong one is caught."""
+    theta = catalog_cocycle("cyclic_3cocycle", {"N": 4, "k": 1})
+    assert matches_dpr(theta)
+    right = dpr_double_cocycle(theta)
+    wrong = right + right
+    assert wrong != right
+    monkeypatch.setattr(invariants, "dpr_double_cocycle", lambda _t: wrong)
+    assert transgress_circle(theta) is transgress_circle(theta)
+    assert not matches_dpr(theta)
+    monkeypatch.undo()
+    assert matches_dpr(theta)
 
 
 # --------------------------------------------------------------------------
