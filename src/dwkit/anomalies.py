@@ -39,6 +39,7 @@ residual cochain is closed (see the cochains module docstring).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import neg
@@ -68,21 +69,20 @@ from .errors import (
     NonCommuting,
     NotABoundaryPair,
     NotACocycle,
+    NotGaugeInvariant,
     SectionNotValid,
     VerificationFailed,
 )
-from .groupoids import FinGroupoid, gauge_groupoid, homotopy_fiber, integrate
+from .groupoids import FinGroupoid, gauge_groupoid
 from .groups import FiniteGroup, GroupHom, group_from_table, spanning_set
 from .invariants import (
-    ExactPhaseSum,
-    TorusPartition,
     flat_basis,
     monomial_defect,
+    residue_average,
     torus_pairing,
     transgress_torus,
 )
 from .linalg import solve_qz_checked
-from .phase import PhaseValue
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +586,20 @@ def _verify_boundary_pair(ext, omega_p, theta):
 def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, phi):
     """Relative (anomalous) partition function on the torus in sector phi.
 
-    phi is a commuting tuple in G of length n = deg(omega'); the value is
-    the groupoid integral over the homotopy fibre of lambda_* above phi of
-    the omega'-action of the lifted holonomies times the theta-cylinder
-    term of the comparison isomorphism.
+    phi is a commuting tuple in G of length n = deg(omega').  The value is
+    the groupoid integral over the homotopy fibre of lambda_* above phi,
+    whose objects are the pairs (phihat, h) of a commuting n-tuple of Ghat
+    and h in G with h lambda(phihat) h^{-1} = phi, and on which k in Ghat
+    acts by (phihat, h) -> (k phihat k^{-1}, h lambda(k)^{-1}).  The
+    integrand is the omega'-action of phihat minus the theta-cylinder term
+    of h at lambda(phihat).  By orbit-stabilizer the integral, the sum of
+    f / |Aut| over isomorphism classes, is (1/|Ghat|) times the sum of f
+    over objects, so the value averages integer residues mod
+    lcm(omega'.modulus, theta.modulus) (``residue_average``).  The
+    integrand is checked gauge invariant on Ghat's generators: for each
+    object and generator k, f(k . obj) = f(obj), or NotGaugeInvariant
+    reports (obj, k . obj, k).  Verifies the boundary pair on every call;
+    ``relative_partition_sectors`` verifies it once for every sector.
     """
     _verify_boundary_pair(ext, omega_p, theta)
     n = omega_p.degree
@@ -602,26 +612,60 @@ def relative_partition_torus(ext: Extension, omega_p: Cochain, theta: Cochain, p
         for b in phi:
             if not g_grp.commute(a, b):
                 raise NonCommuting(a, b)
-    fibre = homotopy_fiber(ext.lam, phi)
+    phi = tuple(phi)
+    return _relative_sectors(ext, omega_p, theta, [phi])[phi]
+
+
+def relative_partition_sectors(ext: Extension, omega_p: Cochain, theta: Cochain):
+    """{phi: relative_partition_torus(ext, omega', theta, phi)} over every
+    commuting n-tuple phi of G (n = deg omega'), the boundary pair verified
+    once."""
+    _verify_boundary_pair(ext, omega_p, theta)
+    sectors = gauge_groupoid(ext.quotient, omega_p.degree).objects()
+    return _relative_sectors(ext, omega_p, theta, sectors)
+
+
+def _lifts(ext, n):
+    """The commuting n-tuples of Ghat bucketed by their image under lambda."""
+    image, lifts = ext.lam.map.__getitem__, {}
+    for t in gauge_groupoid(ext.total, n).objects():
+        lifts.setdefault(tuple(map(image, t)), []).append(t)
+    return lifts
+
+
+def _relative_sectors(ext, omega_p, theta, sectors):
+    """{phi: TorusPartition} for each of ``sectors``, reading the fibre
+    objects (phihat, h) with lambda(phihat) = h^{-1} phi h from one
+    bucketing of the lifts (see ``relative_partition_torus``)."""
+    g_grp, ghat = ext.quotient, ext.total
+    lifts = _lifts(ext, omega_p.degree)
     ident = GroupHom.identity(g_grp)
     m = lcm(omega_p.modulus, theta.modulus)
     top = omega_p.numerators(m)
-    # one theta-cylinder per distinct interval holonomy h of the fibre
-    holonomies = {h for _phihat, h in fibre.objects()} - {g_grp.identity}
-    cylinders = {h: interval_pairing(theta, h, ident).numerators(m)
-                 for h in holonomies}
-
-    def integrand(obj):
-        phihat, h = obj
-        x = torus_pairing(top, phihat)
-        if h in cylinders:
-            x -= torus_pairing(cylinders[h], tuple(ext.lam(y) for y in phihat))
-        return PhaseValue(x, m).reduced()
-
-    # an empty fibre integrates to 0, the empty phase sum
-    weights = integrate(fibre, integrand) if fibre.objects() else {}
-    total = ExactPhaseSum.from_weights(weights)
-    return TorusPartition(total.as_rational(), total)
+    cylinders = {}  # h != 1 -> numerators of the theta-cylinder of h
+    # per generator k: conjugation by k on Ghat, and lambda(k)^{-1}
+    gens = [(k, [ghat.conjugate(k, a) for a in ghat.elements()],
+             g_grp.inverses[ext.lam(k)]) for k in ghat.generators()]
+    out = {}
+    for phi in sectors:
+        values = {}
+        for h in g_grp.elements():
+            down = tuple(g_grp.conjugate(g_grp.inverses[h], a) for a in phi)
+            for phihat in lifts.get(down, ()):
+                x = torus_pairing(top, phihat)
+                if h != g_grp.identity:
+                    if h not in cylinders:
+                        cylinders[h] = interval_pairing(theta, h, ident).numerators(m)
+                    x -= torus_pairing(cylinders[h], down)
+                values[phihat, h] = x % m
+        for obj, x in values.items():
+            phihat, h = obj
+            for k, conj, back in gens:
+                moved = (tuple(map(conj.__getitem__, phihat)), g_grp.mul(h, back))
+                if values[moved] != x:
+                    raise NotGaugeInvariant((obj, moved, k))
+        out[phi] = residue_average(Counter(values.values()), m, ghat.order)
+    return out
 
 
 def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k=None):
@@ -649,9 +693,7 @@ def projective_state_cocycle(ext: Extension, omega_p: Cochain, theta: Cochain, k
     bundle = transgress_torus(omega_p, k, check=False).numerators(modulus)
 
     sectors = gauge_groupoid(g_grp, k).objects()
-    lifts = {}
-    for t in gauge_groupoid(ghat, k).objects():
-        lifts.setdefault(tuple(ext.lam(x) for x in t), []).append(t)
+    lifts = _lifts(ext, k)
 
     def conj_kernel(d, t):
         return tuple(ghat.conjugate(ext.iota(d), x) for x in t)

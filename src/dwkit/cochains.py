@@ -465,7 +465,8 @@ def _check_group_cochain(c, group=None):
 
 def pullback(f: GroupHom, c: Cochain):
     """(f^* c)(g1..gn) = c(f g1, ..., f gn), re-normalized; c itself
-    (cochains are immutable) when f is the identity of c's group."""
+    (cochains are immutable) when f is the identity of c's group, and read
+    off no tuple when c = 0."""
     _check_group_cochain(c)
     if f.source == f.target == c.group and f.map == tuple(range(len(f.map))):
         return c
@@ -473,7 +474,7 @@ def pullback(f: GroupHom, c: Cochain):
     return Cochain._from_numerators(
         f.source, c.degree, c.modulus,
         ((t, get(tuple(map(image, t)), 0))
-         for t in all_tuples(f.source, c.degree)))
+         for t in (all_tuples(f.source, c.degree) if c._nums else ())))
 
 
 def interval_pairing(omega_hat: Cochain, ghat, iota: GroupHom):

@@ -1,24 +1,18 @@
-"""Finite action groupoids, cardinality, and gauge-invariant integration.
+"""Finite action groupoids and the gauge groupoids of tori.
 
 Every groupoid here is an action groupoid G x| X of a finite group G acting
 on a finite set X (Willerton, AGT 8, 2008): a morphism x -> y is an element
 k with k.x = y.  The main instances are the gauge groupoids of a finite
-group on a torus (commuting n-tuples under simultaneous conjugation) and
-their homotopy fibres along a group homomorphism.
-
-By orbit-stabilizer, integration against the groupoid cardinality measure
-sums f(x)/|Stab(x)| over one representative per orbit; the integrand is
-checked to be constant on orbits before summing.
+group on a torus (commuting n-tuples under simultaneous conjugation).  An
+orbit walk gives each object's isomorphism class, a transporter from its
+representative, and its automorphism group.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import BudgetExceeded, NotGaugeInvariant
-from .groups import FiniteGroup, GroupHom
+from .errors import BudgetExceeded
+from .groups import FiniteGroup
 from .linalg import _Memo
-from .phase import PhaseValue
 
 GAUGE_TUPLE_BUDGET = 10**6
 # an invariants pass asks for 85 (group, n) keys in 117 calls
@@ -84,10 +78,6 @@ class FinGroupoid:
             self.isomorphism_classes()
         return self._transport[y]
 
-    def stabilizer_order(self, x):
-        """|Aut(x)|, the order of the stabilizer of x."""
-        return len(self._stab[self.transporter(x)[0]])
-
     def aut(self, x):
         """Automorphisms of the object x in element order, read off its
         orbit's walk: Stab(k.rep) = k Stab(rep) k^{-1}.  A representative
@@ -129,72 +119,3 @@ def _build_gauge_groupoid(group, n):
 
 gauge_groupoid.cache_info = _gauge_groupoids.cache_info
 gauge_groupoid.cache_clear = _gauge_groupoids.cache_clear
-
-
-def homotopy_fiber(hom: GroupHom, y) -> FinGroupoid:
-    """The homotopy fibre of Bun_Ghat(T^n) -> Bun_G(T^n) over the tuple y.
-
-    Objects are pairs (xhat, h) of a commuting n-tuple in the source and
-    h in the target with h lambda(xhat) h^{-1} = y; ghat acts by
-    (xhat, h) -> (ghat xhat ghat^{-1}, h lambda(ghat)^{-1}).
-    """
-    src, tgt = hom.source, hom.target
-    y = tuple(y)
-    objs = []
-    for x in gauge_groupoid(src, len(y)).objects():
-        down = tuple(hom(a) for a in x)
-        for h in tgt.elements():
-            if tuple(tgt.conjugate(h, a) for a in down) == y:
-                objs.append((x, h))
-
-    def act(k, obj):
-        x, h = obj
-        return (
-            tuple(src.conjugate(k, a) for a in x),
-            tgt.mul(h, tgt.inverses[hom(k)]),
-        )
-
-    return FinGroupoid(src, objs, act)
-
-
-def cardinality(groupoid: FinGroupoid) -> Fraction:
-    """Groupoid cardinality: sum of 1/|Aut| over isomorphism classes."""
-    total = Fraction(0)
-    for cls in groupoid.isomorphism_classes():
-        total += Fraction(1, groupoid.stabilizer_order(cls[0]))
-    return total
-
-
-def integrate(groupoid: FinGroupoid, f):
-    """Integrate f over the groupoid: sum of f(x)/|Aut(x)| over classes.
-
-    f must be constant on isomorphism classes (verified; a violating
-    morphism is reported otherwise).  If f takes values in PhaseValue the
-    result is a dict mapping reduced phases to rational weights; otherwise
-    a single Fraction.
-    """
-    phase_weights = {}
-    rational_total = Fraction(0)
-    saw_phase = False
-    saw_rational = False
-    for cls in groupoid.isomorphism_classes():
-        rep = cls[0]
-        val = f(rep)
-        for other in cls[1:]:
-            if f(other) != val:
-                raise NotGaugeInvariant(
-                    (rep, other, groupoid.transporter(other)[1])
-                )
-        weight = Fraction(1, groupoid.stabilizer_order(rep))
-        if isinstance(val, PhaseValue):
-            saw_phase = True
-            key = val.reduced()
-            phase_weights[key] = phase_weights.get(key, Fraction(0)) + weight
-        else:
-            saw_rational = True
-            rational_total += Fraction(val) * weight
-    if saw_phase and saw_rational:
-        raise TypeError("integrand mixes phases and rationals")
-    if saw_phase:
-        return {k: v for k, v in phase_weights.items() if v != 0}
-    return rational_total

@@ -19,7 +19,9 @@ kept on the memoized ``TupleIndex.of`` of that key (``torus_columns``,
 ``transgression``), and sum them with the signed gather of the coboundary
 checks.  A single torus value, as the symmetry action and the relative
 partition function need it, is ``torus_pairing``: the same signed
-permutation sum at one tuple.
+permutation sum at one tuple.  Every torus sum ends in
+``residue_average``, the average of its counted residues as an
+``ExactPhaseSum``; the DW sums check that it is a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -191,17 +193,22 @@ def _torus_residues(theta):
     return Counter(map(m.__rmod__, _apply_faces(cols, nums, signs)))
 
 
-def _phase_average(group, residues, modulus, what):
-    """(1/|G|) * the sum of the phases r/modulus counted by ``residues``,
-    checked to be a nonnegative integer."""
+def residue_average(residues, modulus, order):
+    """(1/order) * the sum of the phases r/modulus counted by the Counter
+    ``residues``, as a TorusPartition whose value is None if irrational."""
     total = ExactPhaseSum.from_weights({
-        PhaseValue(r, modulus): Fraction(c, group.order)
+        PhaseValue(r, modulus): Fraction(c, order)
         for r, c in residues.items()
     })
-    value = total.as_rational()
-    if value is None or value < 0 or value.denominator != 1:
+    return TorusPartition(total.as_rational(), total)
+
+
+def _phase_average(group, residues, modulus, what):
+    """``residue_average`` over |G|, checked to be a nonnegative integer."""
+    z = residue_average(residues, modulus, group.order)
+    if z.value is None or z.value < 0 or z.value.denominator != 1:
         raise VerificationFailed(f"{what} must be a nonnegative integer")
-    return TorusPartition(value, total)
+    return z
 
 
 def dw_partition_torus(group: FiniteGroup, theta: Cochain, n: int) -> TorusPartition:

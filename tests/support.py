@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import lcm
 
 from operator import neg
@@ -10,9 +11,10 @@ from dwkit.anomalies import (
     Extension,
     NonAbelianCocycle,
     _ext_sigma,
+    _verify_boundary_pair,
     cocycle_from_extension,
     extension_from_cocycle,
-    relative_partition_torus,
+    relative_partition_sectors,
 )
 from dwkit.cochains import (
     Cochain,
@@ -34,6 +36,7 @@ from dwkit.errors import (
     DegreeMismatch,
     NonCommuting,
     NotACocycle,
+    NotGaugeInvariant,
     VerificationFailed,
 )
 from dwkit.groupoids import FinGroupoid, gauge_groupoid
@@ -48,7 +51,12 @@ from dwkit.groups import (
     product_group,
     product_index,
 )
-from dwkit.invariants import _signed_permutations
+from dwkit.invariants import (
+    ExactPhaseSum,
+    TorusPartition,
+    _signed_permutations,
+    torus_pairing,
+)
 from dwkit.linalg import SparseElimination, solve_qz_checked
 from dwkit.phase import PhaseValue
 
@@ -67,17 +75,140 @@ def random_cochain(group, degree, modulus, rng=None, density=0.5, loops=0):
 
 
 def orbifold_torus_sum(ext: Extension, omega_p: Cochain, theta: Cochain):
-    """(1/|G|) * the sum of relative_partition_torus(ext, omega_p, theta,
-    phi) over the commuting n-tuples phi of G (n = deg omega'), read off
-    the table: gauging G in the relative theory, as a pushforward."""
+    """(1/|G|) * the sum of relative_partition_sectors(ext, omega_p, theta)
+    over the commuting n-tuples phi of G (n = deg omega'), read off the
+    table, which must be exactly its sectors: gauging G in the relative
+    theory, as a pushforward."""
     g_grp, table = ext.quotient, ext.quotient.table
+    sectors = relative_partition_sectors(ext, omega_p, theta)
     total = 0
     for phi in itertools.product(g_grp.elements(), repeat=omega_p.degree):
         if all(table[a][b] == table[b][a] for a in phi for b in phi):
-            value = relative_partition_torus(ext, omega_p, theta, phi).value
+            value = sectors.pop(phi).value
             assert value is not None, f"irrational sector {phi}"
             total += value
+    assert not sectors, f"sectors that do not commute: {sorted(sectors)}"
     return total / g_grp.order
+
+
+# -- groupoid cardinality and integration over homotopy fibres, the
+# reference for dwkit.anomalies' residue sums
+
+
+def homotopy_fiber(hom: GroupHom, y) -> FinGroupoid:
+    """The homotopy fibre of Bun_Ghat(T^n) -> Bun_G(T^n) over the tuple y.
+
+    Objects are pairs (xhat, h) of a commuting n-tuple in the source and
+    h in the target with h lambda(xhat) h^{-1} = y; ghat acts by
+    (xhat, h) -> (ghat xhat ghat^{-1}, h lambda(ghat)^{-1}).
+    """
+    src, tgt = hom.source, hom.target
+    y = tuple(y)
+    objs = []
+    for x in gauge_groupoid(src, len(y)).objects():
+        down = tuple(hom(a) for a in x)
+        for h in tgt.elements():
+            if tuple(tgt.conjugate(h, a) for a in down) == y:
+                objs.append((x, h))
+
+    def act(k, obj):
+        x, h = obj
+        return (
+            tuple(src.conjugate(k, a) for a in x),
+            tgt.mul(h, tgt.inverses[hom(k)]),
+        )
+
+    return FinGroupoid(src, objs, act)
+
+
+def stabilizer_order(groupoid: FinGroupoid, x):
+    """|Aut(x)|, the order of the stabilizer of x."""
+    return len(groupoid._stab[groupoid.transporter(x)[0]])
+
+
+def cardinality(groupoid: FinGroupoid) -> Fraction:
+    """Groupoid cardinality: sum of 1/|Aut| over isomorphism classes."""
+    total = Fraction(0)
+    for cls in groupoid.isomorphism_classes():
+        total += Fraction(1, stabilizer_order(groupoid, cls[0]))
+    return total
+
+
+def integrate(groupoid: FinGroupoid, f):
+    """Integrate f over the groupoid: sum of f(x)/|Aut(x)| over classes.
+
+    f must be constant on isomorphism classes (verified; a violating
+    morphism is reported otherwise).  If f takes values in PhaseValue the
+    result is a dict mapping reduced phases to rational weights; otherwise
+    a single Fraction.
+    """
+    phase_weights = {}
+    rational_total = Fraction(0)
+    saw_phase = False
+    saw_rational = False
+    for cls in groupoid.isomorphism_classes():
+        rep = cls[0]
+        val = f(rep)
+        for other in cls[1:]:
+            if f(other) != val:
+                raise NotGaugeInvariant(
+                    (rep, other, groupoid.transporter(other)[1])
+                )
+        weight = Fraction(1, stabilizer_order(groupoid, rep))
+        if isinstance(val, PhaseValue):
+            saw_phase = True
+            key = val.reduced()
+            phase_weights[key] = phase_weights.get(key, Fraction(0)) + weight
+        else:
+            saw_rational = True
+            rational_total += Fraction(val) * weight
+    if saw_phase and saw_rational:
+        raise TypeError("integrand mixes phases and rationals")
+    if saw_phase:
+        return {k: v for k, v in phase_weights.items() if v != 0}
+    return rational_total
+
+
+def reference_relative_partition(ext: Extension, omega_p: Cochain,
+                                 theta: Cochain, phi):
+    """Relative (anomalous) partition function on the torus in sector phi.
+
+    phi is a commuting tuple in G of length n = deg(omega'); the value is
+    the groupoid integral over the homotopy fibre of lambda_* above phi of
+    the omega'-action of the lifted holonomies times the theta-cylinder
+    term of the comparison isomorphism.
+    """
+    _verify_boundary_pair(ext, omega_p, theta)
+    n = omega_p.degree
+    g_grp = ext.quotient
+    if len(phi) != n:
+        raise DegreeMismatch(
+            f"sector must be a commuting {n}-tuple (n = deg omega'), got "
+            f"length {len(phi)}")
+    for a in phi:
+        for b in phi:
+            if not g_grp.commute(a, b):
+                raise NonCommuting(a, b)
+    fibre = homotopy_fiber(ext.lam, phi)
+    ident = GroupHom.identity(g_grp)
+    m = lcm(omega_p.modulus, theta.modulus)
+    top = omega_p.numerators(m)
+    # one theta-cylinder per distinct interval holonomy h of the fibre
+    holonomies = {h for _phihat, h in fibre.objects()} - {g_grp.identity}
+    cylinders = {h: interval_pairing(theta, h, ident).numerators(m)
+                 for h in holonomies}
+
+    def integrand(obj):
+        phihat, h = obj
+        x = torus_pairing(top, phihat)
+        if h in cylinders:
+            x -= torus_pairing(cylinders[h], tuple(ext.lam(y) for y in phihat))
+        return PhaseValue(x, m).reduced()
+
+    # an empty fibre integrates to 0, the empty phase sum
+    weights = integrate(fibre, integrand) if fibre.objects() else {}
+    total = ExactPhaseSum.from_weights(weights)
+    return TorusPartition(total.as_rational(), total)
 
 
 def delooping(group: FiniteGroup) -> FinGroupoid:

@@ -16,8 +16,10 @@ from fractions import Fraction
 import pytest
 
 from support import (
+    cardinality,
     direct_product_extension,
     evaluate,
+    homotopy_fiber,
     random_cochain,
     torus_fundamental_cycle,
 )
@@ -42,7 +44,7 @@ from dwkit.cochains import (
     is_cocycle,
     pullback,
 )
-from dwkit.groupoids import cardinality, gauge_groupoid, homotopy_fiber
+from dwkit.groupoids import gauge_groupoid
 from dwkit.groups import (
     GroupHom,
     cyclic_group,
