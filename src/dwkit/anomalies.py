@@ -172,6 +172,9 @@ class Extension:
 
     def __post_init__(self):
         d_grp, ghat, g_grp = self.kernel, self.total, self.quotient
+        if (self.iota.source, self.iota.target, self.lam.source,
+                self.lam.target) != (d_grp, ghat, ghat, g_grp):
+            raise SectionNotValid("iota must map D to Ghat, lambda Ghat to G")
         if not self.iota.is_injective():
             raise SectionNotValid("iota must be injective")
         if not self.lam.is_surjective():

@@ -694,16 +694,17 @@ class CohomologyGroup:
         )
 
 
-def check_cohomology_budget(group, n, budget=BAR_MATRIX_NNZ_BUDGET):
+def check_cohomology_budget(group, n):
     """Raise BudgetExceeded if H^n(G)'s bar matrix, counted pessimistically
-    as the unrestricted delta C^(n+1) -> C^(n+2), has over budget nonzeros."""
+    as the unrestricted delta C^(n+1) -> C^(n+2), has more nonzeros than
+    BAR_MATRIX_NNZ_BUDGET, read at call time."""
     nnz = (group.order - 1) ** (n + 2) * (n + 3)
-    if nnz > budget:
-        raise BudgetExceeded(
-            f"bar matrix for H^{n}({group.label or 'G'})", nnz, budget)
+    if nnz > BAR_MATRIX_NNZ_BUDGET:
+        raise BudgetExceeded(f"bar matrix for H^{n}({group.label or 'G'})",
+                             nnz, BAR_MATRIX_NNZ_BUDGET)
 
 
-def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
+def cohomology(group, n, allow_large=False):
     """H^n(G; U(1)), computed as integral cohomology in degree n+1.
 
     Two exact sparse eliminations: the kernel of the integral bar
@@ -726,7 +727,7 @@ def cohomology(group, n, allow_large=False, budget=BAR_MATRIX_NNZ_BUDGET):
     if n < 1:
         raise ValueError("degree must be >= 1")
     if not allow_large:
-        check_cohomology_budget(group, n, budget)
+        check_cohomology_budget(group, n)
     h = _cohomology_groups.get((group, n), lambda: _cohomology(group, n))
     generators = h.generators
     if h.group is not group:

@@ -4,7 +4,7 @@
 with operation logs, the engine behind every cohomology group and every
 Q/Z search.  Row and column operations are recorded and replayed on
 vectors, so no dense transform matrices are ever materialized; the row
-log is built as packed runs, and emptied rows and columns are released.
+log is built as runs, and emptied rows and columns are released.
 
 "No solution" is a verdict (``None``), not an exception: the diagonal form
 fully decouples the system, and Q/Z is injective, so the verdict is
@@ -18,13 +18,14 @@ the caller says determines the rows (QZ_MEMO_SIZE most recently used
 keys), keeping only the op logs and pivots, and replays it on each new b.
 A replay costs what the nonzeros it meets cost: the row log is runs of ops
 that read one source row, a run whose source entry is 0 skipped whole; the
-column log keeps only ops reachable from the pivot columns, and skips one
-whose source entry is 0; only non-pivot rows, listed once, are tested.
+column log, a list of triples, keeps only ops reachable from the pivot
+columns, and skips one whose source entry is 0; only non-pivot rows,
+listed once, are tested.
 
 Most row ops exist only for that test: in one ``anomaly`` benchmark pass
 the 20 memoized systems log 99,351 row ops, of which 4,848 can change a
-pivot row.  So a packed elimination also keeps that slice, the pivot-row
-log, and :func:`solve_qz_checked` first replays it alone
+pivot row.  So a packed elimination also keeps that slice as runs, the
+pivot-row log, and :func:`solve_qz_checked` first replays it alone
 (``solve_pivots``): the solution it reads off is ``solve``'s whenever b is
 solvable, and the caller's own check of that solution decides.  Only a
 candidate that fails the check costs the full replay, which returns
@@ -238,29 +239,26 @@ class SparseElimination:
         """Eliminate, then keep only what ``solve`` and ``solve_pivots``
         read: drop the emptied rows and the column and pivot-column sets;
         keep, in order, the column ops a replay from the pivot columns
-        reaches (one reading a pivot or a later reached op's target), as
-        64-bit arrays if they fit; and beside the full row log, the pivot-row
-        log: in order, the row ops whose target a replay into the pivot rows
-        still reads (a pivot row, or the source of a later kept op)."""
+        reaches (one reading a pivot or a later reached op's target); and
+        beside the full row log, the pivot-row log, grouped into runs: in
+        order, the row ops whose target a replay into the pivot rows still
+        reads (a pivot row, or the source of a later kept op)."""
         self.eliminate()
-        self.pivot_row_ops = _RowRuns.of(_chain_from_end(
+        self.pivot_row_ops = _RowRuns.group(_chain_from_end(
             self.row_ops, {r for r, _c, _d in self.pivots}))
         self.rows = self.colrows = self.pivot_cols = None
-        self.col_ops = _PackedOps.of(_chain_from_end(
-            self.col_ops, {c for _r, c, _d in self.pivots}))
+        self.col_ops = _chain_from_end(
+            self.col_ops, {c for _r, c, _d in self.pivots})
         return self
 
     # -- replay helpers ------------------------------------------------------
 
     @staticmethod
     def apply_row_ops(row_ops, b):
-        """U b for the row transform U logged in ``row_ops``, packed as runs
-        or a plain log of triples (``pack`` keeps one whose entries need
-        more than 64 bits), grouped into runs here.  No op of a run writes
-        its source row j, so b_j is read once per run, and a run with
-        b_j = 0, which would add q * 0 throughout, is skipped."""
-        if not isinstance(row_ops, _RowRuns):
-            row_ops = _RowRuns.group(row_ops)
+        """U b for the row transform U logged in the runs ``row_ops``.  No
+        op of a run writes its source row j, so b_j is read once per run,
+        and a run with b_j = 0, which would add q * 0 throughout, is
+        skipped."""
         b = list(b)
         targets, qs = row_ops.targets, row_ops.qs
         start = 0
@@ -390,45 +388,16 @@ def _chain_from_end(ops, marked):
     return kept[::-1]
 
 
-class _PackedOps:
-    """An op log of (i, j, q) triples as three arrays; it iterates, forward
-    and reversed, as the list of triples it packs.  ``pack`` keeps the
-    reached column ops so: a memo hit replays them flat, in reverse, and
-    skips each op whose source entry is 0 (row log: ``_RowRuns``)."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols):
-        self.cols = cols
-
-    @classmethod
-    def of(cls, ops):
-        """The packed log, or ``ops`` itself if an entry needs more than
-        64 bits."""
-        try:
-            return cls([array("q", c) for c in zip(*ops)] or [array("q")] * 3)
-        except OverflowError:
-            return ops
-
-    def __len__(self):
-        return len(self.cols[0])
-
-    def __iter__(self):
-        return zip(*self.cols)
-
-    def __reversed__(self):
-        return zip(*map(reversed, self.cols))
-
-
 class _RowRuns:
     """A row-op log of (i, j, q) triples as runs: maximal stretches of
     consecutive ops that read the same source row j.  Per run it keeps j
     (``sources``) and the offset where the run ends (``ends``), per op the
     target i (``targets``) and q (``qs``).  The engine builds its log so,
-    indices and offsets in machine-integer arrays and q in a list; ``of``
-    packs a plain log as arrays.  Within a pivot step every op reads the
-    pivot row, so a run is a step's row clearing up to a restart.  It
-    iterates, forward and reversed, as the list of triples it packs."""
+    indices and offsets in machine-integer arrays and q in a list;
+    ``group`` groups a plain log of triples into lists.  Within a pivot
+    step every op reads the pivot row, so a run is a step's row clearing up
+    to a restart.  It iterates, forward and reversed, as the list of
+    triples it holds."""
 
     __slots__ = ("sources", "ends", "targets", "qs")
 
@@ -450,17 +419,6 @@ class _RowRuns:
         ends = starts[1:] + [len(js)] if starts else []
         return cls(list(map(js.__getitem__, starts)), ends, targets,
                    list(map(itemgetter(2), ops)))
-
-    @classmethod
-    def of(cls, ops):
-        """The packed runs of ``ops``, or ``ops`` itself if an entry needs
-        more than 64 bits."""
-        runs = cls.group(ops)
-        try:
-            return cls(*(array("q", a) for a in (
-                runs.sources, runs.ends, runs.targets, runs.qs)))
-        except OverflowError:
-            return ops
 
     def _per_op_sources(self, order):
         lengths = list(map(sub, self.ends, chain((0,), self.ends)))

@@ -316,6 +316,23 @@ def test_extension_validation():
             Extension(z2, z4, z2, iota, lam, section)
 
 
+def test_extension_rejects_homs_on_other_groups():
+    """iota and lambda must run D -> Ghat -> G on the groups named: homs
+    through Z4 do not make an extension with total group K4, which the
+    report would read through Z4's element indices."""
+    z2, z4, k4 = cyclic_group(2), cyclic_group(4), product_group([2, 2])
+    iota = GroupHom(z2, z4, [0, 2])
+    lam = GroupHom(z4, z2, [0, 1, 0, 1])
+    with pytest.raises(SectionNotValid, match="iota must map D to Ghat"):
+        Extension(z2, k4, z2, iota, lam, (0, 1))
+    with pytest.raises(SectionNotValid, match="iota must map D to Ghat"):
+        Extension(z4, z4, z2, iota, lam, (0, 1))
+    # equal groups on other objects still make the extension
+    ext = Extension(cyclic_group(2), cyclic_group(4), cyclic_group(2),
+                    iota, lam, (0, 1))
+    assert ext.total == z4 and ext.total is not z4
+
+
 def test_carry_cocycle_builds_cyclic_group():
     for n, m in ((2, 2), (3, 2), (4, 4)):
         ext = z4_in_z16_extension(n, m)

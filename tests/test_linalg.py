@@ -18,7 +18,6 @@ from dwkit.groups import cyclic_group, dihedral_group, pauli_group, product_grou
 from dwkit.linalg import (
     QZ_MEMO_SIZE,
     SparseElimination,
-    _PackedOps,
     _RowRuns,
     solve_qz_checked,
 )
@@ -207,12 +206,18 @@ def _assert_replays_as_logged(packed, ops):
     st.integers(min_value=1, max_value=14),
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=0),
+    st.sampled_from([1, 2**64 + 1]),
 )
-def test_packed_replay_matches_the_unpacked_engine(nrows, ncols, den, seed):
+def test_packed_replay_matches_the_unpacked_engine(nrows, ncols, den, seed,
+                                                   scale):
     rng = random.Random(seed)
     rows = _random_rows(rng, nrows, ncols)
+    # scaled by 2**64 + 1, most systems log multipliers past 64 bits
+    for row in rows:
+        if 0 in row:
+            row[0] *= scale
     plain = SparseElimination(rows, ncols).eliminate()
-    # packed unless an entry needs more than 64 bits
+    # packed whatever the size of its multipliers
     packed = SparseElimination(rows, ncols).pack()
     pivot_cols = {c for _r, c, _d in plain.pivots}
     _assert_replays_as_logged(packed.row_ops, plain.row_ops)
@@ -483,17 +488,16 @@ def test_row_runs_replay_any_log_of_distinct_rows(seed):
             j = ops[-1][1]
             i = rng.choice([r for r in range(n) if r != j])
         ops.append((i, j, rng.randint(-3, 3)))
-    runs = _RowRuns.of(ops)
+    runs = _RowRuns.group(ops)
     _assert_replays_as_logged(runs, ops)
     for _ in range(3):
         b = _random_vector(rng, n)
         assert SparseElimination.apply_row_ops(runs, b) == replay_rows(ops, b)
-        assert SparseElimination.apply_row_ops(ops, b) == replay_rows(ops, b)
 
 
 def test_row_runs_group_consecutive_ops_on_one_source():
     ops = [(1, 0, 2), (2, 0, -1), (0, 2, 3), (1, 2, 1), (3, 0, 5)]
-    runs = _RowRuns.of(ops)
+    runs = _RowRuns.group(ops)
     assert (list(runs.sources), list(runs.ends)) == ([0, 2, 0], [2, 4, 5])
     assert (list(runs.targets), list(runs.qs)) == ([1, 2, 0, 1, 3],
                                                    [2, -1, 3, 1, 5])
@@ -503,19 +507,18 @@ def test_row_runs_group_consecutive_ops_on_one_source():
 
 
 def test_row_ops_logs_empty_and_beyond_64_bits():
-    for log in (_RowRuns.of([]), _PackedOps.of([]), _RowRuns.group([])):
-        _assert_replays_as_logged(log, [])
-    assert SparseElimination.apply_row_ops([], [4, 5]) == [4, 5]
+    _assert_replays_as_logged(_RowRuns.group([]), [])
+    assert SparseElimination.apply_row_ops(_RowRuns.group([]), [4, 5]) == [4, 5]
     big = [(0, 1, 3), (2, 0, 2**63), (1, 0, -(2**70))]
-    assert _RowRuns.of(big) is big and _PackedOps.of(big) is big
-    _assert_replays_as_logged(_RowRuns.group(big), big)
+    runs = _RowRuns.group(big)
+    _assert_replays_as_logged(runs, big)
     b = [1, 2, -1]
-    assert SparseElimination.apply_row_ops(big, b) == replay_rows(big, b)
+    assert SparseElimination.apply_row_ops(runs, b) == replay_rows(big, b)
 
 
 def test_row_op_that_reads_its_target_is_rejected():
     with pytest.raises(ValueError, match="must not read the row it writes"):
-        SparseElimination.apply_row_ops([(1, 0, 2), (1, 1, 3)], [1, 1])
+        _RowRuns.group([(1, 0, 2), (1, 1, 3)])
 
 
 def test_solve_linear_examples():
