@@ -49,7 +49,7 @@ from .io import (
     parse_group,
 )
 
-CACHE_VERSION = "2"
+CACHE_VERSION = "3"
 
 
 class CliError(Exception):

@@ -18,7 +18,9 @@ identically.  The simplicial identity gives z(b; s h, ...) =
 z(s^{-1} b s; h, ...) for a generator s, so induction on the word length of
 the first entry, taken over all bases at once, reaches every tuple.  Kernels and coboundary
 equations are therefore solved on the generator-restricted row set, which is
-exactly equivalent.
+exactly equivalent.  So is H^{n+1}(G; Z): restriction R to those rows is
+injective on cocycles, so ``cohomology`` reads it as the torsion of the
+cokernel of R delta_n, one elimination.
 
 The argument needs only an abelian coefficient group, so it also decides
 closedness over Q/Z.  Write a cochain c with values in (1/den)Z/Z as c~/den
@@ -638,13 +640,6 @@ def _factor(d):
     return out
 
 
-def _crt_pair(r1, m1, r2, m2):
-    if gcd(m1, m2) != 1:
-        raise VerificationFailed(f"CRT moduli {m1} and {m2} are not coprime")
-    inv = pow(m1, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2), m1 * m2
-
-
 class CohomologyGroup:
     """H^n(G; U(1)) with explicit generator cocycles and a classifying map.
 
@@ -653,39 +648,34 @@ class CohomologyGroup:
     ``invariant_factors[i]`` with classify(generators[i]) = e_i.  U(1) is
     divisible, so H^n(G; U(1)) = Hom(H_n(G; Z), U(1)) and a class is read
     by pairing with integral n-cycles.  The group keeps, per invariant
-    factor, one part (p^e, k^-1 mod p^e, w) per prime p: w = d*z for an
-    integral n-cycle z whose class has order d = p^e * k, as a sparse
-    {tuple: int} dict.
+    factor d, one pair (d, w), w a sparse {tuple: int} integral n-cycle:
+    per prime power p^e || d, a pivot's w_p = d_p*z_p (z_p an integral
+    cycle whose class has order d_p) times k^-1 mod p^e (d_p = p^e * k) and
+    the CRT idempotent of p^e in Z/d, so that sum(w_t x_t) / M, for a
+    closed c with numerators x at modulus M, is c's coordinate mod d.
     """
 
-    def __init__(self, group, degree, invariant_factors, generators, slots):
+    def __init__(self, group, degree, invariant_factors, generators, cycles):
         self.group = group
         self.degree = degree
         self.invariant_factors = invariant_factors
         self.generators = generators
-        self._slots = slots
+        self._cycles = cycles
 
     def classify(self, c: Cochain):
         """Coefficient vector of [c] on the generators, mod the factors.
 
         Additive, kills coboundaries; raises NotACocycle if c is not closed
-        over Q/Z (``is_cocycle``).  A part reads sum(w_t x_t) / M on c's
-        numerators x at its modulus M, an integer d<c, z> as c is closed,
-        times k^-1 mod p^e; a factor's parts combine by CRT.
+        over Q/Z (``is_cocycle``).  Factor d reads sum(w_t x_t) // M mod d
+        on c's numerators x at its modulus M.
         """
         if (c.group, c.degree, c.loops) != (self.group, self.degree, 0):
             raise DegreeMismatch("cochain does not match this cohomology")
         if not is_cocycle(c):
             raise NotACocycle("cochain is not closed over Q/Z")
         get, m = c._nums.get, c.modulus
-        out = []
-        for parts in self._slots:
-            residue, mod = 0, 1
-            for pe, inv, w in parts:
-                pairing = sum([v * get(t, 0) for t, v in w.items()]) // m
-                residue, mod = _crt_pair(residue, mod, pairing * inv % pe, pe)
-            out.append(residue)
-        return tuple(out)
+        return tuple(sum([v * get(t, 0) for t, v in w.items()]) // m % d
+                     for d, w in self._cycles)
 
     def __repr__(self):
         return (
@@ -707,15 +697,17 @@ def check_cohomology_budget(group, n):
 def cohomology(group, n, allow_large=False):
     """H^n(G; U(1)), computed as integral cohomology in degree n+1.
 
-    Two exact sparse eliminations: the kernel of the integral bar
-    differential on generator-led rows, then delta_n projected into kernel
-    coordinates, X, with U X V = D.  The torsion pivots (r, c, d) of D give
-    the factors.  Each torsion generator of order d gets a U(1)
-    representative a/d from an integral witness delta(a) = d*f read off
-    V's column log, and each pivot the integral n-cycle u_r X / d from row
-    r of U.  The check trusts neither log: the generators are closed, the
-    cycles are integral with zero boundary, and each generator classifies
-    as its unit vector.
+    One exact sparse elimination, U Rdelta_n V = D for Rdelta_n the
+    integral bar differential delta_n on the generator-led rows: the
+    torsion of its cokernel is H^{n+1}(G; Z), given by its torsion pivots
+    (r, c, d).  Each torsion generator of order d gets a U(1)
+    representative a/d from an integral witness Rdelta_n(a) = d*f read off
+    V's column log, and each pivot the integral n-cycle u_r Rdelta_n / d
+    from row r of U.  The kernel of delta_{n+1} on the generator-led rows,
+    eliminated first, only checks the free part: rank delta_n = dim Z^{n+1}.
+    The check trusts neither log: the generators are closed, the cycles
+    are integral with zero boundary, and each generator classifies as its
+    unit vector.
 
     Results are memoized in-process per (group, degree), for the
     COHOMOLOGY_GROUP_MEMO_SIZE most recently used keys;
@@ -735,43 +727,36 @@ def cohomology(group, n, allow_large=False):
                                                c._nums.items())
                       for c in generators]
     return CohomologyGroup(group, n, list(h.invariant_factors),
-                           list(generators), h._slots)
+                           list(generators), h._cycles)
 
 
 def _cohomology(group, n):
-    k = n + 1
     gens = group.generators()
-    # index_k serves this elimination only: kept, it raised peak memory
     index_n = TupleIndex.of(group, n)
-    index_k = TupleIndex(group, k)
 
-    # cocycles: kernel of delta_k on the generator-restricted row set
-    elim_b = SparseElimination(delta_matrix_rows(index_k, gens),
-                               index_k.size).eliminate()
-    free = elim_b.free_cols
+    # dim Z^{n+1}: the kernel of delta_{n+1} on the generator-led rows,
+    # whose index and elimination are dropped before Rdelta_n is built
+    index_k = TupleIndex(group, n + 1)
+    cocycle_dim = len(SparseElimination(delta_matrix_rows(index_k, gens),
+                                        index_k.size).eliminate().free_cols)
+    del index_k
 
-    # coboundaries: the columns of delta_n in kernel coordinates, as one
-    # replay of elim_b's column ops over the rows of delta_n
-    rows_n = delta_matrix_rows(index_n)
-    coords = elim_b.col_coords_rows(rows_n)
-    for _r, cc, _d in elim_b.pivots:
-        if coords[cc]:
-            raise VerificationFailed("coboundary outside the cocycle space")
-    x_rows = [dict(sorted(coords[f].items())) for f in free]
-    elim_x = SparseElimination(x_rows, index_n.size).eliminate()
-    if len(elim_x.pivots) != len(free):
+    # U Rdelta_n V = D for Rdelta_n, delta_n on the generator-led rows
+    rows = delta_matrix_rows(index_n, gens)
+    elim = SparseElimination(rows, index_n.size).eliminate()
+    if len(elim.pivots) != cocycle_dim:
         raise VerificationFailed("unexpected free part in group cohomology")
 
-    # cycles: X delta_{n-1} = 0, so a torsion pivot (r, c, d) gives
-    # w = u_r X = d (row c of V^-1), d times an integral n-cycle
+    # cycles: Rdelta_n delta_{n-1} = 0, so a torsion pivot (r, c, d) gives
+    # w = u_r Rdelta_n = d (row c of V^-1), d times an integral n-cycle
     tuples, cycles = list(index_n.all()), {}
     primary = {}  # prime -> [(prime power, pivot position, cofactor)]
-    for pos, (r, _c, d) in enumerate(elim_x.pivots):
+    for pos, (r, _c, d) in enumerate(elim.pivots):
         if abs(d) <= 1:
             continue
         w = {}
-        for i, u in elim_x._row_of_u(r).items():
-            for j, a in x_rows[i].items():
+        for i, u in elim._row_of_u(r).items():
+            for j, a in rows[i].items():
                 w[j] = w.get(j, 0) + u * a
         w = cycles[pos] = {tuples[j]: v for j, v in w.items() if v}
         boundary = {}
@@ -794,23 +779,27 @@ def _cohomology(group, n):
              for t in reversed(range(nslots))]  # ascending divisibility chain
     factors = [prod(pe for pe, _pos, _mult in parts) for parts in slots]
 
-    # Bockstein witnesses: a pivot (r, c, d) gives delta(V e_c) = d g_r, g_r
-    # the raw generator at row r (delta_n has no pivot coordinates in
-    # elim_b's basis), so a below has delta(a) = d_slot * sum(mult * g_r)
-    # over the slot's prime parts
-    generators = []
+    # Bockstein witnesses: a pivot (r, c, d) gives Rdelta_n(V e_c) =
+    # d U^-1 e_r, so a below has Rdelta_n(a) = 0 mod d_slot, and a / d_slot
+    # is closed over Q/Z (module docstring).  One cycle per factor: each
+    # part's w times its cofactor's inverse mod p^e and the CRT idempotent
+    # of p^e in Z/d_slot
+    generators, folded = [], []
     for d_slot, parts in zip(factors, slots):
-        e = [0] * index_n.size
-        for pe, pos, _mult in parts:
-            _r, c, d = elim_x.pivots[pos]
-            e[c] += d_slot // pe if d > 0 else -(d_slot // pe)
-        a = elim_x.apply_col_ops(e)
+        e, w = [0] * index_n.size, {}
+        for pe, pos, mult in parts:
+            _r, c, d = elim.pivots[pos]
+            rest = d_slot // pe
+            e[c] += rest if d > 0 else -rest
+            coef = rest * pow(rest * mult, -1, pe) % d_slot
+            for t, v in cycles[pos].items():
+                w[t] = w.get(t, 0) + coef * v
+        a = elim.apply_col_ops(e)
         generators.append(closed_vector_cochain(
             index_n, [v % d_slot for v in a], d_slot, group))
+        folded.append((d_slot, {t: v for t, v in w.items() if v}))
 
-    h = CohomologyGroup(group, n, factors, generators, [
-        [(pe, pow(mult, -1, pe), cycles[pos]) for pe, pos, mult in parts]
-        for parts in slots])
+    h = CohomologyGroup(group, n, factors, generators, folded)
     for i, gen in enumerate(generators):
         if h.classify(gen) != tuple(int(i == j) for j in range(len(factors))):
             raise VerificationFailed(f"generator {i} does not classify as e_{i}")

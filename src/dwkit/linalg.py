@@ -280,26 +280,6 @@ class SparseElimination:
                 x[j] += q * v
         return x
 
-    def col_coords_rows(self, rows):
-        """V^{-1} M for the sparse matrix M with the given rows, in place.
-
-        Row ``j`` of M is the ``j``-th coordinate of every column of M, so
-        one pass over the column-op log, ``rows[j] -= q * rows[i]`` for op
-        ``(i, j, q)``, replays it on all columns at once.
-        """
-        for i, j, q in self.col_ops:
-            src = rows[i]
-            if not src:
-                continue
-            dst = rows[j]
-            for c, v in src.items():
-                nv = dst.get(c, 0) - q * v
-                if nv:
-                    dst[c] = nv
-                else:
-                    dst.pop(c, None)
-        return rows
-
     # -- solving ---------------------------------------------------------------
 
     def solve(self, b, den):

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from operator import neg
 
@@ -19,7 +19,6 @@ from dwkit.anomalies import (
 from dwkit.cochains import (
     Cochain,
     TupleIndex,
-    _crt_pair,
     _delta_faces,
     _factor,
     all_tuples,
@@ -777,12 +776,46 @@ def pauli_h3_duality_certificate():
     return cochains, cycles
 
 
+def _crt_pair(r1, m1, r2, m2):
+    """(r, m1*m2) with r = r1 mod m1 and r = r2 mod m2, for coprime m1, m2;
+    VerificationFailed otherwise."""
+    if gcd(m1, m2) != 1:
+        raise VerificationFailed(f"CRT moduli {m1} and {m2} are not coprime")
+    inv = pow(m1, -1, m2)
+    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2), m1 * m2
+
+
+def kernel_coordinate_rows(group, n):
+    """X, the rows of delta_n in kernel coordinates: elim_b eliminates the
+    kernel of delta_{n+1} on generator-led rows, U B V = D, and X is the
+    rows of V^{-1} delta_n at elim_b's free columns.  Row j of delta_n is
+    the j-th coordinate of every column, so one pass over elim_b's
+    column-op log, rows[j] -= q * rows[i] for op (i, j, q), replays V^{-1}
+    on all columns at once."""
+    index_k = TupleIndex(group, n + 1)
+    elim_b = SparseElimination(
+        delta_matrix_rows(index_k, group.generators()), index_k.size).eliminate()
+    rows = delta_matrix_rows(TupleIndex(group, n))
+    for i, j, q in elim_b.col_ops:
+        src = rows[i]
+        if not src:
+            continue
+        dst = rows[j]
+        for c, v in src.items():
+            nv = dst.get(c, 0) - q * v
+            if nv:
+                dst[c] = nv
+            else:
+                dst.pop(c, None)
+    return [dict(sorted(rows[f].items())) for f in elim_b.free_cols]
+
+
 def row_log_classifier(group, n):
     """(invariant factors, classify) of H^n(G; U(1)) read off U's row log,
-    a reference for ``CohomologyGroup.classify`` built from its own runs of
-    ``cohomology``'s two eliminations: elim_b, the kernel of delta_{n+1} on
-    generator-led rows, and elim_x, U X V = D for X the rows of delta_n in
-    elim_b's kernel coordinates.
+    a reference for ``CohomologyGroup.classify`` by a route of its own, two
+    eliminations: elim_b, the kernel of delta_{n+1} on generator-led rows,
+    and elim_x, U X V = D for X the rows of delta_n in elim_b's kernel
+    coordinates (``kernel_coordinate_rows``).
 
     classify(c) forms X c~/den as a mat-vec (c = c~/den, den its
     denominator; NotACocycle unless every entry divides by den), replays
@@ -790,11 +823,8 @@ def row_log_classifier(group, n):
     The per-prime slots (cofactor inverted mod p^e) and the CRT step then
     give the coordinates on the invariant factors.
     """
-    index_n, index_k = TupleIndex(group, n), TupleIndex(group, n + 1)
-    elim_b = SparseElimination(
-        delta_matrix_rows(index_k, group.generators()), index_k.size).eliminate()
-    coords = elim_b.col_coords_rows(delta_matrix_rows(index_n))
-    x_rows = [dict(sorted(coords[f].items())) for f in elim_b.free_cols]
+    index_n = TupleIndex(group, n)
+    x_rows = kernel_coordinate_rows(group, n)
     elim_x = SparseElimination(x_rows, index_n.size).eliminate()
     primary = {}  # prime -> [(exponent, pivot position, cofactor)]
     for pos, (_r, _c, d) in enumerate(elim_x.pivots):

@@ -16,7 +16,7 @@ from test_anomalies import (
 from test_groups import z128_intercalate_table
 from test_io import Z4_TRANSGRESSED_ONCE
 
-from dwkit.cli import main
+from dwkit.cli import CACHE_VERSION, main
 from dwkit.cochains import cohomology, is_cocycle
 from dwkit.groups import cyclic_group, product_group
 from dwkit.io import cochain_json, extension_json, group_json, parse_cochain
@@ -138,10 +138,10 @@ def test_cohomology_cache_rejects_tampering(capsys, tmp_path):
 @pytest.mark.parametrize("entry", [
     [],
     None,
-    {"version": "2", "factors": 4, "generators": []},
-    {"version": "2", "factors": [2], "generators": {}},
-    {"version": "2", "factors": [None], "generators": [{}]},
-    {"version": "2", "factors": [2], "generators": [
+    {"version": CACHE_VERSION, "factors": 4, "generators": []},
+    {"version": CACHE_VERSION, "factors": [2], "generators": {}},
+    {"version": CACHE_VERSION, "factors": [None], "generators": [{}]},
+    {"version": CACHE_VERSION, "factors": [2], "generators": [
         {"group": {"kind": "builtin", "name": "cyclic", "params": {"n": 2}},
          "degree": 3, "modulus": 2, "values": []}]},
 ])

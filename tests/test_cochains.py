@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from support import (
     FormalChain,
+    _crt_pair,
     evaluate,
     mixed_radix_position,
     pauli_h3_duality_certificate,
@@ -37,7 +38,6 @@ from dwkit.cochains import (
     INDEX_MEMO_SIZE,
     Cochain,
     TupleIndex,
-    _crt_pair,
     catalog_cocycle,
     coboundary,
     coboundary_agrees,
@@ -410,7 +410,17 @@ def _labelled_group(label):
 
 @functools.cache
 def _row_log_reference(label, n):
-    return row_log_classifier(_labelled_group(label), n)
+    """The row-log reference's (factors, classify), and its matrix M on
+    cohomology's generators: row i reads generators[i]."""
+    factors, reference = row_log_classifier(_labelled_group(label), n)
+    h = cohomology(_labelled_group(label), n)
+    return factors, reference, [reference(gen) for gen in h.generators]
+
+
+def _through(m, x, factors):
+    """x M over the factors: sum_i x_i M_i, reduced mod each factor."""
+    return tuple(sum(xi * row[j] for xi, row in zip(x, m)) % d
+                 for j, d in enumerate(factors))
 
 
 @pytest.mark.parametrize("label, n", _CLASSIFY_KEYS,
@@ -419,13 +429,18 @@ def _row_log_reference(label, n):
 @given(data=st.data())
 def test_classify_matches_the_row_log_reading(label, n, data):
     """A generator combination plus a coboundary, at its own modulus or a
-    multiple, classifies as its coefficients, as the U-log reference reads;
-    adding a random cochain, both classify alike or both raise NotACocycle
-    (the reference from its own closedness test)."""
+    multiple, classifies as its coefficients, and the U-log reference
+    reads the same class through M, its matrix on the generators, which is
+    invertible over the factors; adding a random cochain, both classify
+    alike through M or both raise NotACocycle (the reference from its own
+    closedness test)."""
     group = _labelled_group(label)
-    factors, reference = _row_log_reference(label, n)
+    factors, reference, m = _row_log_reference(label, n)
     h = cohomology(group, n)
     assert h.invariant_factors == factors
+    assert len({_through(m, x, factors)
+                for x in itertools.product(*map(range, factors))}) == prod(
+        factors)
     coeffs = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
     c = Cochain.zero(group, n)
     for k, gen in zip(coeffs, h.generators):
@@ -437,10 +452,11 @@ def test_classify_matches_the_row_log_reading(label, n, data):
     if data.draw(st.booleans()):
         big = c.modulus * data.draw(st.integers(2, 5))
         c = Cochain._from_numerators(group, n, big, c.numerators(big).items())
-    assert h.classify(c) == reference(c) == coeffs
+    assert h.classify(c) == coeffs
+    assert reference(c) == _through(m, coeffs, factors)
     other = c + random_cochain(group, n, modulus, random.Random(seed + 1))
     if is_cocycle(other):
-        assert h.classify(other) == reference(other)
+        assert reference(other) == _through(m, h.classify(other), factors)
     else:
         for read in (h.classify, reference):
             with pytest.raises(NotACocycle):
@@ -827,21 +843,24 @@ def test_built_cochains_pass_the_public_constructor():
             _same(vector_cochain(index, vec, m), want)
 
 
-# a cohomology run whose elim_b column-op log lost its last entry; the
-# self-check must still fire when python -O strips every assert
+# a cohomology run whose kernel elimination (of delta_3 on generator-led
+# rows, 7^3 columns) lost its last pivot to the free columns; the free-part
+# check must still fire when python -O strips every assert
 _CORRUPTED_LOG_RUN = """
 import sys
 import dwkit.cochains as C
 from dwkit.errors import VerificationFailed
 from dwkit.groups import dihedral_group
 
-class DropsLastColOp(C.SparseElimination):
+class DropsLastPivot(C.SparseElimination):
     def eliminate(self):
         super().eliminate()
-        self.col_ops.pop()
+        if self.ncols == 7 ** 3:
+            _r, c, _d = self.pivots.pop()
+            self.free_cols.append(c)
         return self
 
-C.SparseElimination = DropsLastColOp
+C.SparseElimination = DropsLastPivot
 print(sys.flags.optimize)
 try:
     C.cohomology(dihedral_group(8), 2)
@@ -858,35 +877,36 @@ def test_corrupted_elimination_log_fails_verification_under_optimize():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout.splitlines() == [
-        "1", "coboundary outside the cocycle space",
+        "1", "unexpected free part in group cohomology",
     ]
 
 
-# cohomology runs whose elim_x column-op log (the source of the torsion
-# witnesses) was cleared, or had its first op negated; the generator
-# self-check must turn the bad witnesses into VerificationFailed under -O
+# cohomology runs whose Rdelta_n column-op log (the source of the torsion
+# witnesses) was cleared, or lost its first op (negating that op, q = 2,
+# moves the order-4 witness by a multiple of 4, which is no fault); the
+# generator self-check must turn the bad witnesses into VerificationFailed
+# under -O
 _CORRUPTED_WITNESS_RUN = """
 import sys
 import dwkit.cochains as C
 from dwkit.errors import VerificationFailed
 from dwkit.groups import dihedral_group
 
-def negate_first(ops):
-    i, j, q = ops[0]
-    ops[0] = (i, j, -q)
+def drop_first(ops):
+    del ops[0]
 
 def corrupting(corrupt):
-    class CorruptsXColOps(SparseElimination):
+    class CorruptsColOps(SparseElimination):
         def eliminate(self):
             super().eliminate()
-            if self.ncols == 7 ** 3:  # delta_3 of D8 in kernel coordinates
+            if self.ncols == 7 ** 3:  # Rdelta_3 of D8
                 corrupt(self.col_ops)
             return self
-    return CorruptsXColOps
+    return CorruptsColOps
 
 SparseElimination = C.SparseElimination
 print(sys.flags.optimize)
-for corrupt in (list.clear, negate_first):
+for corrupt in (list.clear, drop_first):
     C.SparseElimination = corrupting(corrupt)
     C.cohomology.cache_clear()
     try:
@@ -908,7 +928,7 @@ def test_corrupted_witness_log_fails_verification_under_optimize():
     ]
 
 
-# cohomology runs whose elim_x row log (the source of the cycles) lost, or
+# cohomology runs whose Rdelta_n row log (the source of the cycles) lost, or
 # had negated, the first op that writes a torsion pivot row; the cycle
 # self-check must turn the bad cycles (here: not divisible by their pivot)
 # into VerificationFailed under -O
@@ -926,17 +946,17 @@ def negate(ops, k):
     ops[k] = (i, j, -q)
 
 def corrupting(corrupt):
-    class CorruptsXRowOps(SparseElimination):
+    class CorruptsRowOps(SparseElimination):
         def eliminate(self):
             super().eliminate()
-            if self.ncols == 7 ** 3:  # delta_3 of D8 in kernel coordinates
+            if self.ncols == 7 ** 3:  # Rdelta_3 of D8
                 torsion = {r for r, _c, d in self.pivots if abs(d) > 1}
                 ops = list(self.row_ops)
                 corrupt(ops, next(k for k, (i, _j, _q) in enumerate(ops)
                                   if i in torsion))
                 self.row_ops = ops
             return self
-    return CorruptsXRowOps
+    return CorruptsRowOps
 
 SparseElimination = C.SparseElimination
 print(sys.flags.optimize)
@@ -958,8 +978,8 @@ def test_corrupted_cycle_log_fails_verification_under_optimize():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert done.stdout.splitlines() == [
-        "1", "pivot 299 gives no integral cycle",
-        "pivot 299 gives no integral cycle",
+        "1", "pivot 290 gives no integral cycle",
+        "pivot 290 gives no integral cycle",
     ]
 
 

@@ -23,7 +23,7 @@ from dwkit.linalg import (
 )
 from dwkit.phase import PhaseValue
 
-from support import row_log_slice, solves_rows
+from support import kernel_coordinate_rows, row_log_slice, solves_rows
 from test_anomalies import doubling_extension, z2_in_z4_extension
 
 
@@ -135,7 +135,10 @@ def test_solve_qz_checked_releases_built_rows_and_rebuilds_for_a_certificate(
     solve_qz_checked.cache_clear()
 
 
-def test_pack_keeps_a_log_that_needs_more_than_64_bits():
+def test_repack_keeps_the_row_log_object_and_the_reached_column_ops():
+    """pack() on a packed elimination whose logs were set by hand keeps the
+    full row log as the very object set, and of the column log the ops a
+    replay from the pivot column reaches, forward and reversed."""
     elim = SparseElimination([{0: 1}], 1).pack()
     assert list(elim.row_ops) == [] and len(elim.col_ops) == 0
     ops = [(0, 1, 3), (2, 0, 2**63)]
@@ -630,15 +633,20 @@ def test_pivot_order_matches_lazy_heap_on_d8_degree_three(monkeypatch):
         2, 2, 4,
     ]
     assert [(len(rows), ncols) for rows, ncols in systems] == [
-        (4802, 2401), (301, 343),
+        (4802, 2401), (686, 343),
     ]
     for system in systems:
         got = SparseElimination(*system).eliminate()
         assert _outcome(got) == _outcome(
             _lazy_heap_eliminate(SparseElimination(*system))
         )
-    # the copy counts matter: a heap of distinct keys pivots elim_x otherwise
-    x_system = systems[1]
+    # the copy counts matter: a heap of distinct keys pivots otherwise the
+    # system of delta_3 in kernel coordinates, the reference route's
+    x_system = (kernel_coordinate_rows(dihedral_group(8), 3), 7**3)
+    assert len(x_system[0]) == 301
+    assert _outcome(SparseElimination(*x_system).eliminate()) == _outcome(
+        _lazy_heap_eliminate(SparseElimination(*x_system))
+    )
     assert _outcome(SparseElimination(*x_system).eliminate()) != _outcome(
         _lazy_heap_eliminate(SparseElimination(*x_system), dedupe=True)
     )
@@ -666,20 +674,21 @@ def test_pivot_order_matches_lazy_heap_on_random_matrices(nrows, ncols, seed):
 # -- recorded op logs ----------------------------------------------------------
 
 # sha256 of repr((pivots, row_ops, col_ops, free_cols)) per system, as the
-# engine first recorded them; any change to a pivot, an op or their order
-# shows here, whatever drives the pivot step
+# engine first recorded them (a cohomology entry's second system, Rdelta_n,
+# as first recorded on that route); any change to a pivot, an op or their
+# order shows here, whatever drives the pivot step
 RECORDED_DIGESTS = {
     "d8_h3": [
         "6354ff8d1e277a2d506ff526d0826a354c66652b71606e862b709d0ebbd99d11",
-        "d3563ac94cb82c270c4a3d0b8e001e2fbaeedc2a4304b89ba304d5104e1bbdd4",
+        "c46c454e89e9db51ba72c29d838ce773ffd521b2a705d3f9016fc4a481fd775f",
     ],
     "z3xz3_h2": [
         "0e0166a2ad9199f1d1dc03322a7c200bbbe2aad8a8f61d65e0329e9496c13ab4",
-        "30be91214c5fd7e798d8da08c049268e16282171477b2edbcba14417aee1dd61",
+        "2d237c8c82700653831441661aca3aea3e803e8da01cc29aed475914ddd41ff0",
     ],
     "pauli_h1": [
         "1120ada9c6788cd752d5d4f2575e7b740123cc029e9c37a39c73c59c303914e5",
-        "dfda2d57c3926e0f4a85d0df87841dde615212400df139e7850455003c03e2e6",
+        "f5946b9dbd9681f6340c5d87fa2042820b726c4e3600ff864e4fda1f24b46ffb",
     ],
     "first_obstruction": [
         "387dbf9efe2f2296b1cc5b795c2e6b12547e785a4c6da8878e10506c24894c76",
