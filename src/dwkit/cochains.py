@@ -28,14 +28,15 @@ with c~ integral.  Then delta c = 0 iff delta c~ = 0 mod den, and
 delta c~ mod den is a Z/den-cocycle (delta delta c~ = 0 over Z).  Hence
 ``is_cocycle`` reads delta c~ mod den on the generator-led tuples only.  The
 same holds for delta c = y with y closed, since delta c - y is then a cocycle
-(``coboundary_agrees``); only ``coboundary`` builds every tuple.  The faces of
-the generator-led tuples depend only on (group, degree, loops), so their
-column indices are kept as integer arrays on the memoized index of that key
-(``TupleIndex.of``) and each check is a signed sum of gathers from c~
-(``_apply_faces``, which also does the torus and transgression sums).  The
-rows of every elimination system (``delta_matrix_rows``) are read off the
-same arrays, built for that system and not kept.  Every column index is a
-position in ``TupleIndex.positions``, the one map from tuples to positions.
+(``coboundary_agrees``); only ``coboundary`` reads every tuple.  The faces of
+the generator-led tuples (of all, for ``coboundary``) depend only on (group,
+degree, loops), so their column indices are kept as integer arrays on the
+memoized index of that key (``TupleIndex.of``) and each check is a signed
+sum of gathers from c~ (``_apply_faces``, which also does the torus and
+transgression sums).  The rows of every elimination system
+(``delta_matrix_rows``) are read off the same arrays, built for that system
+and not kept.  Every column index is a position in ``TupleIndex.positions``,
+the one map from tuples to positions.
 
 A cochain is immutable, so its closedness is a fact about the object:
 ``is_cocycle``, the library's one closedness check (``classify`` calls it
@@ -80,7 +81,8 @@ from .groups import (
     dihedral_group,
     product_group,
 )
-from .linalg import SparseElimination, _CacheInfo, _Memo, solve_qz_checked
+from .linalg import SparseElimination, solve_qz_checked
+from .memo import _CacheInfo, _Memo
 from .phase import PhaseValue
 
 BAR_MATRIX_NNZ_BUDGET = 2**22
@@ -252,7 +254,8 @@ class TupleIndex:
     one; ``TupleIndex.cache_info()``).  Each table below depends only on
     the key, and is built on first use and kept with the index:
     ``positions``, the one map from tuples to positions (the order of
-    ``all()``), and the gather tables that ``_apply_faces`` sums.
+    ``all()``), and the gather tables that ``_apply_faces`` sums (``faces``,
+    ``lead_faces``, ``torus_columns`` and ``transgression``).
     """
 
     def __init__(self, group, n, loops=0):
@@ -274,6 +277,11 @@ class TupleIndex:
     @cached_property
     def positions(self):
         return {t: i for i, t in enumerate(self.all())}
+
+    @cached_property
+    def faces(self):
+        """The face columns of delta on every row (``coboundary``)."""
+        return _face_columns(self)
 
     @cached_property
     def lead_faces(self):
@@ -407,7 +415,7 @@ def coboundary(c):
     g, n, m = c.group, c.degree, c.loops
     index = TupleIndex.of(g, n, m)
     vec = cochain_vector(c, index, scale_to=c.modulus) + [0]
-    acc = _apply_faces(_face_columns(index), vec)
+    acc = _apply_faces(index.faces, vec)
     return Cochain._from_numerators(g, n + 1, c.modulus, zip(index.rows(), acc),
                                     m)
 

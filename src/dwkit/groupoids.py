@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .errors import BudgetExceeded
 from .groups import FiniteGroup
-from .linalg import _Memo
+from .memo import _Memo
 
 GAUGE_TUPLE_BUDGET = 10**6
 # an invariants pass asks for 85 (group, n) keys in 117 calls

@@ -15,21 +15,25 @@ of elements of S, checking s in S proves associativity.  Likewise
 from __future__ import annotations
 
 import itertools
-from operator import eq
+from operator import eq, index as as_index
 
 from .errors import NotAGroup, UnknownBuiltin
+from .memo import _Memo
 
 # generators() tries every pair of elements only up to this order.
 GENERATOR_PAIR_SEARCH_ORDER_CAP = 64
+# an invariants set-up asks for 41 builtin specs in 54 calls
+BUILTIN_GROUP_MEMO_SIZE = 128
+_builtin_groups = _Memo(BUILTIN_GROUP_MEMO_SIZE)
 
 
 class FiniteGroup:
     """A finite group presented by its multiplication table.
 
     table[g][h] is the index of g*h.  Instances are immutable and validated
-    at construction time via :func:`group_from_table`, which proves
-    associativity by Light's test on a spanning set (see the module
-    docstring), complete at every order.
+    at construction time via :func:`group_from_table` (associativity by
+    Light's test on a spanning set, see the module docstring, complete at
+    every order).  A builtin constructor returns one instance per spec.
     """
 
     __slots__ = ("order", "table", "identity", "inverses", "label",
@@ -244,35 +248,43 @@ def group_from_table(order, table, label=""):
 # -- builtin groups --------------------------------------------------------
 
 
-def _cyclic_table(n):
-    return [[(a + b) % n for b in range(n)] for a in range(n)]
+def _builtin(kind, args, params, label, make_table):
+    """The one group of the spec (kind, args), validated once and kept for
+    the BUILTIN_GROUP_MEMO_SIZE most recent (``builtin_group.cache_info``)."""
+    def make():
+        table = make_table()
+        g = group_from_table(len(table), table, label=label)
+        object.__setattr__(g, "builtin_spec", (kind, params))
+        return g
+    return _builtin_groups.get((kind, args), make)
 
 
 def cyclic_group(n):
-    g = group_from_table(n, _cyclic_table(n), label=f"Z{n}")
-    object.__setattr__(g, "builtin_spec", ("cyclic", {"n": n}))
-    return g
+    """Z_n: one shared, validated, immutable group per n (``_builtin``)."""
+    n = as_index(n)  # raises on 4.0, which as a key would find Z4
+    return _builtin("cyclic", n, {"n": n}, f"Z{n}", lambda: [
+        [(a + b) % n for b in range(n)] for a in range(n)])
 
 
 def product_group(factors):
-    """Direct product of cyclic groups Z_{n1} x ... x Z_{nk}.
+    """Z_{n1} x ... x Z_{nk}: one shared, validated group per factor list.
 
     Element index is the mixed-radix encoding with the first factor most
     significant: index(a1..ak) = a1*n2*...*nk + ... + ak.
     """
-    factors = list(factors)
+    factors = [as_index(n) for n in factors]
     if not factors or any(n < 1 for n in factors):
         raise UnknownBuiltin(f"bad product factors {factors}")
-    table, order = [[0]], 1
-    for n in reversed(factors):
-        # prepend a digit of radix n: (a, x)(b, y) = (a + b, xy)
-        table = [[(a + b) % n * order + x for b in range(n) for x in row]
-                 for a in range(n) for row in table]
-        order *= n
-    label = "x".join(f"Z{n}" for n in factors)
-    g = group_from_table(order, table, label=label)
-    object.__setattr__(g, "builtin_spec", ("product", {"factors": list(factors)}))
-    return g
+    def make_table():
+        table, order = [[0]], 1
+        for n in reversed(factors):
+            # prepend a digit of radix n: (a, x)(b, y) = (a + b, xy)
+            table = [[(a + b) % n * order + x for b in range(n) for x in row]
+                     for a in range(n) for row in table]
+            order *= n
+        return table
+    return _builtin("product", tuple(factors), {"factors": factors},
+                    "x".join(f"Z{n}" for n in factors), make_table)
 
 
 def product_index(factors, digits):
@@ -293,11 +305,12 @@ def product_digits(factors, index):
 
 
 def dihedral_group(order):
-    """Dihedral group of the given (even) order 2n.
+    """Dihedral group of even order 2n: one shared, validated group per 2n.
 
     Presentation a^n = b^2 = 1, b a b^{-1} = a^{-1}; element a^i b^j has
     index j*n + i.
     """
+    order = as_index(order)
     if order < 2 or order % 2:
         raise UnknownBuiltin(f"dihedral order must be even, got {order}")
     n = order // 2
@@ -308,10 +321,8 @@ def dihedral_group(order):
         # (a^i b^j)(a^i2 b^j2) = a^(i + (-1)^j i2) b^(j+j2)
         return ((j + j2) % 2) * n + (i + (i2 if j == 0 else -i2)) % n
 
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
-    g = group_from_table(order, table, label=f"D{order}")
-    object.__setattr__(g, "builtin_spec", ("dihedral", {"order": order}))
-    return g
+    return _builtin("dihedral", order, {"order": order}, f"D{order}", lambda: [
+        [mul(x, y) for y in range(order)] for x in range(order)])
 
 
 def dihedral_index(order, i, j):
@@ -327,7 +338,7 @@ def dihedral_exponents(order, index):
 
 
 def pauli_group():
-    """The order-16 subgroup of U(2) generated by the Pauli matrices.
+    """The order-16 Pauli group in U(2): one shared, validated group.
 
     Built as the semidirect product D8 x| Z2 where the Z2 generator acts on
     D8 = <a, b | a^4 = b^2 = 1, bab^{-1} = a^{-1}> by conjugation with a.
@@ -348,10 +359,8 @@ def pauli_group():
         # (d1, k1)(d2, k2) = (d1 * act(k1, d2), k1 + k2)
         return ((k1 + k2) % 2) * 8 + d8.mul(d1, act(k1, d2))
 
-    table = [[mul(x, y) for y in range(16)] for x in range(16)]
-    g = group_from_table(16, table, label="pauli")
-    object.__setattr__(g, "builtin_spec", ("pauli", {}))
-    return g
+    return _builtin("pauli", (), {}, "pauli", lambda: [
+        [mul(x, y) for y in range(16)] for x in range(16)])
 
 
 def builtin_group(name, params=None):
@@ -366,6 +375,10 @@ def builtin_group(name, params=None):
     if name == "pauli":
         return pauli_group()
     raise UnknownBuiltin(f"unknown builtin group {name!r}")
+
+
+builtin_group.cache_info = _builtin_groups.cache_info
+builtin_group.cache_clear = _builtin_groups.cache_clear
 
 
 # -- homomorphisms ---------------------------------------------------------

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from collections import OrderedDict, namedtuple
 from itertools import chain, compress, repeat
 from math import lcm
 from operator import eq, itemgetter, ne, sub
 
 from .errors import VerificationFailed
+from .memo import _Memo
 
 # eliminated Q/Z systems kept in-process; an anomaly pass asks for 20 in 43 solves
 QZ_MEMO_SIZE = 64
@@ -416,39 +416,6 @@ class _RowRuns:
                    reversed(self.qs))
 
 
-class _Memo:
-    """The ``maxsize`` most recently used key -> value pairs, with counts of
-    hits and misses; the package's one bounded memo type.  Each memo's bound,
-    named next to it, is the least power of two at least twice the most keys
-    one pass of a benchmark workload asks of it."""
-
-    def __init__(self, maxsize):
-        self.maxsize = maxsize
-        self.entries = OrderedDict()
-        self.hits = self.misses = 0
-
-    def get(self, key, make):
-        value = self.entries.get(key)
-        if value is not None:
-            self.hits += 1
-            self.entries.move_to_end(key)
-            return value
-        self.misses += 1
-        value = self.entries[key] = make()
-        if len(self.entries) > self.maxsize:
-            self.entries.popitem(last=False)
-        return value
-
-    def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, self.maxsize,
-                          len(self.entries))
-
-    def cache_clear(self):
-        self.entries.clear()
-        self.hits = self.misses = 0
-
-
-_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 _eliminations = _Memo(QZ_MEMO_SIZE)
 
 

@@ -72,6 +72,7 @@ from dwkit.groups import (
     dihedral_exponents,
     dihedral_group,
     dihedral_index,
+    group_from_table,
     pauli_group,
     product_digits,
     product_group,
@@ -328,8 +329,9 @@ def test_extension_rejects_homs_on_other_groups():
     with pytest.raises(SectionNotValid, match="iota must map D to Ghat"):
         Extension(z4, z4, z2, iota, lam, (0, 1))
     # equal groups on other objects still make the extension
-    ext = Extension(cyclic_group(2), cyclic_group(4), cyclic_group(2),
-                    iota, lam, (0, 1))
+    def fresh(n):
+        return group_from_table(n, cyclic_group(n).table, label=f"Z{n}")
+    ext = Extension(fresh(2), fresh(4), fresh(2), iota, lam, (0, 1))
     assert ext.total == z4 and ext.total is not z4
 
 

@@ -156,6 +156,15 @@ def test_catalog_cocycles_match_the_phase_reference(n):
         assert is_cocycle(got), (name, params)
 
 
+def test_catalog_cocycles_share_their_group():
+    """Each family builds its builtin group once: cocycles of one N with
+    different k live on one group object."""
+    for name in ("product_2cocycle", "cyclic_3cocycle"):
+        one, two = (catalog_cocycle(name, {"N": 3, "k": k}) for k in (1, 2))
+        assert one.group is two.group and one != two, name
+    assert catalog_cocycle("dihedral8_2cocycle").group is dihedral_group(8)
+
+
 def _constructor_outcome(build, *args):
     """The stored (tuple, numerator) pairs in order, or the raised
     exception's type and message."""
@@ -500,18 +509,24 @@ def reference_loop_coboundary(c):
     return Cochain(g, k + 1, c.modulus, vals, loops=m)
 
 
-def test_coboundary_matches_reference_on_loop_groupoids():
+def test_coboundary_matches_reference_on_loop_groupoids(monkeypatch):
     rng = random.Random(23)
     groups = (cyclic_group(4), product_group([2, 2]), dihedral_group(6),
               dihedral_group(8))
     for group in groups:
-        for loops in (1, 2):
+        for loops in (0, 1, 2):
             for degree in (0, 1, 2):
                 c = random_cochain(group, degree, 4, rng, loops=loops)
                 d = coboundary(c)
+                faces = TupleIndex.of(group, degree, loops).faces
                 assert d == reference_loop_coboundary(c)
                 assert d.loops == loops and d.degree == degree + 1
                 assert coboundary(d).values == {}
+                # a second call gathers through the arrays kept on the index
+                with monkeypatch.context() as m:
+                    m.setattr(cochains, "_face_columns", None)
+                    assert coboundary(c) == d
+                assert TupleIndex.of(group, degree, loops).faces is faces
 
 
 def test_loop_cochain_keys_and_normalization():

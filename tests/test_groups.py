@@ -11,6 +11,7 @@ from support import (
 )
 
 from dwkit.errors import NotAGroup, UnknownBuiltin
+from dwkit.io import group_json, parse_group
 from dwkit.groups import (
     GroupHom,
     builtin_group,
@@ -186,6 +187,59 @@ def test_builtin_dispatch():
     assert builtin_group("dihedral", {"order": 6}).order == 6
     with pytest.raises(UnknownBuiltin):
         builtin_group("simple", {})
+
+
+def test_builtin_constructors_return_one_group_per_spec():
+    def builtin(name, params):
+        return parse_group({"kind": "builtin", "name": name, "params": params})
+
+    # a spec no other test asks for: one miss, then hits
+    before = builtin_group.cache_info()
+    first = product_group([5, 1, 3])
+    after = builtin_group.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    assert product_group((5, 1, 3)) is first
+    assert builtin_group.cache_info().hits == after.hits + 1
+    assert builtin_group.cache_info().misses == after.misses
+
+    z4 = cyclic_group(4)
+    assert cyclic_group(4) is z4 and builtin_group("cyclic", {"n": 4}) is z4
+    assert builtin("cyclic", {"n": 4}) is z4
+    k4 = product_group([2, 2])
+    assert product_group((2, 2)) is k4
+    assert builtin("product", {"factors": [2, 2]}) is k4
+    d8 = dihedral_group(8)
+    assert dihedral_group(8) is d8 and builtin("dihedral", {"order": 8}) is d8
+    assert pauli_group() is pauli_group() is builtin("pauli", {})
+    assert z4.generators() is cyclic_group(4).generators()
+
+    # equal tables, distinct specs: distinct objects with their own spec
+    z4p = product_group([4])
+    assert z4p == z4 and z4p is not z4
+    assert (z4.label, z4.builtin_spec) == ("Z4", ("cyclic", {"n": 4}))
+    assert (z4p.label, z4p.builtin_spec) == (
+        "Z4", ("product", {"factors": [4]}))
+    doc = group_json(k4)  # the spec of a shared group is copied out
+    doc["params"]["factors"].append(3)
+    assert k4.builtin_spec == ("product", {"factors": [2, 2]})
+    fresh = group_from_table(4, z4.table, label="Z4")
+    assert fresh == z4 and fresh is not z4 and fresh.builtin_spec is None
+
+    # every failing spec raises on every call and leaves nothing behind
+    before = builtin_group.cache_info()
+    for _ in range(2):
+        for bad in (lambda: product_group([]), lambda: product_group([2, 0]),
+                    lambda: dihedral_group(7), lambda: builtin_group("simple"),
+                    lambda: builtin("simple", {})):
+            with pytest.raises(UnknownBuiltin):
+                bad()
+        with pytest.raises(TypeError):
+            cyclic_group(4.0)
+    assert builtin_group.cache_info() == before
+    for _ in range(2):
+        with pytest.raises(NotAGroup):
+            cyclic_group(0)
+    assert builtin_group.cache_info().currsize == before.currsize
 
 
 def test_group_axioms_on_builtins():
