@@ -5,7 +5,8 @@ on a finite set X (Willerton, AGT 8, 2008): a morphism x -> y is an element
 k with k.x = y.  The main instances are the gauge groupoids of a finite
 group on a torus (commuting n-tuples under simultaneous conjugation).  An
 orbit walk gives each object's isomorphism class, a transporter from its
-representative, and its automorphism group.
+representative, and its automorphism group together with a generating set
+of it read off the same walk (Schreier's lemma).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class FinGroupoid:
         self._objects = tuple(objects)
         self._classes = None
         self._stab = {}  # representative -> stabilizer, in element order
+        self._stab_gens = {}  # representative -> a generating set of it
         self._transport = {}  # object -> (representative, transporter)
 
     def objects(self):
@@ -42,32 +44,40 @@ class FinGroupoid:
         """The orbits, each sorted by repr with its representative first.
 
         One walk per orbit applies every group element to one object x; it
-        records a transporter to every member and the representative's
-        stabilizer, t Stab(x) t^{-1} for the t taking x to it.  Raises
-        ValueError if an image is not an object.
+        records a transporter T_y to every member y and the representative's
+        stabilizer, t Stab(x) t^{-1} for the t taking x to it, with its
+        Schreier generators T_{s.y}^{-1} s T_y, s in ``group.generators()``
+        (``aut_generators``).  Raises ValueError if an image is not an object.
         """
         if self._classes is None:
             g, act = self.group, self.act
+            table, inv, gens = g.table, g.inverses, g.generators()
             known = set(self._objects)
             classes = []
             for x in self._objects:
                 if x in self._transport:
                     continue
                 reach = {}  # image -> first k with act(k, x) == image
-                fixing = []
+                images, fixing = [], []  # act(k, x) for every k; Stab(x)
                 for k in g.elements():
                     y = act(k, x)
                     if y not in known:
                         raise ValueError(f"{y!r} = act({k!r}, {x!r}) is not an object")
                     reach.setdefault(y, k)
+                    images.append(y)
                     if y == x:
                         fixing.append(k)
                 cls = sorted(reach, key=repr)
                 rep = cls[0]
-                back = g.inverses[reach[rep]]
+                back = inv[reach[rep]]
                 for y, k in reach.items():
-                    self._transport[y] = (rep, g.mul(k, back))
+                    self._transport[y] = (rep, table[k][back])
                 self._stab[rep] = tuple(sorted(g.conjugate(reach[rep], s) for s in fixing))
+                # s T_y = (s k) back: rep -> s.y = images[s k]; a fixed point has T = 1
+                schreier = gens if len(reach) == 1 else {
+                    table[inv[self._transport[images[u]][1]]][table[u][back]]
+                    for u in (table[s][k] for k in reach.values() for s in gens)}
+                self._stab_gens[rep] = min(self._stab[rep], tuple(schreier), key=len)
                 classes.append(cls)
             self._classes = sorted(classes, key=lambda c: repr(c[0]))
         return self._classes
@@ -86,6 +96,13 @@ class FinGroupoid:
         if x == rep:
             return self._stab[rep]
         return tuple(sorted(self.group.conjugate(k, s) for s in self._stab[rep]))
+
+    def aut_generators(self, rep):
+        """A generating set of Aut(rep), rep an orbit representative: its
+        Schreier generators, or all of Aut(rep) when that is not longer."""
+        if self._classes is None:
+            self.isomorphism_classes()
+        return self._stab_gens[rep]
 
 
 def gauge_groupoid(group: FiniteGroup, n: int) -> FinGroupoid:
@@ -113,7 +130,7 @@ def _build_gauge_groupoid(group, n):
                     nxt.append(t + (g,))
         tuples = nxt
     return FinGroupoid(
-        group, tuples, lambda k, t: tuple(group.conjugate(k, x) for x in t)
+        group, tuples, lambda k, t: tuple([group.conjugate(k, x) for x in t])
     )
 
 

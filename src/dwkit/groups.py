@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from operator import eq, index as as_index
+from types import MappingProxyType
 
 from .errors import NotAGroup, UnknownBuiltin
 from .memo import _Memo
@@ -250,11 +251,12 @@ def group_from_table(order, table, label=""):
 
 def _builtin(kind, args, params, label, make_table):
     """The one group of the spec (kind, args), validated once and kept for
-    the BUILTIN_GROUP_MEMO_SIZE most recent (``builtin_group.cache_info``)."""
+    the BUILTIN_GROUP_MEMO_SIZE most recent (``builtin_group.cache_info``),
+    with its spec (kind, params) read-only: params hold ints and tuples."""
     def make():
         table = make_table()
         g = group_from_table(len(table), table, label=label)
-        object.__setattr__(g, "builtin_spec", (kind, params))
+        object.__setattr__(g, "builtin_spec", (kind, MappingProxyType(params)))
         return g
     return _builtin_groups.get((kind, args), make)
 
@@ -272,9 +274,9 @@ def product_group(factors):
     Element index is the mixed-radix encoding with the first factor most
     significant: index(a1..ak) = a1*n2*...*nk + ... + ak.
     """
-    factors = [as_index(n) for n in factors]
+    factors = tuple(as_index(n) for n in factors)
     if not factors or any(n < 1 for n in factors):
-        raise UnknownBuiltin(f"bad product factors {factors}")
+        raise UnknownBuiltin(f"bad product factors {list(factors)}")
     def make_table():
         table, order = [[0]], 1
         for n in reversed(factors):
@@ -283,7 +285,7 @@ def product_group(factors):
                      for a in range(n) for row in table]
             order *= n
         return table
-    return _builtin("product", tuple(factors), {"factors": factors},
+    return _builtin("product", factors, {"factors": factors},
                     "x".join(f"Z{n}" for n in factors), make_table)
 
 

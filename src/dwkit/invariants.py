@@ -195,7 +195,11 @@ def _torus_residues(theta):
 
 def residue_average(residues, modulus, order):
     """(1/order) * the sum of the phases r/modulus counted by the Counter
-    ``residues``, as a TorusPartition whose value is None if irrational."""
+    ``residues``, as a TorusPartition whose value is None if irrational.
+    A sum of phases 1 alone, {0: c}, is c/order without a reduction."""
+    if residues.keys() == {0}:
+        value = Fraction(residues[0], order)
+        return TorusPartition(value, ExactPhaseSum((value,), 1))
     total = ExactPhaseSum.from_weights({
         PhaseValue(r, modulus): Fraction(c, order)
         for r, c in residues.items()
@@ -375,16 +379,18 @@ def matches_dpr(theta: Cochain) -> bool:
 
 
 def flat_basis(groupoid, phase):
-    """The orbit representatives x at which the integer numerator
-    ``phase(x, k)`` is 0 for every automorphism k, in orbit order.
-
-    On a flat line bundle the phase restricted to Aut(x) is a character, so
-    these are the orbits that carry a nonzero parallel section.
+    """The orbit representatives x, in orbit order, at which the integer
+    numerator ``phase(x, k)`` is 0 for every automorphism k: the orbits
+    with a nonzero parallel section.  ``phase(x, -)`` must be a character
+    of Aut(x) into Z/M, so it is read on ``groupoid.aut_generators(x)``
+    only.  A flat line bundle's holonomy is one, and so is the transport
+    of omega' along kernel elements in ``projective_state_cocycle``:
+    delta omega' = lambda* theta vanishes on kernel tuples.
     """
     return [
         cls[0]
         for cls in groupoid.isomorphism_classes()
-        if not any(phase(cls[0], k) for k in groupoid.aut(cls[0]))
+        if not any(phase(cls[0], k) for k in groupoid.aut_generators(cls[0]))
     ]
 
 

@@ -80,9 +80,9 @@ def parse_group(obj) -> FiniteGroup:
 def group_json(group: FiniteGroup) -> dict:
     spec = getattr(group, "builtin_spec", None)
     if spec is not None:
-        name, params = spec  # copied: one builtin group serves every caller
+        name, params = spec  # read-only, with tuples written as lists
         return {"kind": "builtin", "name": name, "params": {
-            k: list(v) if isinstance(v, list) else v for k, v in params.items()}}
+            k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}}
     return {
         "kind": "table",
         "order": group.order,

@@ -221,6 +221,36 @@ def scanned_aut(groupoid: FinGroupoid, x):
     return tuple(k for k in groupoid.group.elements() if groupoid.act(k, x) == x)
 
 
+def reference_flat_basis(groupoid: FinGroupoid, phase):
+    """The orbit representatives whose ``phase`` vanishes on every
+    automorphism: ``flat_basis`` read on the whole stabilizer."""
+    return [
+        cls[0]
+        for cls in groupoid.isomorphism_classes()
+        if not any(phase(cls[0], k) for k in groupoid.aut(cls[0]))
+    ]
+
+
+def closure(group: FiniteGroup, gens):
+    """The subgroup generated by ``gens``, as a set, by repeated products."""
+    closed = {group.identity}
+    while True:
+        grown = closed | {group.mul(x, s) for x in closed for s in gens}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def aut_generators_generate(groupoid: FinGroupoid):
+    """Whether the kept generating set of each representative's stabilizer
+    generates exactly that stabilizer."""
+    return all(
+        closure(groupoid.group, groupoid.aut_generators(cls[0]))
+        == set(groupoid.aut(cls[0]))
+        for cls in groupoid.isomorphism_classes()
+    )
+
+
 def find_isomorphism(a: FiniteGroup, b: FiniteGroup):
     """An isomorphism a -> b found by exhaustive generator-image search.
 

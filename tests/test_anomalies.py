@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from support import (
+    aut_generators_generate,
     direct_product_extension,
     extension_round_trip_iso,
     find_isomorphism,
@@ -20,6 +21,7 @@ from support import (
     reference_cocycle_message,
     reference_delta_rows,
     reference_first_obstruction,
+    reference_flat_basis,
     reference_interval_pairing,
     reference_pullback,
     reference_relative_partition,
@@ -1165,6 +1167,30 @@ def test_projective_state_cocycle_anomalous_case():
     defect, trans, same = projective_state_cocycle(ext, omega_p, theta)
     assert same
     assert solve_coboundary(defect - trans) is not None
+
+
+def test_projective_state_fibres_read_on_stabilizer_generators(monkeypatch):
+    """Each fibre's basis, read on the kept generators of the kernel's
+    stabilizers, is the basis read on the whole stabilizers."""
+    d8, z2 = dihedral_group(8), cyclic_group(2)
+    split = direct_product_extension(d8, z2)
+    retraction = GroupHom(split.total, d8, [x % 8 for x in range(16)])
+    omega_hat = pullback(retraction, catalog_cocycle("dihedral8_2cocycle", {}))
+    cases = [z4_boundary_pair(), (split, omega_hat, Cochain.zero(z2, 3, 1))]
+    flat_basis, read = anomalies.flat_basis, []
+
+    def both(fibre, phase):
+        read.append((flat_basis(fibre, phase), reference_flat_basis(fibre, phase)))
+        assert aut_generators_generate(fibre)
+        return read[-1][0]
+
+    for ext, omega_p, theta in cases:
+        want = projective_state_cocycle(ext, omega_p, theta)
+        with monkeypatch.context() as patch:
+            patch.setattr(anomalies, "flat_basis", both)
+            assert projective_state_cocycle(ext, omega_p, theta) == want
+    assert all(got == ref for got, ref in read)
+    assert [len(got) for got, _ref in read] == [2, 0, 2, 2]  # two sectors each
 
 
 def test_projective_state_cocycle_transport_direction():

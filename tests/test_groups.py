@@ -218,10 +218,10 @@ def test_builtin_constructors_return_one_group_per_spec():
     assert z4p == z4 and z4p is not z4
     assert (z4.label, z4.builtin_spec) == ("Z4", ("cyclic", {"n": 4}))
     assert (z4p.label, z4p.builtin_spec) == (
-        "Z4", ("product", {"factors": [4]}))
+        "Z4", ("product", {"factors": (4,)}))
     doc = group_json(k4)  # the spec of a shared group is copied out
     doc["params"]["factors"].append(3)
-    assert k4.builtin_spec == ("product", {"factors": [2, 2]})
+    assert k4.builtin_spec == ("product", {"factors": (2, 2)})
     fresh = group_from_table(4, z4.table, label="Z4")
     assert fresh == z4 and fresh is not z4 and fresh.builtin_spec is None
 
@@ -240,6 +240,21 @@ def test_builtin_constructors_return_one_group_per_spec():
         with pytest.raises(NotAGroup):
             cyclic_group(0)
     assert builtin_group.cache_info().currsize == before.currsize
+
+
+def test_builtin_spec_is_read_only():
+    k4 = product_group([2, 2])
+    before = group_json(product_group([2, 2]))
+    assert before["params"] == {"factors": [2, 2]}
+    with pytest.raises(AttributeError):
+        k4.builtin_spec[1]["factors"].append(3)
+    with pytest.raises(TypeError):
+        k4.builtin_spec[1]["factors"] = [2, 2, 3]
+    with pytest.raises(TypeError):
+        cyclic_group(4).builtin_spec[1]["n"] = 5
+    assert group_json(product_group([2, 2])) == before
+    assert group_json(cyclic_group(4))["params"] == {"n": 4}
+    assert parse_group(group_json(k4)) is k4
 
 
 def test_group_axioms_on_builtins():

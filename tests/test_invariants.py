@@ -6,7 +6,13 @@ from math import factorial, gcd
 
 import pytest
 
-from support import evaluate, random_cochain, torus_fundamental_cycle
+from support import (
+    aut_generators_generate,
+    evaluate,
+    random_cochain,
+    reference_flat_basis,
+    torus_fundamental_cycle,
+)
 
 from dwkit.cochains import (
     INDEX_MEMO_SIZE,
@@ -25,6 +31,7 @@ from dwkit.errors import (
     DegreeMismatch,
     IncompatiblePhases,
     NotACocycle,
+    VerificationFailed,
 )
 from dwkit.groupoids import gauge_groupoid
 from dwkit.groups import (
@@ -39,11 +46,13 @@ from dwkit.groups import (
 )
 from dwkit.invariants import (
     ExactPhaseSum,
+    TorusPartition,
     dpr_double_cocycle,
     drinfeld_double_simple_count,
     dw_partition_torus,
     matches_dpr,
     omega_regular_class_count,
+    residue_average,
     state_space_torus,
     symmetry_action,
     transgress_circle,
@@ -124,6 +133,29 @@ def test_exact_phase_sum_from_weights():
     assert (s.counts, s.modulus) == ((0, Fraction(1, 2), 0), 3)
     empty = ExactPhaseSum.from_weights({})
     assert (empty.counts, empty.modulus, empty.as_rational()) == ((0,), 1, 0)
+
+
+def test_one_residue_average_skips_the_cyclotomic_reduction(monkeypatch):
+    cases = [(c, m, order) for m in (1, 2, 4, 6, 16) for order in (1, 4, 8, 6)
+             for c in (0, 1, order, 3 * order, 7)]
+    want = {}
+    for c, m, order in cases:
+        total = ExactPhaseSum.from_weights({PhaseValue(0, m): Fraction(c, order)})
+        want[c, m, order] = TorusPartition(total.as_rational(), total)
+
+    def unread(self):
+        raise AssertionError("a single residue 0 needs no reduction")
+
+    monkeypatch.setattr(ExactPhaseSum, "as_rational", unread)
+    for (c, m, order), z in want.items():
+        got = residue_average(Counter({0: c}), m, order)
+        assert (got.value, got.phase_sum) == (z.value, z.phase_sum)
+        assert type(got.value) is Fraction
+    z8 = cyclic_group(8)
+    assert invariants._phase_average(z8, Counter({0: 16}), 4, "sum") == 2
+    for c in (1, 12):
+        with pytest.raises(VerificationFailed):
+            invariants._phase_average(z8, Counter({0: c}), 4, "sum")
 
 
 # --------------------------------------------------------------------------
@@ -638,6 +670,40 @@ def test_state_space_basis_matches_brute_force():
             assert space.basis == brute_force_flat_basis(
                 grp, space.line_bundle, n - 1
             )
+
+
+def test_state_space_bases_read_on_stabilizer_generators(monkeypatch):
+    """On every H^2 and H^3 class (shifted by a coboundary) of six groups,
+    the basis read on each stabilizer's kept generating set is the basis
+    read on the whole stabilizer, and each kept set generates it."""
+    read, flat_basis = [], invariants.flat_basis
+
+    def both(groupoid, phase):
+        read.append((groupoid, flat_basis(groupoid, phase),
+                     reference_flat_basis(groupoid, phase)))
+        return read[-1][1]
+
+    rng = random.Random(40)
+    groups = [dihedral_group(6), dihedral_group(8), dihedral_group(10),
+              product_group([2, 2, 2]), product_group([4, 2]), cyclic_group(6)]
+    count = 0
+    for grp in groups:
+        for n in (2, 3):
+            h = cohomology(grp, n)
+            for coeffs in iter_product(*map(range, h.invariant_factors)):
+                theta = coboundary(random_cochain(grp, n - 1, 4, rng))
+                for c, gen in zip(coeffs, h.generators):
+                    theta = theta + c * gen
+                with monkeypatch.context() as patch:
+                    patch.setattr(invariants, "flat_basis", both)
+                    space = state_space_torus(grp, theta)
+                groupoid, got, want = read.pop()
+                assert space.basis == tuple(got) == tuple(want)
+                assert groupoid is gauge_groupoid(grp, n - 1)
+                count += 1
+        for k in (1, 2):
+            assert aut_generators_generate(gauge_groupoid(grp, k))
+    assert count == 197
 
 
 # --------------------------------------------------------------------------
